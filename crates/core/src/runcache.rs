@@ -18,6 +18,11 @@
 //! parameters — so an ablation sweep over feedback thresholds still shares
 //! its baselines across every sweep point, and two clients submitting
 //! byte-identical modules under different names share every run.
+//!
+//! A profiling run also memoizes the classification of its profiles
+//! (the `classify` service verb): the run's key already covers everything
+//! [`classify`] reads — module content, variant, arguments and the
+//! prefetch config.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -25,6 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::classify::{classify, Classification};
 use crate::error::PipelineError;
 use crate::faults::{corrupt_ir_text, FaultInjector};
 use crate::pipeline::{
@@ -69,6 +75,13 @@ struct PlainKey {
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, PipelineError>>>;
 
+/// A cached profiling run and, once asked for, the classification of its
+/// profiles.
+struct Profiled {
+    outcome: Arc<ProfileOutcome>,
+    classification: OnceLock<Arc<Classification>>,
+}
+
 /// Counters describing cache effectiveness and total simulation volume.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunCacheStats {
@@ -89,7 +102,7 @@ pub struct RunCacheStats {
 pub struct RunCache {
     plain_runs: Mutex<HashMap<PlainKey, Slot<(RunResult, HierarchyStats)>>>,
     edge_runs: Mutex<HashMap<Key, Slot<(EdgeProfile, RunResult)>>>,
-    profiles: Mutex<HashMap<Key, Slot<ProfileOutcome>>>,
+    profiles: Mutex<HashMap<Key, Slot<Profiled>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     sim_loads: AtomicU64,
@@ -113,12 +126,13 @@ fn fingerprint_full(config: &PipelineConfig) -> u64 {
     h.finish()
 }
 
-/// Content fingerprint of a module. The `Debug` form covers every field
-/// the interpreter can observe (functions, blocks, instructions, globals,
-/// entry), so equal fingerprints mean behaviourally identical programs.
+/// Content fingerprint of a module: its derived structural `Hash`, which
+/// covers every field the interpreter can observe (functions, blocks,
+/// instructions, globals, entry) and agrees with `==`, so equal
+/// fingerprints mean behaviourally identical programs.
 pub fn fingerprint_module(module: &Module) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{module:?}").hash(&mut h);
+    module.hash(&mut h);
     h.finish()
 }
 
@@ -213,6 +227,45 @@ impl RunCache {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<ProfileOutcome>, PipelineError> {
+        self.profiled(module, variant, args, config)
+            .map(|p| Arc::clone(&p.outcome))
+    }
+
+    /// [`RunCache::profiling`] together with the [`classify`] result of
+    /// its profiles under `config.prefetch`, computed once per cached run.
+    /// Counts one lookup, exactly as [`RunCache::profiling`] does.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying run's [`PipelineError`].
+    pub fn classified(
+        &self,
+        module: &Module,
+        variant: ProfilingVariant,
+        args: &[i64],
+        config: &PipelineConfig,
+    ) -> Result<(Arc<ProfileOutcome>, Arc<Classification>), PipelineError> {
+        let p = self.profiled(module, variant, args, config)?;
+        let classification = p.classification.get_or_init(|| {
+            let o = &p.outcome;
+            Arc::new(classify(
+                module,
+                &o.stride,
+                &o.edge,
+                o.source,
+                &config.prefetch,
+            ))
+        });
+        Ok((Arc::clone(&p.outcome), Arc::clone(classification)))
+    }
+
+    fn profiled(
+        &self,
+        module: &Module,
+        variant: ProfilingVariant,
+        args: &[i64],
+        config: &PipelineConfig,
+    ) -> Result<Arc<Profiled>, PipelineError> {
         let key = Key {
             module_fingerprint: fingerprint_module(module),
             kind: RunKind::Profiling(variant),
@@ -222,7 +275,10 @@ impl RunCache {
         self.get_or_run(&self.profiles, key, || {
             let out = run_profiling(module, args, variant, config)?;
             self.record_run(&out.run);
-            Ok(out)
+            Ok(Profiled {
+                outcome: Arc::new(out),
+                classification: OnceLock::new(),
+            })
         })
     }
 
@@ -562,6 +618,38 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1, "a resubmitted identical module hits");
         assert_eq!(s.hits, 1);
+    }
+
+    #[test]
+    fn classification_is_memoized_with_its_run_and_counts_like_profiling() {
+        let m = sweep_module();
+        let cfg = PipelineConfig::default();
+        let cache = RunCache::new();
+        let v = ProfilingVariant::EdgeCheck;
+        let (outcome, first) = cache.classified(&m, v, TRAIN, &cfg).unwrap();
+        let direct = classify(
+            &m,
+            &outcome.stride,
+            &outcome.edge,
+            outcome.source,
+            &cfg.prefetch,
+        );
+        assert_eq!(format!("{first:?}"), format!("{direct:?}"));
+        let (_, second) = cache.classified(&m, v, TRAIN, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "classified once per run");
+        cache.profiling(&m, v, TRAIN, &cfg).unwrap();
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (2, 1),
+            "one lookup per call, as profiling"
+        );
+        // The prefetch config is part of the key, so new thresholds
+        // classify afresh.
+        let mut tweaked = cfg;
+        tweaked.prefetch.thresholds.trip_count_threshold *= 2;
+        let (_, other) = cache.classified(&m, v, TRAIN, &tweaked).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::repl::DeltaRecord;
 use crate::wal::{
     scan_chain, write_atomic, DiskFaults, RecordKind, ScanItem, SegmentConfig, Wal, WalRecord,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One key in the database, as listed without parsing whole entries.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,9 +70,19 @@ struct DbState {
     /// loss-prevention path).
     retain_wal: Wal,
     retained: Vec<DeltaRecord>,
+    /// Decoded entries already read through this handle, by key. Every
+    /// write through the handle drops its key first, so a hit equals
+    /// what a fresh read of the file would return — as long as nothing
+    /// else edits the store (see [`ProfileDb`]).
+    entries: HashMap<(String, u64), Arc<ProfileEntry>>,
 }
 
 impl DbState {
+    /// Drops a key's decoded entry ahead of a write to its file.
+    fn forget(&mut self, workload: &str, module_hash: u64) {
+        self.entries.remove(&(workload.to_string(), module_hash));
+    }
+
     fn remember(&mut self, id: u64) {
         if id == 0 || !self.applied.insert(id) {
             return;
@@ -92,6 +102,11 @@ impl DbState {
 /// the read-merge-write sequence of [`ProfileDb::merge_store_logged`] is
 /// serialized on an internal lock, so concurrent merges from the daemon's
 /// worker pool never interleave mid-merge.
+///
+/// Ownership: [`ProfileDb::load`] keeps each entry it decodes and serves
+/// later loads of that key from memory until a write through this handle
+/// replaces or removes it. A handle therefore does not see outside edits
+/// to an entry file it has already read; reopen the store to pick them up.
 #[derive(Debug)]
 pub struct ProfileDb {
     root: PathBuf,
@@ -245,6 +260,7 @@ impl ProfileDb {
             dedup_hits: 0,
             retain_wal,
             retained,
+            entries: HashMap::new(),
         };
         for id in &report.applied_ids {
             state.remember(*id);
@@ -281,6 +297,7 @@ impl ProfileDb {
             dedup_hits: 0,
             retain_wal,
             retained,
+            entries: HashMap::new(),
         };
         for id in known {
             state.remember(id);
@@ -354,17 +371,57 @@ impl ProfileDb {
     /// [`DbError::KeyMismatch`] for unstorable workload names.
     pub fn store(&self, entry: &ProfileEntry) -> Result<(), DbError> {
         check_workload_name(&entry.workload)?;
+        let mut st = self.lock();
+        st.forget(&entry.workload, entry.module_hash);
         write_entry_file(&self.root, entry)
     }
 
     /// Loads the entry under `(workload, module_hash)`, verifying its
-    /// checksum trailer when present.
+    /// checksum trailer when present. Served from memory when this handle
+    /// has read the key before and not written it since.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::NotFound`] when absent, [`DbError::Parse`] for
     /// a corrupt file (bad checksum included), [`DbError::Io`] otherwise.
     pub fn load(&self, workload: &str, module_hash: u64) -> Result<ProfileEntry, DbError> {
+        self.load_shared(workload, module_hash)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// [`ProfileDb::load`] without copying the entry out of memory.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProfileDb::load`].
+    pub fn load_shared(
+        &self,
+        workload: &str,
+        module_hash: u64,
+    ) -> Result<Arc<ProfileEntry>, DbError> {
+        self.load_locked(&mut self.lock(), workload, module_hash)
+    }
+
+    /// The read-through step of [`ProfileDb::load`], under the state lock
+    /// the caller already holds.
+    fn load_locked(
+        &self,
+        st: &mut DbState,
+        workload: &str,
+        module_hash: u64,
+    ) -> Result<Arc<ProfileEntry>, DbError> {
+        let key = (workload.to_string(), module_hash);
+        if let Some(entry) = st.entries.get(&key) {
+            return Ok(Arc::clone(entry));
+        }
+        let entry = Arc::new(self.read_entry(workload, module_hash)?);
+        st.entries.insert(key, Arc::clone(&entry));
+        Ok(entry)
+    }
+
+    /// Reads and decodes the entry file under a key, verifying its
+    /// checksum trailer and that it holds the key's entry.
+    fn read_entry(&self, workload: &str, module_hash: u64) -> Result<ProfileEntry, DbError> {
         check_workload_name(workload)?;
         let path = self.path_for(workload, module_hash);
         let text = match entry_file_text(&self.root, workload, module_hash)? {
@@ -430,10 +487,17 @@ impl ProfileDb {
         let mut st = self.lock();
         if req_id != 0 && st.applied.contains(&req_id) {
             st.dedup_hits += 1;
-            let stored = self.load(&entry.workload, entry.module_hash)?;
-            return Ok((stored, true));
+            let stored = self.load_locked(&mut st, &entry.workload, entry.module_hash)?;
+            return Ok((Arc::unwrap_or_clone(stored), true));
         }
-        let merged = match self.load(&entry.workload, entry.module_hash) {
+        // The key's file is about to be rewritten, so its decoded entry
+        // leaves the cache here: moved out rather than copied.
+        let key = (entry.workload.clone(), entry.module_hash);
+        let existing = match st.entries.remove(&key) {
+            Some(cached) => Ok(Arc::unwrap_or_clone(cached)),
+            None => self.read_entry(&entry.workload, entry.module_hash),
+        };
+        let merged = match existing {
             Ok(mut existing) => {
                 existing.merge(entry)?;
                 existing
@@ -513,7 +577,7 @@ impl ProfileDb {
             let Ok(module_hash) = u64::from_str_radix(hash_s, 16) else {
                 continue;
             };
-            let Ok(entry) = self.load(workload, module_hash) else {
+            let Ok(entry) = self.read_entry(workload, module_hash) else {
                 bad += 1;
                 continue;
             };
@@ -632,6 +696,8 @@ impl ProfileDb {
     ///
     /// Returns [`DbError::Io`] when removal fails for another reason.
     pub fn remove(&self, workload: &str, module_hash: u64) -> Result<(), DbError> {
+        let mut st = self.lock();
+        st.forget(workload, module_hash);
         let path = self.path_for(workload, module_hash);
         match fs::remove_file(&path) {
             Ok(()) => Ok(()),

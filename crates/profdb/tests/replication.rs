@@ -9,6 +9,9 @@
 //!   segmented store is byte-identical to the running one.
 //! * **Torn history** — a torn *sealed* segment (damaged history, not a
 //!   crashed tail) is reported and preserved, never truncated.
+//! * **Read-cache coherence** — through any sequence of writes, a load
+//!   served from a handle's decoded-entry cache equals a load through a
+//!   freshly opened handle.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -235,5 +238,73 @@ fn torn_middle_segment_is_reported_and_preserved() {
     assert!(quarantined >= 1, "no quarantine copy of the torn tail");
     // Entry files are untouched: the torn record was already applied.
     assert_eq!(entry_files(&root), want_files);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Every key the coherence sequence touches.
+const KEYS: [(&str, u64); 4] = [("mcf", 1), ("mcf", 2), ("gap", 1), ("art", 7)];
+
+/// What a fresh handle on `root` loads under each key (errors by text).
+fn loads(db: &ProfileDb) -> Vec<Result<ProfileEntry, String>> {
+    KEYS.iter()
+        .map(|&(w, h)| db.load(w, h).map_err(|e| e.to_string()))
+        .collect()
+}
+
+#[test]
+fn cached_loads_match_a_fresh_handle_after_every_write() {
+    for seed in 1..=3u64 {
+        let root = tmpdir(&format!("read-cache-{seed}"));
+        let db = ProfileDb::open(&root).expect("open");
+        let mut rng = Rng(seed);
+        for step in 0..60 {
+            let (w, h) = KEYS[rng.below(KEYS.len())];
+            let e = entry(w, h, 8 << rng.below(4), 1 + rng.below(50) as u64);
+            // Ids repeat often, so dedup paths run too.
+            let id = rng.below(12) as u64;
+            let op = rng.below(5);
+            // A duplicate id whose key was removed since fails its merge
+            // with `NotFound`; only what a load sees afterwards matters.
+            match op {
+                0 => db.store(&e).expect("store"),
+                1 => drop(db.merge_store_logged(&e, id)),
+                2 => drop(db.apply_deltas(&[DeltaRecord {
+                    req_id: id,
+                    entry_text: e.to_text(),
+                }])),
+                3 => db.remove(w, h).expect("remove"),
+                _ => drop(db.gc(|w2, h2| (w2, h2) != (w, h)).expect("gc")),
+            }
+            let fresh = ProfileDb::open_unrecovered(&root).expect("fresh handle");
+            assert_eq!(
+                loads(&db),
+                loads(&fresh),
+                "seed {seed} step {step} op {op} on {w}@{h}"
+            );
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn a_handle_sees_outside_edits_to_a_read_entry_only_after_reopen() {
+    let root = tmpdir("read-cache-owner");
+    let db = ProfileDb::open(&root).expect("open");
+    let e = entry("mcf", 3, 16, 10);
+    db.store(&e).expect("store");
+    assert_eq!(db.load("mcf", 3).expect("load"), e);
+    let mut other = entry("mcf", 3, 32, 4);
+    other.runs = 5;
+    ProfileDb::open(&root)
+        .expect("second handle")
+        .store(&other)
+        .expect("outside edit");
+    assert_eq!(
+        db.load("mcf", 3).expect("cached load"),
+        e,
+        "served from memory"
+    );
+    let reopened = ProfileDb::open(&root).expect("reopen");
+    assert_eq!(reopened.load("mcf", 3).expect("fresh load"), other);
     let _ = fs::remove_dir_all(&root);
 }

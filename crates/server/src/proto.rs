@@ -504,6 +504,21 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
+    /// Every kind, in declaration order (so `ALL[kind as usize] == kind`).
+    pub(crate) const ALL: [ErrorKind; 11] = [
+        ErrorKind::Vm,
+        ErrorKind::Parse,
+        ErrorKind::Malformed,
+        ErrorKind::BadFaultPlan,
+        ErrorKind::Panic,
+        ErrorKind::Busy,
+        ErrorKind::Proto,
+        ErrorKind::NotFound,
+        ErrorKind::Stale,
+        ErrorKind::Unavailable,
+        ErrorKind::HandoffFull,
+    ];
+
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -523,20 +538,7 @@ impl ErrorKind {
 
     /// Parses a wire name.
     pub fn parse(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "vm" => ErrorKind::Vm,
-            "parse" => ErrorKind::Parse,
-            "malformed" => ErrorKind::Malformed,
-            "bad-fault-plan" => ErrorKind::BadFaultPlan,
-            "panic" => ErrorKind::Panic,
-            "busy" => ErrorKind::Busy,
-            "proto" => ErrorKind::Proto,
-            "not-found" => ErrorKind::NotFound,
-            "stale" => ErrorKind::Stale,
-            "unavailable" => ErrorKind::Unavailable,
-            "handoff-full" => ErrorKind::HandoffFull,
-            _ => return None,
-        })
+        ErrorKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -905,19 +907,8 @@ mod tests {
 
     #[test]
     fn every_error_kind_round_trips() {
-        for kind in [
-            ErrorKind::Vm,
-            ErrorKind::Parse,
-            ErrorKind::Malformed,
-            ErrorKind::BadFaultPlan,
-            ErrorKind::Panic,
-            ErrorKind::Busy,
-            ErrorKind::Proto,
-            ErrorKind::NotFound,
-            ErrorKind::Stale,
-            ErrorKind::Unavailable,
-            ErrorKind::HandoffFull,
-        ] {
+        for (i, kind) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in declaration order");
             assert_eq!(ErrorKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(ErrorKind::parse("nope"), None);

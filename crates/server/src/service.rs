@@ -7,18 +7,17 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use stride_core::{
-    classify, corrupt_ir_text, run_profiling, Classification, FaultInjector, FaultKind, Histogram,
-    PipelineConfig, PipelineError, ProfilingVariant, Registry, RunCache, SpeedupOutcome,
-    TraceEvent,
+    classify, corrupt_ir_text, run_profiling, Classification, Counter, FaultInjector, FaultKind,
+    Histogram, PipelineConfig, PipelineError, ProfileOutcome, ProfilingVariant, Registry, RunCache,
+    SpeedupOutcome, TraceEvent,
 };
 use stride_ir::{module_from_string, module_to_string, Module};
 use stride_profdb::{
     decode_delta_batch, encode_delta_batch, encode_digest_table, module_hash, DbError, DiskFaults,
     ProfileDb, ProfileEntry,
 };
-use stride_profiling::{EdgeProfile, StrideProfile};
 
 /// Converts the plan's disk fault kinds into the store's injectable
 /// [`DiskFaults`] (later clauses win for the same kind).
@@ -75,17 +74,23 @@ struct Counters {
     errors: AtomicU64,
 }
 
-/// Pre-registered metric handles for the request path. Updates through
-/// these are lock-free atomic adds; registration (which takes the
-/// registry lock and allocates) happens once at service construction.
+/// Metric handles for the request path. Updates through these are
+/// lock-free atomic adds; registration (which takes the registry lock and
+/// allocates) happens once per handle: at service construction, or for
+/// the per-verb and per-error-kind counters on their first use, so a verb
+/// never asked for adds no line to the stats snapshot.
 struct ServiceMetrics {
     latency_profile: Histogram,
     latency_classify: Histogram,
     latency_prefetch: Histogram,
-    retried_merges: stride_core::Counter,
-    deltas_applied: stride_core::Counter,
-    deltas_deduped: stride_core::Counter,
-    segments_compacted: stride_core::Counter,
+    retried_merges: Counter,
+    deltas_applied: Counter,
+    deltas_deduped: Counter,
+    segments_compacted: Counter,
+    /// `server.req.<verb>`, indexed like [`VERBS`].
+    requests: [OnceLock<Counter>; VERBS.len()],
+    /// `server.error.<kind>`, indexed like [`ErrorKind::ALL`].
+    errors: [OnceLock<Counter>; ErrorKind::ALL.len()],
 }
 
 impl ServiceMetrics {
@@ -98,30 +103,65 @@ impl ServiceMetrics {
             deltas_applied: obs.counter("repl.deltas_applied"),
             deltas_deduped: obs.counter("repl.deltas_deduped"),
             segments_compacted: obs.counter("wal.segments_compacted"),
+            requests: Default::default(),
+            errors: Default::default(),
         }
     }
 }
 
-/// The verb name a request is counted under (`server.req.<verb>`).
-fn verb_of(req: &Request) -> &'static str {
+/// Increments the counter in `slot`, registering it as `name` first if
+/// this is its first use.
+fn bump(obs: &Registry, slot: &OnceLock<Counter>, name: impl FnOnce() -> String) {
+    slot.get_or_init(|| obs.counter(&name())).inc();
+}
+
+/// Every verb a request is counted under (`server.req.<verb>`), in the
+/// order [`verb_of`] indexes them.
+const VERBS: [&str; 16] = [
+    "submit",
+    "profile",
+    "classify",
+    "prefetch",
+    "get-profile",
+    "merge-profile",
+    "sync-delta",
+    "gc",
+    "ping",
+    "digest",
+    "pull-deltas",
+    "health",
+    "repair",
+    "route-update",
+    "stats",
+    "shutdown",
+];
+
+/// The index into [`VERBS`] of the verb a request is counted under.
+fn verb_of(req: &Request) -> usize {
     match req {
-        Request::SubmitModule { .. } => "submit",
-        Request::Profile { .. } => "profile",
-        Request::Classify { .. } => "classify",
-        Request::Prefetch { .. } => "prefetch",
-        Request::GetProfile { .. } => "get-profile",
-        Request::MergeProfile { .. } => "merge-profile",
-        Request::SyncDelta { .. } => "sync-delta",
-        Request::Gc => "gc",
-        Request::Ping => "ping",
-        Request::Digest => "digest",
-        Request::PullDeltas => "pull-deltas",
-        Request::Health => "health",
-        Request::Repair => "repair",
-        Request::RouteUpdate { .. } => "route-update",
-        Request::Stats => "stats",
-        Request::Shutdown => "shutdown",
+        Request::SubmitModule { .. } => 0,
+        Request::Profile { .. } => 1,
+        Request::Classify { .. } => 2,
+        Request::Prefetch { .. } => 3,
+        Request::GetProfile { .. } => 4,
+        Request::MergeProfile { .. } => 5,
+        Request::SyncDelta { .. } => 6,
+        Request::Gc => 7,
+        Request::Ping => 8,
+        Request::Digest => 9,
+        Request::PullDeltas => 10,
+        Request::Health => 11,
+        Request::Repair => 12,
+        Request::RouteUpdate { .. } => 13,
+        Request::Stats => 14,
+        Request::Shutdown => 15,
     }
+}
+
+/// A submitted module with its content hash, computed once at submit.
+struct Submitted {
+    module: Module,
+    hash: u64,
 }
 
 /// The daemon's shared state; `handle` is safe to call from any number of
@@ -130,7 +170,7 @@ pub struct Service {
     config: ServiceConfig,
     effective: PipelineConfig,
     db: Mutex<ProfileDb>,
-    modules: Mutex<HashMap<String, Arc<Module>>>,
+    modules: Mutex<HashMap<String, Arc<Submitted>>>,
     cache: RunCache,
     counters: Counters,
     obs: Arc<Registry>,
@@ -178,7 +218,7 @@ impl Service {
         &self.effective
     }
 
-    fn module_of(&self, workload: &str) -> Result<Arc<Module>, Response> {
+    fn module_of(&self, workload: &str) -> Result<Arc<Submitted>, Response> {
         self.modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -192,49 +232,35 @@ impl Service {
             })
     }
 
-    /// Runs one profiling pass, applying any server-side fault plan that
-    /// targets `workload`. Faulted runs bypass the run cache so clean
-    /// requests never see perturbed results.
-    fn profiles_for(
-        &self,
+    /// The server-side fault plan, if it targets `workload`. Requests for
+    /// such a workload bypass the run cache so clean requests never see
+    /// perturbed results.
+    fn injector_for(&self, workload: &str) -> Option<&FaultInjector> {
+        self.config
+            .injector
+            .as_ref()
+            .filter(|i| i.affects(workload))
+    }
+
+    /// Runs one uncached profiling pass under `injector`'s plan for
+    /// `workload` and perturbs its profiles as the plan says.
+    fn faulted_profiling(
+        injector: &FaultInjector,
         workload: &str,
         module: &Module,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
-    ) -> Result<
-        (
-            EdgeProfile,
-            StrideProfile,
-            stride_profiling::FreqSource,
-            u64,
-        ),
-        PipelineError,
-    > {
-        if let Some(injector) = self
-            .config
-            .injector
-            .as_ref()
-            .filter(|i| i.affects(workload))
-        {
-            if injector.wants_malformed_ir(workload) {
-                let text = corrupt_ir_text(injector.plan().seed, &module_to_string(module));
-                module_from_string(&text)?;
-            }
-            let mut config = *config;
-            config.vm = injector.vm_overrides(workload, config.vm);
-            let outcome = run_profiling(module, args, variant, &config)?;
-            let (mut edge, mut stride) = (outcome.edge, outcome.stride);
-            injector.apply_to_profiles(workload, &mut edge, &mut stride);
-            return Ok((edge, stride, outcome.source, outcome.run.cycles));
+    ) -> Result<ProfileOutcome, PipelineError> {
+        if injector.wants_malformed_ir(workload) {
+            let text = corrupt_ir_text(injector.plan().seed, &module_to_string(module));
+            module_from_string(&text)?;
         }
-        let outcome = self.cache.profiling(module, variant, args, config)?;
-        Ok((
-            outcome.edge.clone(),
-            outcome.stride.clone(),
-            outcome.source,
-            outcome.run.cycles,
-        ))
+        let mut config = *config;
+        config.vm = injector.vm_overrides(workload, config.vm);
+        let mut outcome = run_profiling(module, args, variant, &config)?;
+        injector.apply_to_profiles(workload, &mut outcome.edge, &mut outcome.stride);
+        Ok(outcome)
     }
 
     /// Handles one request with no metadata (server-default deadline, no
@@ -253,11 +279,16 @@ impl Service {
         // The request sequence number doubles as the trace event's
         // logical clock: metrics never read wall-clock time.
         let seq = self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs.add(&format!("server.req.{}", verb_of(req)), 1);
+        let verb = verb_of(req);
+        bump(&self.obs, &self.metrics.requests[verb], || {
+            format!("server.req.{}", VERBS[verb])
+        });
         let resp = self.dispatch(meta, req);
         let failed = if let Response::Err { kind, .. } = &resp {
             self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.add(&format!("server.error.{kind}"), 1);
+            bump(&self.obs, &self.metrics.errors[*kind as usize], || {
+                format!("server.error.{kind}")
+            });
             1
         } else {
             0
@@ -359,7 +390,7 @@ impl Service {
         self.modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(workload.to_string(), Arc::new(module));
+            .insert(workload.to_string(), Arc::new(Submitted { module, hash }));
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
@@ -370,17 +401,23 @@ impl Service {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Response {
-        let module = match self.module_of(workload) {
-            Ok(m) => m,
+        let sub = match self.module_of(workload) {
+            Ok(s) => s,
             Err(resp) => return resp,
         };
-        let (edge, stride, _, cycles) =
-            match self.profiles_for(workload, &module, variant, args, config) {
-                Ok(p) => p,
-                Err(e) => return pipeline_err(&e),
-            };
-        self.metrics.latency_profile.observe(cycles);
-        let entry = ProfileEntry::from_run(workload, module_hash(&module), &edge, &stride);
+        let outcome = match self.injector_for(workload) {
+            Some(injector) => {
+                Self::faulted_profiling(injector, workload, &sub.module, variant, args, config)
+                    .map(Arc::new)
+            }
+            None => self.cache.profiling(&sub.module, variant, args, config),
+        };
+        let outcome = match outcome {
+            Ok(o) => o,
+            Err(e) => return pipeline_err(&e),
+        };
+        self.metrics.latency_profile.observe(outcome.run.cycles);
+        let entry = ProfileEntry::from_run(workload, sub.hash, &outcome.edge, &outcome.stride);
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = db.merge_store(&entry) {
             return db_err(&e);
@@ -397,17 +434,27 @@ impl Service {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Response {
-        let module = match self.module_of(workload) {
-            Ok(m) => m,
+        let sub = match self.module_of(workload) {
+            Ok(s) => s,
             Err(resp) => return resp,
         };
-        let (edge, stride, source, cycles) =
-            match self.profiles_for(workload, &module, variant, args, config) {
-                Ok(p) => p,
-                Err(e) => return pipeline_err(&e),
-            };
-        self.metrics.latency_classify.observe(cycles);
-        let classification = classify(&module, &stride, &edge, source, &config.prefetch);
+        let classified = match self.injector_for(workload) {
+            Some(injector) => {
+                Self::faulted_profiling(injector, workload, &sub.module, variant, args, config).map(
+                    |o| {
+                        let c =
+                            classify(&sub.module, &o.stride, &o.edge, o.source, &config.prefetch);
+                        (Arc::new(o), Arc::new(c))
+                    },
+                )
+            }
+            None => self.cache.classified(&sub.module, variant, args, config),
+        };
+        let (outcome, classification) = match classified {
+            Ok(c) => c,
+            Err(e) => return pipeline_err(&e),
+        };
+        self.metrics.latency_classify.observe(outcome.run.cycles);
         Response::Ok(render_classification(&classification))
     }
 
@@ -419,22 +466,18 @@ impl Service {
         ref_args: &[i64],
         config: &PipelineConfig,
     ) -> Response {
-        let module = match self.module_of(workload) {
-            Ok(m) => m,
+        let sub = match self.module_of(workload) {
+            Ok(s) => s,
             Err(resp) => return resp,
         };
-        let result = match self
-            .config
-            .injector
-            .as_ref()
-            .filter(|i| i.affects(workload))
-        {
+        let module = &sub.module;
+        let result = match self.injector_for(workload) {
             Some(injector) => self.cache.speedup_faulted(
-                &module, workload, train_args, ref_args, variant, config, injector,
+                module, workload, train_args, ref_args, variant, config, injector,
             ),
             None => self
                 .cache
-                .speedup(&module, train_args, ref_args, variant, config),
+                .speedup(module, train_args, ref_args, variant, config),
         };
         match result {
             Ok(outcome) => {
@@ -453,13 +496,12 @@ impl Service {
     }
 
     fn get_profile(&self, workload: &str) -> Response {
-        let module = match self.module_of(workload) {
-            Ok(m) => m,
+        let sub = match self.module_of(workload) {
+            Ok(s) => s,
             Err(resp) => return resp,
         };
-        let hash = module_hash(&module);
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        match db.load(workload, hash) {
+        match db.load_shared(workload, sub.hash) {
             Ok(entry) => Response::Ok(entry.to_text()),
             Err(e) => db_err(&e),
         }
@@ -481,8 +523,8 @@ impl Service {
         }
         // Staleness check: if the workload's module is registered, the
         // incoming entry must match its current content hash.
-        if let Ok(module) = self.module_of(&entry.workload) {
-            if let Err(e) = entry.check_fresh(module_hash(&module)) {
+        if let Ok(sub) = self.module_of(&entry.workload) {
+            if let Err(e) = entry.check_fresh(sub.hash) {
                 return db_err(&e);
             }
         }
@@ -548,7 +590,7 @@ impl Service {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
-            .map(|(w, m)| (w.clone(), module_hash(m)))
+            .map(|(w, sub)| (w.clone(), sub.hash))
             .collect();
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
         match db.gc(|w, h| live.get(w) == Some(&h)) {
@@ -673,6 +715,7 @@ pub fn render_speedup(o: &SpeedupOutcome) -> String {
 mod tests {
     use super::*;
     use stride_ir::{ModuleBuilder, Operand};
+    use stride_profiling::StrideProfile;
 
     fn tmp_service(tag: &str) -> Service {
         let root =
@@ -683,6 +726,11 @@ mod tests {
 
     /// Repeated strided sweeps over a big array (profilable, prefetchable).
     fn sweep_text() -> String {
+        sweep_text_of(2000)
+    }
+
+    /// [`sweep_text`] with `trip` iterations per sweep.
+    fn sweep_text_of(trip: i64) -> String {
         let mut mb = ModuleBuilder::new();
         let g = mb.add_global("arr", 1 << 18);
         let f = mb.declare_function("main", 1);
@@ -690,7 +738,7 @@ mod tests {
         let base = fb.global_addr(g);
         let sum = fb.mov(0i64);
         fb.counted_loop(fb.param(0), |fb, _| {
-            fb.counted_loop(2000i64, |fb, i| {
+            fb.counted_loop(trip, |fb, i| {
                 let off = fb.mul(i, 64i64);
                 let a = fb.add(base, off);
                 let (v, _) = fb.load(a, 0);
@@ -965,6 +1013,140 @@ mod tests {
         assert!(dup.contains("duplicate request id"), "{dup}");
         let body = ok_body(svc.handle(&Request::Stats));
         assert!(body.contains("counter server.merge.retried 1"), "{body}");
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    /// A served read and what it must equal: the `get-profile` body (or
+    /// error message) and the `classify` body.
+    type Reads = (Result<String, String>, String);
+
+    fn served_reads(svc: &Service, workload: &str, args: &[i64]) -> Reads {
+        let stored = match svc.handle(&Request::GetProfile {
+            workload: workload.into(),
+        }) {
+            Response::Ok(body) => Ok(body),
+            Response::Err { message, .. } => Err(message),
+        };
+        let classified = ok_body(svc.handle(&Request::Classify {
+            workload: workload.into(),
+            variant: ProfilingVariant::EdgeCheck,
+            args: args.to_vec(),
+        }));
+        (stored, classified)
+    }
+
+    /// The reads of `workload` computed without any cache: a fresh store
+    /// handle and an uncached profiling run of `text`, perturbed by
+    /// `injector` when one is given.
+    fn uncached_reads(
+        svc: &Service,
+        workload: &str,
+        text: &str,
+        args: &[i64],
+        injector: Option<&FaultInjector>,
+    ) -> Reads {
+        let module = module_from_string(text).unwrap();
+        let fresh = ProfileDb::open_unrecovered(&svc.config.db_root).unwrap();
+        let stored = fresh
+            .load(workload, module_hash(&module))
+            .map(|e| e.to_text())
+            .map_err(|e| e.to_string());
+        let config = svc.pipeline_config();
+        let mut o = run_profiling(&module, args, ProfilingVariant::EdgeCheck, config).unwrap();
+        if let Some(injector) = injector {
+            injector.apply_to_profiles(workload, &mut o.edge, &mut o.stride);
+        }
+        let c = classify(&module, &o.stride, &o.edge, o.source, &config.prefetch);
+        (stored, render_classification(&c))
+    }
+
+    #[test]
+    fn cached_reads_match_uncached_pipeline_after_every_change() {
+        let svc = tmp_service("coherence");
+        let args = [2];
+        let check = |text: &str, when: &str| {
+            // Twice: the second pair is served from the warmed caches.
+            for _ in 0..2 {
+                assert_eq!(
+                    served_reads(&svc, "sweep", &args),
+                    uncached_reads(&svc, "sweep", text, &args, None),
+                    "after {when}"
+                );
+            }
+        };
+        let v1 = sweep_text();
+        ok_body(svc.handle(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: v1.clone(),
+        }));
+        let entry_text = ok_body(svc.handle(&Request::Profile {
+            workload: "sweep".into(),
+            variant: ProfilingVariant::EdgeCheck,
+            args: args.to_vec(),
+        }));
+        check(&v1, "a profile");
+        ok_body(svc.handle(&Request::MergeProfile { entry_text }));
+        check(&v1, "a merge");
+        let v2 = sweep_text_of(1500);
+        ok_body(svc.handle(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: v2.clone(),
+        }));
+        check(&v2, "a re-submit of a changed module");
+        ok_body(svc.handle(&Request::Profile {
+            workload: "sweep".into(),
+            variant: ProfilingVariant::EdgeCheck,
+            args: args.to_vec(),
+        }));
+        check(&v2, "a profile of the changed module");
+        let gc = ok_body(svc.handle(&Request::Gc));
+        assert!(gc.starts_with("removed 1\n"), "{gc}");
+        check(&v2, "a gc");
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    #[test]
+    fn a_workload_under_a_fault_plan_bypasses_every_cache() {
+        let root =
+            std::env::temp_dir().join(format!("stride-service-fault-reads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let plan = stride_core::FaultPlan::parse("seed=7;drop-sites=1@faulty").unwrap();
+        let injector = FaultInjector::new(plan);
+        let mut cfg = ServiceConfig::new(root);
+        cfg.injector = Some(injector.clone());
+        let svc = Service::new(cfg).unwrap();
+        let args = [2];
+        let text = sweep_text();
+        for workload in ["faulty", "clean"] {
+            ok_body(svc.handle(&Request::SubmitModule {
+                workload: workload.into(),
+                text: text.clone(),
+            }));
+            ok_body(svc.handle(&Request::Profile {
+                workload: workload.into(),
+                variant: ProfilingVariant::EdgeCheck,
+                args: args.to_vec(),
+            }));
+        }
+        let before = svc.cache.stats();
+        for _ in 0..2 {
+            assert_eq!(
+                served_reads(&svc, "faulty", &args),
+                uncached_reads(&svc, "faulty", &text, &args, Some(&injector))
+            );
+        }
+        assert_eq!(
+            svc.cache.stats(),
+            before,
+            "faulted reads never touch the run cache"
+        );
+        let clean = served_reads(&svc, "clean", &args);
+        assert_eq!(clean, uncached_reads(&svc, "clean", &text, &args, None));
+        assert_ne!(
+            clean.1,
+            served_reads(&svc, "faulty", &args).1,
+            "the plan must change what `faulty` classifies"
+        );
         let _ = std::fs::remove_dir_all(&svc.config.db_root);
     }
 }
