@@ -54,6 +54,11 @@ echo "== benchmark correctness: serve-read bytes vs an in-process Service =="
 # benchmark/spread.py instead.
 CARGO_TARGET_DIR=target bash benchmark/run.sh --workload serve-read --trace 0 --seconds 1 > /dev/null
 
+echo "== benchmark correctness: cluster-write through strided-router =="
+# Exits nonzero when an acknowledged merge is lost, the two replicas
+# diverge, or any request fails.
+CARGO_TARGET_DIR=target bash benchmark/run.sh --workload cluster-write --trace 0 --seconds 1 > /dev/null
+
 echo "== smoke: metrics snapshot byte-identical across --jobs =="
 m1=$(mktemp)
 m8=$(mktemp)

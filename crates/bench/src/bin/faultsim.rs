@@ -58,8 +58,8 @@
 
 use stride_bench::{default_jobs, parallel_map_isolated, parse_jobs, RunCache};
 use stride_core::{
-    degradation_violations, run_profiling, FaultInjector, FaultPlan, PipelineConfig,
-    ProfilingVariant,
+    degradation_violations, run_profiling, splitmix64_mix, FaultInjector, FaultPlan, FaultRng,
+    PipelineConfig, ProfilingVariant, SPLITMIX64_GAMMA,
 };
 use stride_ir::module_to_string;
 use stride_profdb::{
@@ -154,21 +154,11 @@ fn run_scenario(
     }
 }
 
-/// splitmix64 stream increment.
-const MIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64 finalizer without the increment — the same mix the
-/// client's idempotency-id stream uses, so the cluster campaign can
-/// predict the req-id the router stamps on each merge's delta.
-fn mix_final(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// splitmix64 step: the campaign's only randomness primitive.
+/// splitmix64 step: the campaign's only randomness primitive. The
+/// mixer is the one the client's idempotency-id stream uses, so the
+/// cluster campaign can predict the req-id each merge's delta carries.
 fn mix64(x: u64) -> u64 {
-    mix_final(x.wrapping_add(MIX_GAMMA))
+    splitmix64_mix(x.wrapping_add(SPLITMIX64_GAMMA))
 }
 
 /// The client's idempotency-id stream from `set_id_state(state)`: the
@@ -176,8 +166,8 @@ fn mix64(x: u64) -> u64 {
 fn id_stream(mut state: u64, n: usize) -> Vec<u64> {
     let mut ids = Vec::with_capacity(n);
     while ids.len() < n {
-        state = state.wrapping_add(MIX_GAMMA);
-        let id = mix_final(state);
+        state = state.wrapping_add(SPLITMIX64_GAMMA);
+        let id = splitmix64_mix(state);
         if id != 0 {
             ids.push(id);
         }
@@ -185,24 +175,11 @@ fn id_stream(mut state: u64, n: usize) -> Vec<u64> {
     ids
 }
 
-/// Seeded shuffle/sample source for the chaos schedules.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(MIX_GAMMA);
-        mix_final(self.0)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn shuffle<T>(&mut self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            v.swap(i, j);
-        }
+/// Seeded Fisher-Yates shuffle for the chaos schedules.
+fn shuffle<T>(rng: &mut FaultRng, v: &mut [T]) {
+    for i in (1..v.len()).rev() {
+        let j = rng.below(i as u64 + 1) as usize;
+        v.swap(i, j);
     }
 }
 
@@ -933,7 +910,7 @@ fn chaos_weather(
     salt: u64,
 ) -> Result<(), String> {
     let total = records.len();
-    let mut rng = Rng(mix64(seed ^ 0x51ab ^ salt));
+    let mut rng = FaultRng::new(mix64(seed ^ 0x51ab ^ salt));
     for k in 0..CLUSTER_SHARDS {
         let owned: Vec<&DeltaRecord> = (0..total)
             .filter(|i| owner[i % CLUSTER_KEYS] == k)
@@ -952,7 +929,7 @@ fn chaos_weather(
                     sched.push(rec); // duplicated with probability 1/3
                 }
             }
-            rng.shuffle(&mut sched);
+            shuffle(&mut rng, &mut sched);
             let mut c = Client::connect_with(d.addr.as_str(), RetryPolicy::no_retries())
                 .map_err(|e| format!("chaos connect s{k}r{r}: {e}"))?;
             for chunk in sched.chunks(3) {
@@ -1362,7 +1339,7 @@ fn run_antientropy_scenario(
     // (every key already exists), so only the per-key digests — and the
     // final byte-compare — can expose the drift.
     let extra_ids = id_stream(mix64(plan.id0 ^ 0x0d1f), CLUSTER_KEYS);
-    let mut rng = Rng(mix64(seed ^ sc.salt ^ 0x9a97));
+    let mut rng = FaultRng::new(mix64(seed ^ sc.salt ^ 0x9a97));
     let mut extras: Vec<(usize, DeltaRecord)> = Vec::new();
     for (i, (w, h)) in plan.keys.iter().enumerate() {
         let rec = DeltaRecord {

@@ -57,7 +57,7 @@ impl FaultRng {
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(SPLITMIX64_GAMMA);
         splitmix64_mix(self.state)
     }
 
@@ -70,7 +70,15 @@ impl FaultRng {
     }
 }
 
-fn splitmix64_mix(mut z: u64) -> u64 {
+/// splitmix64 stream increment (the golden-ratio gamma).
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64 finalizer: the repo's one seeded mixer. Every splitmix64
+/// stream (fault plans, genwork corpora, client backoff and idempotency
+/// ids, the router's id stamper, failure-detector thresholds, faultsim
+/// schedules) is `state += SPLITMIX64_GAMMA; splitmix64_mix(state)`.
+#[inline]
+pub fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

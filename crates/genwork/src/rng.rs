@@ -4,6 +4,8 @@
 //! stream from `(campaign seed, workload index)`, so corpora are
 //! reproducible from the seed alone and independent of `--jobs`.
 
+use stride_core::{splitmix64_mix, SPLITMIX64_GAMMA};
+
 /// Splitmix64 stream.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -18,7 +20,7 @@ impl Rng {
 
     /// Derives the stream of workload `index` under campaign `seed`.
     pub fn for_workload(seed: u64, index: u32) -> Self {
-        let mut r = Rng::new(seed ^ (u64::from(index).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let mut r = Rng::new(seed ^ (u64::from(index).wrapping_mul(SPLITMIX64_GAMMA)));
         // Warm up so adjacent indices decorrelate immediately.
         r.next();
         r
@@ -28,11 +30,8 @@ impl Rng {
     /// and never yields `None`, so the trait's contract doesn't fit.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(SPLITMIX64_GAMMA);
+        splitmix64_mix(self.state)
     }
 
     /// Uniform value in `[lo, hi]` (inclusive).

@@ -9,12 +9,7 @@ use crate::proto::{
 use std::io;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use stride_core::{splitmix64_mix, SPLITMIX64_GAMMA};
 
 /// Retry configuration: how many attempts a [`Client::call`] gets and
 /// how the waits between them grow.
@@ -189,7 +184,7 @@ impl Client {
     fn next_req_id(&mut self) -> u64 {
         // splitmix64 stream; 0 is reserved for "no id".
         loop {
-            self.id_state = self.id_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            self.id_state = self.id_state.wrapping_add(SPLITMIX64_GAMMA);
             let id = splitmix64_mix(self.id_state);
             if id != 0 {
                 return id;

@@ -18,15 +18,7 @@
 //! transitions are pure, which is what makes the restart-equivalence
 //! property testable at all.
 
-/// splitmix64 stream increment.
-const MIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64 finalizer (shared idiom with the router's id stamper).
-fn mix_final(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use stride_core::{splitmix64_mix, SPLITMIX64_GAMMA};
 
 /// One replica's health as the detector sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,9 +85,9 @@ impl FailureDetector {
     pub fn dead_after(&self, shard: usize, replica: usize) -> u32 {
         let key = self
             .seed
-            .wrapping_add(MIX_GAMMA)
+            .wrapping_add(SPLITMIX64_GAMMA)
             .wrapping_add(((shard as u64) << 8) ^ replica as u64);
-        2 + (mix_final(key) % 3) as u32
+        2 + (splitmix64_mix(key) % 3) as u32
     }
 
     /// Current health of one replica.
@@ -283,8 +275,8 @@ mod tests {
         let mut x = seed;
         let schedule: Vec<Ev> = (0..96)
             .map(|_| {
-                x = x.wrapping_add(MIX_GAMMA);
-                let v = mix_final(x);
+                x = x.wrapping_add(SPLITMIX64_GAMMA);
+                let v = splitmix64_mix(x);
                 let k = (v % 3) as usize;
                 let r = ((v >> 8) % 2) as usize;
                 if v & 0x1_0000 == 0 {

@@ -8,13 +8,16 @@
 //! an on-disk [`stride_profdb::ProfileDb`].
 //!
 //! The design is deliberately std-only (no async runtime, no
-//! serialization framework): a `TcpListener`, a bounded connection queue
-//! for backpressure, and a pool of worker threads that reuse the
-//! reproduction's panic-isolating execution engine
-//! ([`stride_core::parallel_map_isolated`]) so a panicking request
-//! degrades to a typed wire error while sibling requests complete.
-//! Requests are plain text inside length-prefixed frames, auditable with
-//! a hexdump.
+//! serialization framework). One [`transport`] owns the connection
+//! lifecycle for both daemons: a `TcpListener`, a bounded connection
+//! queue for backpressure, AIMD admission control ([`limiter`]), and a
+//! pool of worker threads that reuse the reproduction's panic-isolating
+//! execution engine ([`stride_core::parallel_map_isolated`]) so a
+//! panicking request degrades to a typed wire error while sibling
+//! requests complete. Behind it sits a [`transport::Handler`]: the profile
+//! [`Service`] in `strided` ([`Server`]), the shard [`Router`] in
+//! `strided-router` ([`RouterServer`]). Requests are plain text inside
+//! length-prefixed frames, auditable with a hexdump.
 //!
 //! Determinism contract: a `profile` response carries exactly the bytes
 //! that [`stride_core::run_profiling`] + [`stride_profdb::ProfileEntry`]
@@ -31,6 +34,7 @@ pub mod queue;
 pub mod router;
 pub mod server;
 pub mod service;
+pub mod transport;
 
 pub use client::{backoff_schedule, backoff_schedule_for, Client, RetryPolicy};
 pub use detector::{FailureDetector, HealthState, ProbeOutcome};

@@ -19,7 +19,7 @@
 //! the byte-determinism contract; the limiter publishes only gauges and
 //! counters, never bytes in logical outputs.
 
-use crate::proto::Request;
+use crate::proto::{ErrorKind, Request, RequestMeta, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Nominal admission cost of a heavy pipeline verb, in VM cycles
@@ -47,6 +47,25 @@ pub enum Completion {
     Done,
     /// Missed its deadline or was shed downstream: cut the ceiling.
     Overload,
+}
+
+/// The overload rule both daemons share. Load signals cut the ceiling:
+/// a downstream `busy`, a hint spool at capacity (`handoff-full`), or a
+/// VM abort under an explicit deadline (a deadline miss). Everything
+/// else — ok, or a typed error unrelated to load such as `unavailable`
+/// (a liveness problem) — raises it.
+pub(crate) fn completion_of(meta: &RequestMeta, resp: &Response) -> Completion {
+    match resp {
+        Response::Err {
+            kind: ErrorKind::Busy | ErrorKind::HandoffFull,
+            ..
+        } => Completion::Overload,
+        Response::Err {
+            kind: ErrorKind::Vm,
+            ..
+        } if meta.deadline_fuel.is_some() => Completion::Overload,
+        _ => Completion::Done,
+    }
 }
 
 /// An AIMD admission limiter shared by a server's workers.
@@ -196,6 +215,35 @@ mod tests {
             lim.release(LIGHT_COST, Completion::Done);
         }
         assert_eq!(lim.limit(), 2 * HEAVY_COST);
+    }
+
+    #[test]
+    fn overload_rule_flags_load_signals_only() {
+        let timed = RequestMeta {
+            deadline_fuel: Some(1),
+            ..RequestMeta::default()
+        };
+        let untimed = RequestMeta::default();
+        let err = |kind| Response::err(kind, "x");
+        for kind in [ErrorKind::Busy, ErrorKind::HandoffFull] {
+            assert_eq!(completion_of(&untimed, &err(kind)), Completion::Overload);
+        }
+        assert_eq!(
+            completion_of(&timed, &err(ErrorKind::Vm)),
+            Completion::Overload
+        );
+        assert_eq!(
+            completion_of(&untimed, &err(ErrorKind::Vm)),
+            Completion::Done
+        );
+        assert_eq!(
+            completion_of(&timed, &err(ErrorKind::Unavailable)),
+            Completion::Done
+        );
+        assert_eq!(
+            completion_of(&timed, &Response::Ok(String::new())),
+            Completion::Done
+        );
     }
 
     #[test]

@@ -53,21 +53,17 @@
 
 use crate::client::{Client, RetryPolicy};
 use crate::hints::HintLog;
-use crate::limiter::{cost_of, AimdLimiter, Completion};
-use crate::proto::{
-    decode_request, read_frame, write_frame, ErrorKind, Request, RequestMeta, Response,
-};
-use crate::queue::BoundedQueue;
+use crate::proto::{ErrorKind, Request, RequestMeta, Response};
+use crate::transport::{Daemon, Handler, NetFaults, Transport};
 use crate::{detector::FailureDetector, detector::ProbeOutcome};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use stride_core::{Counter, Gauge, Registry};
+use stride_core::{splitmix64_mix, Counter, Registry, SPLITMIX64_GAMMA};
 use stride_profdb::{
     decode_delta_batch, decode_digest_table, encode_delta_batch, DeltaRecord, ProfileEntry,
     ShardMap, SHARD_MAP_VERSION,
@@ -175,8 +171,6 @@ pub struct Router {
     revivals: Counter,
     repair_rounds: Counter,
     repair_resent: Counter,
-    limiter_shed: Counter,
-    limiter_limit: Gauge,
     policy: RetryPolicy,
     /// Router-generated idempotency ids for merges arriving without one.
     id_seq: AtomicU64,
@@ -189,14 +183,6 @@ pub struct Router {
     detector: Mutex<FailureDetector>,
     probe_every: u64,
     health_path: PathBuf,
-    limiter: AimdLimiter,
-    shutdown: AtomicBool,
-}
-
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Distinct per-process hint roots for routers started without one
@@ -255,8 +241,6 @@ impl Router {
             revivals: obs.counter("router.revivals"),
             repair_rounds: obs.counter("router.repair_rounds"),
             repair_resent: obs.counter("router.repair_resent"),
-            limiter_shed: obs.counter("router.limiter.shed"),
-            limiter_limit: obs.gauge("router.limiter.limit"),
             obs,
             policy: config.backend_retry,
             id_seq: AtomicU64::new(0x7007_c0de),
@@ -266,19 +250,12 @@ impl Router {
             detector: Mutex::new(detector),
             probe_every: config.probe_every,
             health_path,
-            limiter: AimdLimiter::default_sized(),
-            shutdown: AtomicBool::new(false),
         })
     }
 
     /// The router's metrics registry.
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs
-    }
-
-    /// The router's admission limiter (serve loop, tests).
-    pub fn limiter(&self) -> &AimdLimiter {
-        &self.limiter
     }
 
     fn detector(&self) -> std::sync::MutexGuard<'_, FailureDetector> {
@@ -510,7 +487,7 @@ impl Router {
                 replica,
                 addr,
             } => self.route_update(*shard, *replica, addr),
-            // The server loop intercepts Shutdown; answer direct callers.
+            // The transport intercepts Shutdown; answer direct callers.
             Request::Shutdown => Response::Ok("shutting down\n".to_string()),
         }
     }
@@ -588,10 +565,7 @@ impl Router {
             // Id-less client: stamp a router id so replica dedup still
             // sees one identity for this merge across all replicas.
             loop {
-                let id = splitmix64_mix(
-                    self.id_seq
-                        .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed),
-                );
+                let id = splitmix64_mix(self.id_seq.fetch_add(SPLITMIX64_GAMMA, Ordering::Relaxed));
                 if id != 0 {
                     break id;
                 }
@@ -832,181 +806,55 @@ impl Router {
     }
 }
 
-struct Shared {
-    queue: BoundedQueue<TcpStream>,
-    router: Router,
-}
+/// Connections that may wait for a router worker before the acceptor
+/// answers `busy`.
+const ROUTER_QUEUE_CAP: usize = 64;
 
 /// A running router daemon (same lifecycle contract as
 /// [`crate::Server`]).
-pub struct RouterServer {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
+pub type RouterServer = Daemon<Router>;
 
-impl RouterServer {
-    /// Binds, spawns the acceptor and workers, returns immediately.
+impl Daemon<Router> {
+    /// Binds, opens the hint spools, spawns the acceptor and workers,
+    /// returns immediately. [`Daemon::shutdown`] stops accepting and
+    /// drains workers but leaves the backends running; a client
+    /// `shutdown` request also fans out to them.
     ///
     /// # Errors
     ///
     /// Socket or hint-spool failures.
     pub fn start(config: RouterConfig) -> io::Result<RouterServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let router = Router::new(&config)?;
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(64),
-            router,
-        });
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || accept_loop(&listener, &shared)));
-        }
-        for _ in 0..config.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(RouterServer {
-            addr,
-            shared,
-            threads,
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        Daemon::spawn(
+            Router::new(&config)?,
+            Transport {
+                listener,
+                prefix: "router",
+                workers: config.workers,
+                queue_cap: ROUTER_QUEUE_CAP,
+                net_faults: NetFaults::default(),
+            },
+        )
     }
 
     /// The router state (tests, in-process callers).
     pub fn router(&self) -> &Router {
-        &self.shared.router
-    }
-
-    /// Stops accepting and drains workers (backends are left running;
-    /// a client `shutdown` request also fans out to them).
-    pub fn shutdown(&self) {
-        trigger_shutdown(&self.shared, self.addr);
-    }
-
-    /// Waits for the router to finish.
-    pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
-    }
-
-    /// Convenience: trigger shutdown and wait.
-    pub fn shutdown_and_join(self) {
-        self.shutdown();
-        self.join();
+        self.handler()
     }
 }
 
-fn trigger_shutdown(shared: &Shared, addr: SocketAddr) {
-    if shared.router.shutdown.swap(true, Ordering::SeqCst) {
-        return;
+impl Handler for Router {
+    fn handle(&self, meta: &RequestMeta, req: &Request) -> Response {
+        Router::handle(self, meta, req)
     }
-    shared.queue.close();
-    let _ = TcpStream::connect(addr);
-}
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.router.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shared.router.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        if let Err(stream) = shared.queue.try_push(stream) {
-            let mut stream = stream;
-            let resp = Response::busy(
-                "router connection queue full, retry later",
-                crate::server::BUSY_RETRY_AFTER_MS,
-            );
-            let _ = write_frame(&mut stream, &resp.to_bytes());
-        }
+    fn obs(&self) -> &Registry {
+        &self.obs
     }
-}
 
-fn worker_loop(shared: &Shared) {
-    while let Some(stream) = shared.queue.pop() {
-        serve_connection(stream, shared);
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let resp = Response::err(ErrorKind::Proto, e.to_string());
-                let _ = write_frame(&mut stream, &resp.to_bytes());
-                return;
-            }
-            Err(_) => return,
-        };
-        let (meta, req) = match decode_request(&payload) {
-            Ok(pair) => pair,
-            Err(msg) => {
-                let resp = Response::err(ErrorKind::Proto, msg);
-                if write_frame(&mut stream, &resp.to_bytes()).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        if matches!(req, Request::Shutdown) {
-            shared.router.shutdown_backends();
-            let resp = Response::Ok("shutting down\n".to_string());
-            let _ = write_frame(&mut stream, &resp.to_bytes());
-            if let Ok(addr) = stream.local_addr() {
-                trigger_shutdown(shared, addr);
-            }
-            return;
-        }
-        // Adaptive admission: shed over-ceiling work at the door with a
-        // typed busy instead of letting backend queues collapse.
-        let router = &shared.router;
-        let cost = cost_of(&req);
-        if !router.limiter.try_acquire(cost) {
-            router.limiter_shed.inc();
-            let resp = Response::busy(
-                "router admission limit reached, retry later",
-                crate::server::BUSY_RETRY_AFTER_MS,
-            );
-            if write_frame(&mut stream, &resp.to_bytes()).is_err() {
-                return;
-            }
-            continue;
-        }
-        let resp = router.handle(&meta, &req);
-        // Load signals cut the ceiling: a backend busy, a hint spool at
-        // capacity, or a deadline-missed VM abort. Everything else —
-        // including unavailable (a liveness problem, not load) — raises.
-        let completion = match &resp {
-            Response::Err {
-                kind: ErrorKind::Busy | ErrorKind::HandoffFull,
-                ..
-            } => Completion::Overload,
-            Response::Err {
-                kind: ErrorKind::Vm,
-                ..
-            } if meta.deadline_fuel.is_some() => Completion::Overload,
-            _ => Completion::Done,
-        };
-        router.limiter.release(cost, completion);
-        router.limiter_limit.set(router.limiter.limit());
-        if write_frame(&mut stream, &resp.to_bytes()).is_err() {
-            return;
-        }
+    /// A client `shutdown` stops the whole cluster: the backends first,
+    /// then the router itself.
+    fn on_shutdown(&self) {
+        self.shutdown_backends();
     }
 }

@@ -1,53 +1,13 @@
-//! The daemon: acceptor thread, bounded connection queue, worker pool,
-//! graceful drain-then-shutdown.
+//! The profile daemon `strided`: a [`Service`] behind the shared
+//! [`crate::transport`] (acceptor, bounded connection queue, worker
+//! pool, graceful drain-then-shutdown).
 
-use crate::limiter::{cost_of, AimdLimiter, Completion};
-use crate::proto::{
-    decode_request, encode_frame, read_frame, write_frame, ErrorKind, Request, Response,
-};
-use crate::queue::BoundedQueue;
+use crate::proto::{Request, RequestMeta, Response};
 use crate::service::{Service, ServiceConfig};
+use crate::transport::{Daemon, Handler, NetFaults, Transport};
 use std::io;
-use std::io::Write as _;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use stride_core::{parallel_map_isolated, FaultInjector, FaultKind};
-
-/// Milliseconds a shed client should wait before retrying (the hint on
-/// `busy` responses).
-pub const BUSY_RETRY_AFTER_MS: u64 = 50;
-
-/// Server-side network faults, distilled from the fault plan: each acts
-/// on the `nth` (1-based, across all connections) response.
-#[derive(Clone, Copy, Debug, Default)]
-struct NetFaults {
-    drop_nth: Option<u64>,
-    trunc_nth: Option<u64>,
-    reset_nth: Option<u64>,
-    stall_ms: Option<u64>,
-}
-
-fn net_faults_of(injector: Option<&FaultInjector>) -> NetFaults {
-    let mut faults = NetFaults::default();
-    let Some(injector) = injector else {
-        return faults;
-    };
-    for scenario in &injector.plan().scenarios {
-        match scenario.kind {
-            FaultKind::NetDropFrame { nth } => faults.drop_nth = Some(nth),
-            FaultKind::NetTruncFrame { nth } => faults.trunc_nth = Some(nth),
-            FaultKind::NetReset { nth } => faults.reset_nth = Some(nth),
-            FaultKind::NetStall { ms } => faults.stall_ms = Some(ms),
-            // NetDupFrame is a client-side fault (duplicate request
-            // delivery); a server duplicating responses would desync
-            // every lockstep client.
-            _ => {}
-        }
-    }
-    faults
-}
+use std::net::TcpListener;
+use stride_core::Registry;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -76,272 +36,55 @@ impl ServerConfig {
     }
 }
 
-struct Shared {
-    queue: BoundedQueue<TcpStream>,
-    service: Service,
-    shutdown: AtomicBool,
-    net_faults: NetFaults,
-    /// Responses sent across all connections (drives nth-response net
-    /// faults).
-    responses: AtomicU64,
-    /// Connections refused with `busy` because the queue was full.
-    shed: stride_core::Counter,
-    /// Connection-queue depth; its high-water mark survives in the
-    /// gauge's max.
-    queue_depth: stride_core::Gauge,
-    /// AIMD admission control: requests over the adaptive in-flight
-    /// cost ceiling are shed with `busy` at the door.
-    limiter: AimdLimiter,
-    /// Requests shed by the limiter (as opposed to the connection
-    /// queue's `server.shed`).
-    limiter_shed: stride_core::Counter,
-    /// Mirrors of the limiter's ceiling and admitted cost.
-    limiter_limit: stride_core::Gauge,
-    limiter_in_flight: stride_core::Gauge,
-}
+/// A running `strided`; dropping the handle does *not* stop it — send a
+/// `shutdown` request or call [`Daemon::shutdown`].
+pub type Server = Daemon<Service>;
 
-/// A running daemon; dropping the handle does *not* stop it — send a
-/// `shutdown` request or call [`Server::shutdown`].
-pub struct Server {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Binds, spawns the acceptor and `workers` worker threads, and
-    /// returns immediately.
+impl Daemon<Service> {
+    /// Binds, opens the profile database (running WAL recovery), spawns
+    /// the acceptor and `workers` worker threads, and returns
+    /// immediately.
     ///
     /// # Errors
     ///
     /// Socket or database-directory failures.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let net_faults = net_faults_of(config.service.injector.as_ref());
+        let net_faults = NetFaults::of(config.service.injector.as_ref());
         let service = Service::new(config.service)
             .map_err(|e| io::Error::other(format!("profile db: {e}")))?;
-        let shed = service.obs().counter("server.shed");
-        let queue_depth = service.obs().gauge("server.queue_depth");
-        let limiter_shed = service.obs().counter("server.limiter.shed");
-        let limiter_limit = service.obs().gauge("server.limiter.limit");
-        let limiter_in_flight = service.obs().gauge("server.limiter.in_flight");
-        let limiter = AimdLimiter::default_sized();
-        limiter_limit.set(limiter.limit());
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_cap.max(1)),
+        Daemon::spawn(
             service,
-            shutdown: AtomicBool::new(false),
-            net_faults,
-            responses: AtomicU64::new(0),
-            shed,
-            queue_depth,
-            limiter,
-            limiter_shed,
-            limiter_limit,
-            limiter_in_flight,
-        });
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || accept_loop(&listener, &shared)));
-        }
-        for _ in 0..config.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(Server {
-            addr,
-            shared,
-            threads,
-        })
-    }
-
-    /// The bound address (with the real port when `:0` was requested).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Triggers shutdown as if a `shutdown` request had arrived: stop
-    /// accepting, drain queued connections, stop the workers.
-    pub fn shutdown(&self) {
-        trigger_shutdown(&self.shared, self.addr);
-    }
-
-    /// Waits for the daemon to finish (after a shutdown trigger), then
-    /// checkpoints the profile database so a graceful exit leaves no
-    /// redo work for the next startup.
-    pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
-        self.shared.service.checkpoint();
+            Transport {
+                listener,
+                prefix: "server",
+                workers: config.workers,
+                queue_cap: config.queue_cap,
+                net_faults,
+            },
+        )
     }
 
     /// Access to the in-process service (tests, direct callers).
     pub fn service(&self) -> &Service {
-        &self.shared.service
-    }
-
-    /// Convenience: trigger shutdown and wait.
-    pub fn shutdown_and_join(self) {
-        self.shutdown();
-        self.join();
+        self.handler()
     }
 }
 
-fn trigger_shutdown(shared: &Shared, addr: SocketAddr) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
+impl Handler for Service {
+    fn handle(&self, meta: &RequestMeta, req: &Request) -> Response {
+        self.handle_meta(meta, req)
     }
-    // Close the queue: workers drain the backlog and stop. Wake the
-    // acceptor (blocked in accept) with a throwaway connection.
-    shared.queue.close();
-    let _ = TcpStream::connect(addr);
-}
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Accept errors are transient (EMFILE, aborted handshakes);
-            // only a shutdown ends the loop below.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // the wake-up connection (or a late client) is dropped
-        }
-        let _ = stream.set_nodelay(true); // small-frame ping-pong protocol
-        if let Err(stream) = shared.queue.try_push(stream) {
-            // Backpressure: answer `busy` with a retry-after hint on the
-            // acceptor thread (cheap) and close.
-            shared.shed.inc();
-            let mut stream = stream;
-            let resp = Response::busy("connection queue full, retry later", BUSY_RETRY_AFTER_MS);
-            let _ = write_frame(&mut stream, &resp.to_bytes());
-        } else {
-            shared.queue_depth.set(shared.queue.len() as u64);
-        }
+    fn obs(&self) -> &Registry {
+        Service::obs(self)
     }
-}
 
-fn worker_loop(shared: &Shared) {
-    while let Some(stream) = shared.queue.pop() {
-        serve_connection(stream, shared);
+    /// A graceful exit checkpoints the profile database, leaving no redo
+    /// work for the next startup.
+    fn stopped(&self) {
+        self.checkpoint();
     }
-}
-
-/// Serves one connection to EOF (or protocol breakdown). Each request is
-/// handled under `catch_unwind` via the reproduction's panic-isolating
-/// map, so a handler bug answers `err panic` and the daemon lives on.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // client done
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Garbage frame (oversized, runt, bad version, checksum
-                // failure): answer with a typed error, then hang up —
-                // the stream position is untrustworthy after this.
-                let resp = Response::err(ErrorKind::Proto, e.to_string());
-                let _ = write_frame(&mut stream, &resp.to_bytes());
-                return;
-            }
-            Err(_) => return, // torn connection
-        };
-        let (meta, req) = match decode_request(&payload) {
-            Ok(pair) => pair,
-            Err(msg) => {
-                let resp = Response::err(ErrorKind::Proto, msg);
-                if write_frame(&mut stream, &resp.to_bytes()).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        if matches!(req, Request::Shutdown) {
-            let resp = Response::Ok("shutting down\n".to_string());
-            let _ = write_frame(&mut stream, &resp.to_bytes());
-            if let Ok(addr) = stream.local_addr() {
-                trigger_shutdown(shared, addr);
-            }
-            return;
-        }
-        // AIMD admission: a request over the adaptive in-flight cost
-        // ceiling is shed here — a cheap typed refusal at the door
-        // instead of a queue-then-timeout collapse.
-        let cost = cost_of(&req);
-        if !shared.limiter.try_acquire(cost) {
-            shared.limiter_shed.inc();
-            let resp = Response::busy("admission limit reached, retry later", BUSY_RETRY_AFTER_MS);
-            if !send_response(&mut stream, shared, &resp) {
-                return;
-            }
-            continue;
-        }
-        shared.limiter_in_flight.set(shared.limiter.in_flight());
-        let mut results = parallel_map_isolated(std::slice::from_ref(&req), 1, |_, r| {
-            shared.service.handle_meta(&meta, r)
-        });
-        let resp = match results.pop() {
-            Some(Ok(resp)) => resp,
-            Some(Err(failure)) => Response::err(
-                ErrorKind::Panic,
-                format!("request handler panicked: {}", failure.message),
-            ),
-            None => Response::err(ErrorKind::Panic, "request handler vanished"),
-        };
-        // A VM abort under an explicit deadline is a deadline miss —
-        // the overload signal that cuts the ceiling multiplicatively.
-        // Everything else (ok or an unrelated typed error) raises it
-        // additively.
-        let completion = match &resp {
-            Response::Err {
-                kind: ErrorKind::Vm,
-                ..
-            } if meta.deadline_fuel.is_some() => Completion::Overload,
-            _ => Completion::Done,
-        };
-        shared.limiter.release(cost, completion);
-        shared.limiter_limit.set(shared.limiter.limit());
-        if !send_response(&mut stream, shared, &resp) {
-            return;
-        }
-    }
-}
-
-/// Writes one response, applying any injected network faults. Returns
-/// false when the connection should be dropped (fault fired or write
-/// failed).
-fn send_response(stream: &mut TcpStream, shared: &Shared, resp: &Response) -> bool {
-    let n = shared.responses.fetch_add(1, Ordering::SeqCst) + 1;
-    let faults = shared.net_faults;
-    if let Some(ms) = faults.stall_ms {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-    if faults.drop_nth == Some(n) {
-        // The response vanishes; the client sees a closed connection.
-        let _ = stream.shutdown(Shutdown::Both);
-        return false;
-    }
-    if faults.reset_nth == Some(n) {
-        let _ = stream.shutdown(Shutdown::Both);
-        return false;
-    }
-    if faults.trunc_nth == Some(n) {
-        // Half a frame, then close: the client's frame checksum (or the
-        // short read itself) must catch this.
-        if let Ok(frame) = encode_frame(&resp.to_bytes()) {
-            let _ = stream.write_all(&frame[..frame.len() / 2]);
-            let _ = stream.flush();
-        }
-        let _ = stream.shutdown(Shutdown::Both);
-        return false;
-    }
-    write_frame(stream, &resp.to_bytes()).is_ok()
 }
 
 #[cfg(test)]
@@ -368,66 +111,6 @@ mod tests {
         let resp = client.call(&Request::Shutdown).unwrap();
         assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
         server.join();
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn protocol_garbage_gets_typed_error() {
-        let cfg = tmp_config("proto");
-        let root = cfg.service.db_root.clone();
-        let server = Server::start(cfg).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write_frame(&mut stream, b"no-such-verb x=1").unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        let resp = Response::from_bytes(&payload).unwrap();
-        assert!(
-            matches!(
-                resp,
-                Response::Err {
-                    kind: ErrorKind::Proto,
-                    ..
-                }
-            ),
-            "{resp:?}"
-        );
-        drop(stream);
-        server.shutdown_and_join();
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn busy_when_queue_overflows() {
-        let mut cfg = tmp_config("busy");
-        let root = cfg.service.db_root.clone();
-        cfg.workers = 1;
-        cfg.queue_cap = 1;
-        let server = Server::start(cfg).unwrap();
-        let addr = server.addr();
-        // Occupy the single worker with an open connection...
-        let hold = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // ...fill the queue with a second...
-        let fill = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // ...so a third is refused with `busy`.
-        let mut refused = TcpStream::connect(addr).unwrap();
-        let payload = read_frame(&mut refused).unwrap().unwrap();
-        let resp = Response::from_bytes(&payload).unwrap();
-        assert!(
-            matches!(
-                resp,
-                Response::Err {
-                    kind: ErrorKind::Busy,
-                    ..
-                }
-            ),
-            "{resp:?}"
-        );
-        // Close both held connections before joining: a worker that pops
-        // one during the drain would otherwise block on it forever.
-        drop(hold);
-        drop(fill);
-        server.shutdown_and_join();
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -355,7 +355,7 @@ impl Service {
                 "route-update is a router verb; this is a shard daemon",
             ),
             Request::Stats => Response::Ok(self.stats_body()),
-            // The server layer intercepts Shutdown before dispatch; reply
+            // The transport intercepts Shutdown before dispatch; reply
             // affirmatively anyway for direct (in-process) callers.
             Request::Shutdown => Response::Ok("shutting down\n".to_string()),
         }

@@ -377,3 +377,48 @@ fn dead_shard_sheds_its_key_range_only() {
         let _ = std::fs::remove_dir_all(root);
     }
 }
+
+/// Both daemons run on one transport, so the router's own `== router ==`
+/// stats section carries the same transport metrics as a replica's
+/// section, under the `router.` prefix instead of `server.`.
+#[test]
+fn router_stats_carry_the_same_transport_metrics_as_the_daemon() {
+    let (router, backends, roots) = boot_cluster("transport-metrics", 1, 1);
+    let mut client = Client::connect(router.addr()).unwrap();
+    let resp = client.call(&Request::Ping).unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
+        panic!("stats failed")
+    };
+    let (router_section, replica_section) = body
+        .split_once("== shard 0 replica 0 ")
+        .expect("a replica section");
+    assert!(router_section.starts_with("== router =="), "{body}");
+    for metric in [
+        "counter {}.shed 0",
+        "gauge {}.queue_depth ",
+        "counter {}.limiter.shed 0",
+        "gauge {}.limiter.limit ",
+        "gauge {}.limiter.in_flight ",
+    ] {
+        for (section, prefix) in [(router_section, "router"), (replica_section, "server")] {
+            let line = metric.replace("{}", prefix);
+            assert!(
+                section.lines().any(|l| l.starts_with(&line)),
+                "missing `{line}` in:\n{section}"
+            );
+        }
+    }
+
+    let resp = client.call(&Request::Shutdown).unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    router.join();
+    for row in backends {
+        for b in row {
+            b.join();
+        }
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
