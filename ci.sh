@@ -111,7 +111,9 @@ ctl get-profile mcf > "$entry_file"
 grep -q '^runs ' "$entry_file" || { echo "get-profile round trip failed" >&2; exit 1; }
 ctl merge-profile --file "$entry_file" | grep -q 'run(s)' \
     || { echo "merge-profile round trip failed" >&2; exit 1; }
-ctl stats | grep -q '^requests ' || { echo "stats round trip failed" >&2; exit 1; }
+ctl stats | grep -q '^counter server.req.stats ' || { echo "stats round trip failed" >&2; exit 1; }
+ctl stats | grep -Ev '^(counter|gauge|histogram|trace) ' \
+    && { echo "stats body has a line outside the registry vocabulary" >&2; exit 1; }
 ctl stats | grep -q '^counter server.req.profile ' \
     || { echo "stats body lacks structured metrics" >&2; exit 1; }
 ctl top | grep -q '== counters (by value) ==' \
@@ -274,13 +276,15 @@ for i in 0 1 2 3 4; do
     rctl get-profile "wl$i" | grep -q '^runs 3$' \
         || { echo "wl$i did not converge to 3 merges (acked or queued merge lost)" >&2; exit 1; }
 done
-rctl stats | grep -q 'lag shard=1 replica=0 queued=0' \
+rctl stats | grep -q '^gauge router.hint_depth.s1r0 0 ' \
     || { echo "replication lag did not drain after route-update" >&2; exit 1; }
+rctl stats | grep -Ev '^(counter|gauge|histogram|trace) |^== .* ==$' \
+    && { echo "router stats adds more than section headers to the registry lines" >&2; exit 1; }
 rctl stats --json | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
 assert len(d["shards"]) == 3, d["shards"]
-assert d["aggregate"]["db-entries"] == 6, d["aggregate"]
+assert d["aggregate"]["gauge.profdb.entries"] == 6, d["aggregate"]
 assert d["router"]["counter.router.shed_unavailable"] > 0, d["router"]
 '
 rctl shutdown | grep -q 'shutting down' || { echo "cluster shutdown failed" >&2; exit 1; }
@@ -368,8 +372,8 @@ uf_pid[0]=$!
 healed=""
 for _ in $(seq 1 100); do
     st=$(ufctl stats || true)
-    if echo "$st" | grep -q 'lag shard=0 replica=0 queued=0' \
-        && echo "$st" | grep -q 'health shard=0 replica=0 state=alive'; then
+    if echo "$st" | grep -q '^gauge router.hint_depth.s0r0 0 ' \
+        && echo "$st" | grep -q '^gauge router.health.s0r0 0 '; then
         healed=yes
         break
     fi

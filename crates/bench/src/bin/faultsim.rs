@@ -59,13 +59,13 @@
 use stride_bench::{default_jobs, parallel_map_isolated, parse_jobs, RunCache};
 use stride_core::{
     degradation_violations, run_profiling, splitmix64_mix, FaultInjector, FaultPlan, FaultRng,
-    PipelineConfig, ProfilingVariant, SPLITMIX64_GAMMA,
+    PipelineConfig, ProfilingVariant, Snapshot, SPLITMIX64_GAMMA,
 };
 use stride_ir::module_to_string;
 use stride_profdb::{
     encode_delta_batch, module_hash, DeltaRecord, ProfileDb, ProfileEntry, ShardMap,
 };
-use stride_server::{Client, ErrorKind, Request, Response, RetryPolicy};
+use stride_server::{split_sections, Client, ErrorKind, Origin, Request, Response, RetryPolicy};
 use stride_workloads::{workload_by_name, Scale, Workload};
 
 /// The built-in campaign: every fault kind at least once, single and
@@ -946,34 +946,43 @@ fn chaos_weather(
     Ok(())
 }
 
-/// `db-entries` per `== shard K replica R ... ==` stats section.
-fn replica_entry_counts(body: &str) -> Vec<((usize, usize), u64)> {
-    let mut out = Vec::new();
-    let mut current: Option<(usize, usize)> = None;
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("== shard ") {
-            let mut p = rest.split_whitespace();
-            let k = p.next().and_then(|s| s.parse().ok());
-            let tag = p.next();
-            let r = p.next().and_then(|s| s.parse().ok());
-            current = match (k, tag, r) {
-                (Some(k), Some("replica"), Some(r)) => Some((k, r)),
-                _ => None,
-            };
+/// What one router `stats` body says about the cluster: whether every
+/// replica's hint spool is empty and every replica is alive (one zero
+/// gauge per replica each), the router's repair-round count, and
+/// `profdb.entries` of every replica that answered.
+#[derive(Default)]
+struct ClusterView {
+    drained: bool,
+    alive: bool,
+    repair_rounds: u64,
+    entries: Vec<((usize, usize), u64)>,
+}
+
+fn cluster_view(body: &str) -> ClusterView {
+    let mut view = ClusterView::default();
+    for section in split_sections(body) {
+        let Ok(metrics) = Snapshot::parse(section.body) else {
             continue;
-        }
-        if line.starts_with("== ") {
-            current = None;
-            continue;
-        }
-        if let (Some(kr), Some(v)) = (current, line.strip_prefix("db-entries ")) {
-            if let Ok(n) = v.trim().parse() {
-                out.push((kr, n));
-                current = None;
+        };
+        if let Origin::Replica { shard, replica, .. } = section.origin {
+            if let Some(n) = metrics.gauge("profdb.entries") {
+                view.entries.push(((shard, replica), n));
             }
+        } else if section.origin == Origin::Router {
+            let all_zero = |prefix: &str| {
+                let gauges = metrics
+                    .gauges
+                    .iter()
+                    .filter(|(name, _)| name.starts_with(prefix));
+                let levels: Vec<u64> = gauges.map(|(_, g)| g.value).collect();
+                levels.len() == CLUSTER_SHARDS * CLUSTER_REPLICAS && levels.iter().all(|&v| v == 0)
+            };
+            view.drained = all_zero("router.hint_depth.");
+            view.alive = all_zero("router.health.");
+            view.repair_rounds = metrics.counter("router.repair_rounds").unwrap_or(0);
         }
     }
-    out
+    view
 }
 
 /// Polls router stats until the cluster looks self-healed: every hint
@@ -990,11 +999,8 @@ fn settle_selfhealed(client: &mut Client, extra_repair: u64) -> Result<(), Strin
             Ok(Response::Ok(b)) => b,
             other => return Err(format!("settle stats: {other:?}")),
         };
-        let lag: Vec<&str> = body.lines().filter(|l| l.starts_with("lag ")).collect();
-        let lag_ok = lag.len() == want && lag.iter().all(|l| l.ends_with("queued=0"));
-        let health: Vec<&str> = body.lines().filter(|l| l.starts_with("health ")).collect();
-        let alive = health.len() == want && health.iter().all(|l| l.ends_with("state=alive"));
-        let counts = replica_entry_counts(&body);
+        let view = cluster_view(&body);
+        let counts = &view.entries;
         let agree = counts.len() == want
             && (0..CLUSTER_SHARDS).all(|k| {
                 let per: Vec<u64> = counts
@@ -1004,12 +1010,8 @@ fn settle_selfhealed(client: &mut Client, extra_repair: u64) -> Result<(), Strin
                     .collect();
                 per.len() == CLUSTER_REPLICAS && per.windows(2).all(|w| w[0] == w[1])
             });
-        let rounds = body
-            .lines()
-            .find_map(|l| l.strip_prefix("counter router.repair_rounds "))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        if lag_ok && alive && agree {
+        let rounds = view.repair_rounds;
+        if view.drained && view.alive && agree {
             let base = *quiet_rounds.get_or_insert(rounds);
             if rounds >= base + extra_repair {
                 return Ok(());
@@ -1198,10 +1200,7 @@ fn run_cluster_scenario(
             Ok(Response::Ok(b)) => b,
             other => return Err(format!("settle stats: {other:?}")),
         };
-        let lag: Vec<&str> = body.lines().filter(|l| l.starts_with("lag ")).collect();
-        if lag.len() == CLUSTER_SHARDS * CLUSTER_REPLICAS
-            && lag.iter().all(|l| l.ends_with("queued=0"))
-        {
+        if cluster_view(&body).drained {
             settled = true;
             break;
         }

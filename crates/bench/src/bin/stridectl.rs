@@ -10,30 +10,25 @@
 //! stridectl [--addr HOST:PORT] stats
 //! stridectl [--addr HOST:PORT] top
 //! stridectl [--addr HOST:PORT] shutdown
-//! stridectl serve-bench [--jobs 1,4,8] [--requests N] [--workload WL]
-//!                       [--scale test|paper] [--bench-json PATH]
 //! stridectl [--addr HOST:PORT] replay [--clients N] [--requests N] [--threads T]
 //!                       [--seed S] [--workloads K] [--merge-pct P]
 //!                       [--max-shed-frac F] [--report PATH]
 //! ```
 //!
-//! Every subcommand except `serve-bench` is one framed round trip against
-//! a running daemon; `serve-bench` starts an in-process loopback daemon
-//! and measures request throughput at several client concurrency levels;
-//! `replay` streams a seeded generated-workload trace (many simulated
-//! clients multiplexed over `--threads` connections) at a daemon or a
-//! sharded cluster and asserts the service invariants afterwards: no
-//! acked merge lost, shedding within budget, latency histograms complete.
+//! Every subcommand except `replay` is one framed round trip against a
+//! running daemon or router; `replay` streams a seeded generated-workload
+//! trace (many simulated clients multiplexed over `--threads`
+//! connections) at a daemon or a sharded cluster and asserts the service
+//! invariants afterwards: no acked merge lost, shedding within budget,
+//! latency histograms complete.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use stride_core::{PipelineConfig, ProfilingVariant};
+use stride_core::{PipelineConfig, ProfilingVariant, Snapshot};
 use stride_ir::module_to_string;
-use stride_server::{
-    Client, ErrorKind, Request, Response, RetryPolicy, Server, ServerConfig, ServiceConfig,
-};
+use stride_server::{split_sections, Client, ErrorKind, Origin, Request, Response, RetryPolicy};
 use stride_workloads::{workload_by_name, Scale};
 
 /// The daemon answered with a typed error.
@@ -63,10 +58,10 @@ fn usage() -> ExitCode {
          \x20 prefetch NAME [--variant V] [--train 1,2] [--ref 3,4]\n\
          \x20 get-profile NAME                   fetch the accumulated db entry\n\
          \x20 merge-profile --file PATH          merge a saved entry into the db\n\
-         \x20 stats [--json]                     raw stats body (legacy keys + metrics);\n\
-         \x20                                    --json: one object per shard replica\n\
-         \x20                                    plus a summed aggregate (works against\n\
-         \x20                                    a router or a single daemon)\n\
+         \x20 stats [--json]                     metrics registry snapshot (a router\n\
+         \x20                                    adds one section per replica);\n\
+         \x20                                    --json: counter and gauge values per\n\
+         \x20                                    replica plus a summed aggregate\n\
          \x20 gc                                 drop db entries for retired/stale\n\
          \x20                                    modules (router fans out cluster-wide)\n\
          \x20 route-update --shard K --replica R --to HOST:PORT\n\
@@ -79,10 +74,6 @@ fn usage() -> ExitCode {
          \x20 top                                sorted live-metrics view (counters by\n\
          \x20                                    value, gauges, latency histograms)\n\
          \x20 shutdown\n\
-         \n\
-         serve-bench (self-contained loopback throughput benchmark):\n\
-         \x20 serve-bench [--jobs 1,4,8] [--requests N] [--workload WL]\n\
-         \x20             [--scale test|paper] [--bench-json PATH]\n\
          \n\
          replay (seeded generated-trace load driver; uses --addr):\n\
          \x20 replay [--clients N] [--requests N] [--threads T] [--seed S]\n\
@@ -175,27 +166,20 @@ fn print_trace(trace: &[String]) {
     }
 }
 
-/// Sends one request and renders the response; exit code 0 only for `ok`,
-/// [`EXIT_SERVER`] for a typed server error, [`EXIT_TRANSPORT`] when the
-/// connection or the retry budget gives out.
-fn round_trip(addr: &str, opts: &NetOpts, req: &Request) -> ExitCode {
+/// Sends one request and returns the `ok` body; a typed server error
+/// ([`EXIT_SERVER`]) or a connection/retry-budget failure
+/// ([`EXIT_TRANSPORT`]) is reported on stderr and becomes the exit code.
+fn call_body(addr: &str, opts: &NetOpts, req: &Request) -> Result<String, ExitCode> {
     let mut client = match Client::connect_with(addr, opts.policy) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("stridectl: cannot connect to {addr}: {e}");
-            return ExitCode::from(EXIT_TRANSPORT);
+            return Err(ExitCode::from(EXIT_TRANSPORT));
         }
     };
     client.set_deadline_fuel(opts.deadline);
     match client.call(req) {
-        Ok(Response::Ok(body)) => {
-            // Rust leaves SIGPIPE ignored, so `print!` into a closed pipe
-            // (`stridectl profile .. | head -1`) would panic; a reader that
-            // hung up got everything it asked for.
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(body.as_bytes());
-            ExitCode::SUCCESS
-        }
+        Ok(Response::Ok(body)) => Ok(body),
         Ok(Response::Err {
             kind,
             message,
@@ -210,114 +194,47 @@ fn round_trip(addr: &str, opts: &NetOpts, req: &Request) -> ExitCode {
                 eprintln!("stridectl: server suggests retrying after {ms} ms");
             }
             print_trace(client.trace());
-            ExitCode::from(EXIT_SERVER)
+            Err(ExitCode::from(EXIT_SERVER))
         }
         Err(e) => {
             eprintln!("stridectl: transport error: {e}");
             print_trace(client.trace());
-            ExitCode::from(EXIT_TRANSPORT)
+            Err(ExitCode::from(EXIT_TRANSPORT))
         }
     }
 }
 
-/// One `stats` round trip rendered as a sorted, `top`-like dashboard:
-/// counters descending by value, gauges with their high-water marks,
-/// histograms with count/sum/mean, and the tail of the trace ring.
-/// Deterministic for a given stats body — lines with equal values sort
-/// by name.
-fn top_view(addr: &str, opts: &NetOpts) -> ExitCode {
-    let mut client = match Client::connect_with(addr, opts.policy) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("stridectl: cannot connect to {addr}: {e}");
-            return ExitCode::from(EXIT_TRANSPORT);
-        }
-    };
-    client.set_deadline_fuel(opts.deadline);
-    let body = match client.call(&Request::Stats) {
-        Ok(Response::Ok(body)) => body,
-        Ok(Response::Err { kind, message, .. }) => {
-            eprintln!("stridectl: server error [{kind}]\n{message}");
-            print_trace(client.trace());
-            return ExitCode::from(EXIT_SERVER);
-        }
-        Err(e) => {
-            eprintln!("stridectl: transport error: {e}");
-            print_trace(client.trace());
-            return ExitCode::from(EXIT_TRANSPORT);
-        }
-    };
-
-    use std::io::Write;
-    let mut out = String::new();
-    render_top(&body, &mut out);
-    let _ = std::io::stdout().write_all(out.as_bytes());
-    ExitCode::SUCCESS
+/// Sends one request and prints its `ok` body; exit code 0 only for
+/// `ok` (see [`call_body`]).
+fn round_trip(addr: &str, opts: &NetOpts, req: &Request) -> ExitCode {
+    print_body(call_body(addr, opts, req), str::to_string)
 }
 
-/// One `stats` round trip rendered as JSON: one object per shard
-/// replica (parsed from the router's `== shard K replica R addr A ==`
-/// sections) plus a summed aggregate. Against a single daemon (no
-/// section headers) the whole body is the aggregate and `shards` is
-/// empty.
-fn stats_json(addr: &str, opts: &NetOpts) -> ExitCode {
-    let mut client = match Client::connect_with(addr, opts.policy) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("stridectl: cannot connect to {addr}: {e}");
-            return ExitCode::from(EXIT_TRANSPORT);
+/// Prints a round trip's `ok` body through `render`, or passes its
+/// failure exit code on.
+fn print_body(body: Result<String, ExitCode>, render: fn(&str) -> String) -> ExitCode {
+    match body {
+        Ok(body) => {
+            // Rust leaves SIGPIPE ignored, so `print!` into a closed pipe
+            // (`stridectl profile .. | head -1`) would panic; a reader that
+            // hung up got everything it asked for.
+            use std::io::Write;
+            let _ = std::io::stdout().write_all(render(&body).as_bytes());
+            ExitCode::SUCCESS
         }
-    };
-    client.set_deadline_fuel(opts.deadline);
-    let body = match client.call(&Request::Stats) {
-        Ok(Response::Ok(body)) => body,
-        Ok(Response::Err { kind, message, .. }) => {
-            eprintln!("stridectl: server error [{kind}]\n{message}");
-            print_trace(client.trace());
-            return ExitCode::from(EXIT_SERVER);
-        }
-        Err(e) => {
-            eprintln!("stridectl: transport error: {e}");
-            print_trace(client.trace());
-            return ExitCode::from(EXIT_TRANSPORT);
-        }
-    };
-    use std::io::Write;
-    let _ = std::io::stdout().write_all(render_stats_json(&body).as_bytes());
-    ExitCode::SUCCESS
-}
-
-/// The `key value` integer lines of one stats section, sorted by key
-/// (metrics-registry lines — `counter name v` — keep their prefixed
-/// form, so `counter router.forwarded` aggregates separately from a
-/// legacy `requests` line).
-fn section_ints(lines: &[&str]) -> std::collections::BTreeMap<String, u64> {
-    let mut map = std::collections::BTreeMap::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        let (key, value) = match parts.next() {
-            Some("counter") => {
-                let (Some(name), Some(v)) = (parts.next(), parts.next()) else {
-                    continue;
-                };
-                (format!("counter.{name}"), v)
-            }
-            Some(key) if !key.is_empty() && !key.starts_with("==") => {
-                let Some(v) = parts.next() else { continue };
-                // Two-token lines only: gauges/histograms/traces carry
-                // more structure than one integer and stay out of JSON.
-                if parts.next().is_some() {
-                    continue;
-                }
-                (key.to_string(), v)
-            }
-            _ => continue,
-        };
-        if let Ok(n) = value.parse::<u64>() {
-            map.insert(key, n);
-        }
+        Err(code) => code,
     }
-    map
+}
+
+/// The integer values of one stats section for `--json`: every counter
+/// as `counter.NAME` and every gauge's current level as `gauge.NAME`.
+fn section_ints(metrics: &Snapshot) -> std::collections::BTreeMap<String, u64> {
+    let counters = metrics
+        .counters
+        .iter()
+        .map(|(k, v)| (format!("counter.{k}"), *v));
+    let gauges = (metrics.gauges.iter()).map(|(k, g)| (format!("gauge.{k}"), g.value));
+    counters.chain(gauges).collect()
 }
 
 fn json_object(map: &std::collections::BTreeMap<String, u64>, indent: &str) -> String {
@@ -328,47 +245,35 @@ fn json_object(map: &std::collections::BTreeMap<String, u64>, indent: &str) -> S
     format!("{{\n{}\n{indent}}}", fields.join(",\n"))
 }
 
-/// Renders a stats body into the `--json` document. Deterministic for a
-/// given body: keys sorted, shards in section order.
+/// Renders a stats body into the `--json` document: the router's own
+/// values, one object per shard replica, and their sum (a single
+/// daemon's body is the whole aggregate). A replica that failed to
+/// answer contributes an empty object. Deterministic for a given body:
+/// keys sorted, shards in section order.
 fn render_stats_json(body: &str) -> String {
-    // Slice the body into sections at `== ... ==` headers.
-    let mut sections: Vec<(Option<String>, Vec<&str>)> = vec![(None, Vec::new())];
-    for line in body.lines() {
-        if let Some(header) = line.strip_prefix("== ").and_then(|l| l.strip_suffix(" ==")) {
-            sections.push((Some(header.to_string()), Vec::new()));
-        } else if let Some(last) = sections.last_mut() {
-            last.1.push(line);
-        }
-    }
-
     let mut shard_objs: Vec<String> = Vec::new();
     let mut router_obj: Option<String> = None;
     let mut aggregate = std::collections::BTreeMap::new();
-    for (header, lines) in &sections {
-        let ints = section_ints(lines);
-        match header.as_deref() {
-            Some("router") => router_obj = Some(json_object(&ints, "  ")),
-            Some(h) if h.starts_with("shard ") => {
-                // `shard K replica R addr A`
-                let mut parts = h.split_whitespace();
-                let shard = parts.nth(1).unwrap_or("0");
-                let replica = parts.nth(1).unwrap_or("0");
-                let addr = parts.nth(1).unwrap_or("");
-                for (k, v) in &ints {
-                    *aggregate.entry(k.clone()).or_insert(0) += v;
-                }
-                shard_objs.push(format!(
-                    "    {{\"shard\": {shard}, \"replica\": {replica}, \"addr\": \"{addr}\", \"stats\": {}}}",
-                    json_object(&ints, "    ")
-                ));
-            }
-            // `== daemon ==`-less single-daemon body: the leading
-            // headerless section carries the stats.
-            _ => {
-                for (k, v) in &ints {
-                    *aggregate.entry(k.clone()).or_insert(0) += v;
-                }
-            }
+    for section in split_sections(body) {
+        let parsed = Snapshot::parse(section.body);
+        let ints = parsed.map(|m| section_ints(&m)).unwrap_or_default();
+        if section.origin == Origin::Router {
+            router_obj = Some(json_object(&ints, "  "));
+            continue;
+        }
+        for (k, v) in &ints {
+            *aggregate.entry(k.clone()).or_insert(0) += v;
+        }
+        if let Origin::Replica {
+            shard,
+            replica,
+            addr,
+        } = section.origin
+        {
+            shard_objs.push(format!(
+                "    {{\"shard\": {shard}, \"replica\": {replica}, \"addr\": \"{addr}\", \"stats\": {}}}",
+                json_object(&ints, "    ")
+            ));
         }
     }
 
@@ -389,85 +294,77 @@ fn render_stats_json(body: &str) -> String {
     out
 }
 
-/// Renders a stats body (legacy `key value` lines followed by a metrics
-/// registry snapshot) into the `top` dashboard text.
-fn render_top(body: &str, out: &mut String) {
-    let mut legacy: Vec<(&str, &str)> = Vec::new();
-    let mut counters: Vec<(u64, &str)> = Vec::new();
-    let mut gauges: Vec<(&str, &str, &str)> = Vec::new();
-    let mut hists: Vec<(&str, u64, u64)> = Vec::new();
-    let mut traces: Vec<&str> = Vec::new();
-    for line in body.lines() {
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("counter") => {
-                if let (Some(name), Some(v)) = (parts.next(), parts.next()) {
-                    counters.push((v.parse().unwrap_or(0), name));
-                }
-            }
-            Some("gauge") => {
-                // gauge <name> <value> max <max>
-                if let (Some(name), Some(v), Some(_), Some(m)) =
-                    (parts.next(), parts.next(), parts.next(), parts.next())
-                {
-                    gauges.push((name, v, m));
-                }
-            }
-            Some("histogram") => {
-                // histogram <name> count <c> sum <s> buckets ...
-                if let (Some(name), Some(_), Some(c), Some(_), Some(s)) = (
-                    parts.next(),
-                    parts.next(),
-                    parts.next(),
-                    parts.next(),
-                    parts.next(),
-                ) {
-                    hists.push((name, c.parse().unwrap_or(0), s.parse().unwrap_or(0)));
-                }
-            }
-            Some("trace") => traces.push(line),
-            Some(key) if !key.is_empty() => {
-                if let Some(v) = parts.next() {
-                    legacy.push((key, v));
-                }
-            }
-            _ => {}
+/// Renders a stats body into the `top` dashboard: per section (a router
+/// body titles each), counters descending by value, gauges with their
+/// high-water marks, histograms with count/sum/mean, and the tail of the
+/// trace ring. A replica that failed to answer shows its failure line.
+/// Deterministic for a given body: equal values sort by name.
+fn render_top(body: &str) -> String {
+    let mut out = String::new();
+    for section in split_sections(body) {
+        match section.origin {
+            Origin::Daemon => {}
+            Origin::Router => out.push_str("=== router ===\n"),
+            Origin::Replica {
+                shard,
+                replica,
+                addr,
+            } => out.push_str(&format!(
+                "=== shard {shard} replica {replica} addr {addr} ===\n"
+            )),
+        }
+        match Snapshot::parse(section.body) {
+            Ok(metrics) => render_dashboard(&metrics, &mut out),
+            Err(_) => out.push_str(section.body),
         }
     }
-    out.push_str("== daemon ==\n");
-    for (k, v) in &legacy {
-        out.push_str(&format!("{k:<28}{v:>12}\n"));
-    }
-    if !counters.is_empty() {
-        counters.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
-        out.push_str("\n== counters (by value) ==\n");
-        for (v, name) in &counters {
-            out.push_str(&format!("{v:>12}  {name}\n"));
+    out
+}
+
+fn render_dashboard(m: &Snapshot, out: &mut String) {
+    let mut blocks: Vec<String> = Vec::new();
+    if !m.counters.is_empty() {
+        let mut counters: Vec<(&u64, &String)> = m.counters.iter().map(|(k, v)| (v, k)).collect();
+        counters.sort_by(|a, b| b.0.cmp(a.0).then(a.1.cmp(b.1)));
+        let mut block = String::from("== counters (by value) ==\n");
+        for (v, name) in counters {
+            block.push_str(&format!("{v:>12}  {name}\n"));
         }
+        blocks.push(block);
     }
-    if !gauges.is_empty() {
-        out.push_str("\n== gauges (current / high water) ==\n");
-        for (name, v, m) in &gauges {
-            out.push_str(&format!("{v:>12} /{m:>11}  {name}\n"));
+    if !m.gauges.is_empty() {
+        let mut block = String::from("== gauges (current / high water) ==\n");
+        for (name, g) in &m.gauges {
+            block.push_str(&format!("{:>12} /{:>11}  {name}\n", g.value, g.max));
         }
+        blocks.push(block);
     }
-    if !hists.is_empty() {
-        out.push_str("\n== histograms (count / sum / mean) ==\n");
-        for (name, c, s) in &hists {
-            let mean = s.checked_div(*c).unwrap_or(0);
-            out.push_str(&format!("{c:>8} {s:>14} {mean:>12}  {name}\n"));
+    if !m.histograms.is_empty() {
+        let mut block = String::from("== histograms (count / sum / mean) ==\n");
+        for (name, h) in &m.histograms {
+            let mean = h.sum.checked_div(h.count).unwrap_or(0);
+            block.push_str(&format!(
+                "{:>8} {:>14} {mean:>12}  {name}\n",
+                h.count, h.sum
+            ));
         }
+        blocks.push(block);
     }
-    if !traces.is_empty() {
-        out.push_str("\n== trace (most recent last) ==\n");
-        let skip = traces.len().saturating_sub(16);
+    if !m.trace.is_empty() {
+        let mut block = String::from("== trace (most recent last) ==\n");
+        let skip = m.trace.len().saturating_sub(16);
         if skip > 0 {
-            out.push_str(&format!("  ... {skip} earlier events elided ...\n"));
+            block.push_str(&format!("  ... {skip} earlier events elided ...\n"));
         }
-        for line in &traces[skip..] {
-            out.push_str(&format!("  {line}\n"));
+        for e in &m.trace[skip..] {
+            block.push_str(&format!(
+                "  trace {} {} {} {}\n",
+                e.clock, e.label, e.a, e.b
+            ));
         }
+        blocks.push(block);
     }
+    out.push_str(&blocks.join("\n"));
 }
 
 /// Global flags that take a value; they may appear before the command.
@@ -644,11 +541,12 @@ fn main() -> ExitCode {
             }
         }
         "stats" => {
-            if rest.iter().any(|a| a == "--json") {
-                stats_json(&addr, &opts)
+            let render = if rest.iter().any(|a| a == "--json") {
+                render_stats_json
             } else {
-                round_trip(&addr, &opts, &Request::Stats)
-            }
+                str::to_string
+            };
+            print_body(call_body(&addr, &opts, &Request::Stats), render)
         }
         "gc" => round_trip(&addr, &opts, &Request::Gc),
         "route-update" => {
@@ -672,9 +570,8 @@ fn main() -> ExitCode {
         }
         "health" => round_trip(&addr, &opts, &Request::Health),
         "repair" => round_trip(&addr, &opts, &Request::Repair),
-        "top" => top_view(&addr, &opts),
+        "top" => print_body(call_body(&addr, &opts, &Request::Stats), render_top),
         "shutdown" => round_trip(&addr, &opts, &Request::Shutdown),
-        "serve-bench" => serve_bench(rest),
         "replay" => replay(&addr, &opts, rest),
         _ => usage(),
     }
@@ -1111,13 +1008,15 @@ fn replay(addr: &str, opts: &NetOpts, rest: &[String]) -> ExitCode {
             None
         }
     };
-    let stat_counter = |name: &str| -> Option<u64> {
-        let body = server_stats.as_deref()?;
-        body.lines()
-            .filter_map(|l| l.strip_prefix(&format!("counter {name} ")))
-            .filter_map(|v| v.parse::<u64>().ok())
-            .next()
-    };
+    // The router's own section (a single daemon has none, hence null).
+    let router_forwarded = server_stats.as_deref().and_then(|body| {
+        let router = split_sections(body)
+            .into_iter()
+            .find(|s| s.origin == Origin::Router)?;
+        Snapshot::parse(router.body)
+            .ok()?
+            .counter("router.forwarded")
+    });
 
     if let Some(path) = &cfg.report {
         let mut out = String::from("{\n  \"bench\": \"replay\",\n");
@@ -1143,7 +1042,7 @@ fn replay(addr: &str, opts: &NetOpts, rest: &[String]) -> ExitCode {
         ));
         out.push_str(&format!(
             "  \"router_forwarded\": {},\n",
-            stat_counter("router.forwarded").map_or("null".into(), |v| v.to_string())
+            router_forwarded.map_or("null".into(), |v| v.to_string())
         ));
         out.push_str("  \"workloads\": [\n");
         for (i, (name, expect, got)) in workload_rows.iter().enumerate() {
@@ -1191,203 +1090,87 @@ fn replay(addr: &str, opts: &NetOpts, rest: &[String]) -> ExitCode {
     }
 }
 
-struct BenchRow {
-    jobs: usize,
-    requests: usize,
-    wall_s: f64,
-    req_per_s: f64,
-    errors: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Starts a loopback daemon and measures end-to-end request throughput at
-/// each `--jobs` level: every client thread opens its own connection and
-/// issues `--requests` alternating profile/classify round trips.
-fn serve_bench(rest: &[String]) -> ExitCode {
-    let jobs_levels: Vec<usize> = match flag_value(rest, "--jobs")
-        .unwrap_or_else(|| "1,4,8".to_string())
-        .split(',')
-        .map(|p| p.parse::<usize>().map_err(|_| p.to_string()))
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(v) if !v.is_empty() && v.iter().all(|&j| j >= 1) => v,
-        _ => return usage(),
-    };
-    let requests: usize = match flag_value(rest, "--requests") {
-        Some(s) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => return usage(),
-        },
-        None => 64,
-    };
-    let scale = match flag_value(rest, "--scale") {
-        Some(s) => match parse_scale(&s) {
-            Some(s) => s,
-            None => return usage(),
-        },
-        None => Scale::Test,
-    };
-    let builtin = flag_value(rest, "--workload").unwrap_or_else(|| "mcf".to_string());
-    let Some(w) = workload_by_name(&builtin, scale) else {
-        eprintln!("stridectl: unknown built-in workload `{builtin}`");
-        return ExitCode::FAILURE;
-    };
-
-    let max_jobs = jobs_levels.iter().copied().max().unwrap_or(1);
-    let db_root =
-        std::env::temp_dir().join(format!("stridectl-serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&db_root);
-    let mut config = ServerConfig::loopback(ServiceConfig::new(db_root.clone()));
-    config.workers = max_jobs;
-    config.queue_cap = max_jobs * 4;
-    let server = match Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("stridectl: cannot start loopback daemon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = server.addr();
-
-    // Register the module once; warm the run cache so every level measures
-    // service/wire throughput, not first-run simulation cost.
-    let setup = (|| -> Result<(), String> {
-        let mut c = Client::connect(addr).map_err(|e| e.to_string())?;
-        let resp = c
-            .call(&Request::SubmitModule {
-                workload: w.name.to_string(),
-                text: module_to_string(&w.module),
-            })
-            .map_err(|e| e.to_string())?;
-        if let Response::Err { kind, message, .. } = resp {
-            return Err(format!("[{kind}] {message}"));
-        }
-        let resp = c
-            .call(&Request::Profile {
-                workload: w.name.to_string(),
-                variant: ProfilingVariant::EdgeCheck,
-                args: w.train_args.clone(),
-            })
-            .map_err(|e| e.to_string())?;
-        if let Response::Err { kind, message, .. } = resp {
-            return Err(format!("[{kind}] {message}"));
-        }
-        Ok(())
-    })();
-    if let Err(e) = setup {
-        eprintln!("stridectl: serve-bench setup failed: {e}");
-        server.shutdown_and_join();
-        let _ = std::fs::remove_dir_all(&db_root);
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "serve-bench: workload {} ({} requests per client)",
-        w.name, requests
-    );
-    println!(
-        "{:>5}  {:>9}  {:>9}  {:>10}  {:>7}",
-        "jobs", "requests", "wall(s)", "req/s", "errors"
-    );
-    let mut rows = Vec::new();
-    for &jobs in &jobs_levels {
-        let start = Instant::now();
-        let errors: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let w = &w;
-                    scope.spawn(move || {
-                        let Ok(mut client) = Client::connect(addr) else {
-                            return requests;
-                        };
-                        let mut errors = 0usize;
-                        for i in 0..requests {
-                            let req = if i % 2 == 0 {
-                                Request::Profile {
-                                    workload: w.name.to_string(),
-                                    variant: ProfilingVariant::EdgeCheck,
-                                    args: w.train_args.clone(),
-                                }
-                            } else {
-                                Request::Classify {
-                                    workload: w.name.to_string(),
-                                    variant: ProfilingVariant::EdgeCheck,
-                                    args: w.train_args.clone(),
-                                }
-                            };
-                            match client.call(&req) {
-                                Ok(Response::Ok(_)) => {}
-                                Ok(Response::Err { .. }) | Err(_) => errors += 1,
-                            }
-                        }
-                        errors
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(requests))
-                .sum()
+    fn daemon_body() -> String {
+        let reg = stride_core::Registry::new();
+        reg.counter("server.req.profile").add(3);
+        reg.counter("server.req.stats").inc();
+        reg.gauge("profdb.entries").set(2);
+        reg.histogram("server.latency.profile.cycles").observe(1000);
+        reg.trace(stride_core::TraceEvent {
+            clock: 0,
+            label: "server.request",
+            a: 0,
+            b: 0,
         });
-        let wall_s = start.elapsed().as_secs_f64();
-        let total = jobs * requests;
-        let req_per_s = if wall_s > 0.0 {
-            total as f64 / wall_s
-        } else {
-            0.0
-        };
-        println!("{jobs:>5}  {total:>9}  {wall_s:>9.3}  {req_per_s:>10.1}  {errors:>7}");
-        rows.push(BenchRow {
-            jobs,
-            requests: total,
-            wall_s,
-            req_per_s,
-            errors,
-        });
+        reg.snapshot_text()
     }
 
-    server.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&db_root);
+    #[test]
+    fn stats_json_carries_gauges_per_replica_and_in_the_aggregate() {
+        let replica = daemon_body();
+        let body = format!(
+            "== router ==\ncounter router.forwarded 4\ngauge router.shards 2 max 2\n\
+             == shard 0 replica 0 addr 127.0.0.1:1 ==\n{replica}\
+             == shard 1 replica 0 addr 127.0.0.1:2 ==\n{replica}\
+             == shard 1 replica 1 addr 127.0.0.1:3 ==\nunreachable: connection refused\n"
+        );
+        let json = render_stats_json(&body);
+        assert!(json.contains("\"gauge.router.shards\": 2"), "{json}");
+        assert!(json.contains("\"counter.router.forwarded\": 4"), "{json}");
+        assert!(json.contains("\"gauge.profdb.entries\": 2"), "{json}");
+        assert!(
+            json.contains("\"addr\": \"127.0.0.1:3\", \"stats\": {\n\n    }"),
+            "an unreachable replica is an empty object: {json}"
+        );
+        let aggregate = &json[json.find("\"aggregate\"").unwrap()..];
+        assert!(aggregate.contains("\"gauge.profdb.entries\": 4"), "{json}");
+        assert!(
+            aggregate.contains("\"counter.server.req.profile\": 6"),
+            "{json}"
+        );
+        assert!(
+            !aggregate.contains("router."),
+            "router values stay out: {json}"
+        );
 
-    if let Some(path) = flag_value(rest, "--bench-json") {
-        // Scaling quality per row: throughput relative to the jobs=1 row
-        // of the same invocation. A multi-client row that fails to beat
-        // the single client by at least 20% is flagged `flat_scaling` so
-        // regression tooling can spot serialization in the service path
-        // without parsing throughput numbers.
-        let base_rps = rows
-            .iter()
-            .find(|r| r.jobs == 1)
-            .map(|r| r.req_per_s)
-            .filter(|&rps| rps > 0.0);
-        let mut out = String::from("{\n  \"bench\": \"serve-bench\",\n");
-        out.push_str(&format!("  \"workload\": \"{}\",\n", w.name));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let speedup = base_rps.map(|b| r.req_per_s / b);
-            let flat = r.jobs > 1 && speedup.is_some_and(|s| s < 1.2);
-            out.push_str(&format!(
-                "    {{\"jobs\": {}, \"requests\": {}, \"wall_s\": {:.6}, \"req_per_s\": {:.1}, \"errors\": {}, \"speedup_vs_jobs1\": {}, \"flat_scaling\": {}}}{}\n",
-                r.jobs,
-                r.requests,
-                r.wall_s,
-                r.req_per_s,
-                r.errors,
-                speedup.map_or("null".to_string(), |s| format!("{s:.3}")),
-                flat,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("stridectl: cannot write --bench-json file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("serve-bench summary written to {path}");
+        // A single daemon's body is the whole aggregate.
+        let json = render_stats_json(&daemon_body());
+        assert!(json.contains("\"shards\": [\n  ],"), "{json}");
+        assert!(json.contains("\"gauge.profdb.entries\": 2"), "{json}");
     }
-    let failed = rows.iter().any(|r| r.errors > 0);
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+
+    #[test]
+    fn top_renders_a_registry_only_body() {
+        let top = render_top(&daemon_body());
+        assert_eq!(
+            top,
+            "== counters (by value) ==\n\
+             \x20          3  server.req.profile\n\
+             \x20          1  server.req.stats\n\
+             \n\
+             == gauges (current / high water) ==\n\
+             \x20          2 /          2  profdb.entries\n\
+             \n\
+             == histograms (count / sum / mean) ==\n\
+             \x20      1           1000         1000  server.latency.profile.cycles\n\
+             \n\
+             == trace (most recent last) ==\n\
+             \x20 trace 0 server.request 0 0\n"
+        );
+        let body = "== router ==\ncounter router.forwarded 4\n\
+                    == shard 0 replica 0 addr 127.0.0.1:1 ==\nerr io: disk full\n";
+        let top = render_top(body);
+        assert!(
+            top.starts_with("=== router ===\n== counters (by value) ==\n"),
+            "{top}"
+        );
+        assert!(
+            top.ends_with("=== shard 0 replica 0 addr 127.0.0.1:1 ===\nerr io: disk full\n"),
+            "{top}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Reproduction harness: figure/table generators (driven by the `repro`
 //! binary), the parallel execution engine behind `--jobs`, the run
 //! memoization store that shares simulations across figures, and the
-//! std-only perf measurement used by the bench targets and `--bench-json`.
+//! perf summary `repro --bench-json` writes.
 
 pub mod figures;
 pub mod perf;
@@ -20,4 +20,4 @@ pub use figures::{
     render_sensitivity, render_speedups, speedup_of, Diagnostic, FigureCtx, Partial,
     SensitivityRow, SpeedupRow,
 };
-pub use perf::{BenchEntry, BenchReport, FigurePerf, PerfSummary};
+pub use perf::{FigurePerf, PerfSummary};

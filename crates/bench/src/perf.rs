@@ -1,128 +1,8 @@
-//! Std-only performance measurement: a tiny micro-bench harness (used by
-//! the `benches/` targets, which run without an external harness) and the
-//! machine-readable perf summary emitted by `repro --bench-json` so the
-//! performance trajectory of the reproduction is tracked from one data
-//! point to the next.
+//! The machine-readable perf summary `repro --bench-json` writes: wall
+//! clock and simulation counts per figure, plus run-cache effectiveness
+//! (the benchmark's `figures` workload reads it).
 
-use std::time::{Duration, Instant};
-
-/// One measured bench target.
-#[derive(Clone, Debug)]
-pub struct BenchEntry {
-    /// Target name, e.g. `"stride_prof/enhanced_fig7"`.
-    pub name: String,
-    /// Iterations timed (after warm-up).
-    pub iters: u64,
-    /// Total wall-clock for all timed iterations.
-    pub total: Duration,
-    /// Elements processed per iteration (for throughput lines), if any.
-    pub elements_per_iter: Option<u64>,
-}
-
-impl BenchEntry {
-    /// Nanoseconds per iteration.
-    pub fn ns_per_iter(&self) -> f64 {
-        self.total.as_nanos() as f64 / self.iters.max(1) as f64
-    }
-
-    /// Elements per second, when an element count was declared.
-    pub fn elements_per_sec(&self) -> Option<f64> {
-        self.elements_per_iter.map(|n| {
-            let secs = self.total.as_secs_f64() / self.iters.max(1) as f64;
-            n as f64 / secs.max(1e-12)
-        })
-    }
-}
-
-/// A collection of bench results that prints human-readable lines and can
-/// serialize itself to JSON.
-#[derive(Clone, Debug, Default)]
-pub struct BenchReport {
-    /// All measured entries, in run order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchReport {
-    /// Creates an empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Times `f` (after one warm-up call) for `iters` iterations, records
-    /// the entry, and prints the usual one-line summary. `elements` is the
-    /// per-iteration element count for throughput reporting.
-    pub fn run<R, F: FnMut() -> R>(
-        &mut self,
-        name: &str,
-        iters: u64,
-        elements: Option<u64>,
-        mut f: F,
-    ) {
-        std::hint::black_box(f()); // warm-up
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let entry = BenchEntry {
-            name: name.to_string(),
-            iters,
-            total: start.elapsed(),
-            elements_per_iter: elements,
-        };
-        match entry.elements_per_sec() {
-            Some(eps) => println!(
-                "{:<44} {:>12.0} ns/iter {:>14.0} elem/s",
-                entry.name,
-                entry.ns_per_iter(),
-                eps
-            ),
-            None => println!("{:<44} {:>12.0} ns/iter", entry.name, entry.ns_per_iter()),
-        }
-        self.entries.push(entry);
-    }
-
-    /// Serializes the report as a JSON array of objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"name\": {}, \"iters\": {}, \"ns_per_iter\": {:.1}, \"elements_per_sec\": {}}}",
-                json_string(&e.name),
-                e.iters,
-                e.ns_per_iter(),
-                e.elements_per_sec()
-                    .map_or("null".to_string(), |v| format!("{v:.0}")),
-            ));
-            out.push_str(if i + 1 < self.entries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push(']');
-        out
-    }
-
-    /// Writes the JSON report to `path` when the common CLI/env convention
-    /// asks for it: `--bench-json <path>` in `args`, else the
-    /// `BENCH_JSON` environment variable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the file.
-    pub fn write_if_requested(&self, args: &[String]) -> std::io::Result<()> {
-        let from_flag = args
-            .iter()
-            .position(|a| a == "--bench-json")
-            .and_then(|i| args.get(i + 1).cloned());
-        let path = from_flag.or_else(|| std::env::var("BENCH_JSON").ok());
-        if let Some(path) = path {
-            std::fs::write(&path, self.to_json())?;
-            eprintln!("bench report written to {path}");
-        }
-        Ok(())
-    }
-}
+use std::time::Duration;
 
 /// Per-figure measurement of one `repro` invocation.
 #[derive(Clone, Debug)]
@@ -234,29 +114,6 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_entry_rates() {
-        let e = BenchEntry {
-            name: "x".into(),
-            iters: 10,
-            total: Duration::from_micros(10),
-            elements_per_iter: Some(1000),
-        };
-        assert!((e.ns_per_iter() - 1000.0).abs() < 1e-6);
-        let eps = e.elements_per_sec().unwrap();
-        assert!((eps - 1e9).abs() / 1e9 < 1e-6, "{eps}");
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let mut r = BenchReport::new();
-        r.run("a\"b", 3, Some(7), || 42);
-        let j = r.to_json();
-        assert!(j.starts_with('['));
-        assert!(j.contains("\"a\\\"b\""));
-        assert!(j.contains("\"iters\": 3"));
-    }
 
     #[test]
     fn summary_json_totals() {

@@ -82,7 +82,10 @@ pub use instrument::{
     instrument, instrument_edges_only, instrument_two_pass, profiling_instr_count, select_two_pass,
     InstrumentedModule,
 };
-pub use obs::{Counter, Gauge, Histogram, Registry, TraceEvent, Tracer};
+pub use obs::{
+    Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Registry, Snapshot, TraceEvent,
+    TraceLine, Tracer,
+};
 pub use pipeline::{
     measure_overhead, measure_speedup, observe_hierarchy, observe_overhead, observe_profile,
     observe_speedup, prefetch_with_profiles, run_edge_only, run_profiling, run_uninstrumented,

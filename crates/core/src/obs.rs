@@ -15,6 +15,7 @@
 //! into a preallocated ring, so recording never allocates either.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -330,128 +331,260 @@ impl Registry {
         self.tracer.record(event);
     }
 
-    fn sorted_counters(&self) -> Vec<(String, u64)> {
-        self.counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+    /// A point-in-time copy of every metric and the retained trace, in
+    /// the deterministic order both renderings use.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            counters: self
+                .counters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: self
+                .gauges
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .map(|(k, v)| {
+                    let g = GaugeSnapshot {
+                        value: v.get(),
+                        max: v.max_seen(),
+                    };
+                    (k.clone(), g)
+                })
+                .collect(),
+            histograms: self
+                .histograms
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .map(|(k, h)| {
+                    let h = HistogramSnapshot {
+                        count: h.count(),
+                        sum: h.sum(),
+                        buckets: h.nonzero_buckets(),
+                    };
+                    (k.clone(), h)
+                })
+                .collect(),
+            trace: self
+                .tracer
+                .snapshot()
+                .into_iter()
+                .map(|e| TraceLine {
+                    clock: e.clock,
+                    label: e.label.to_string(),
+                    a: e.a,
+                    b: e.b,
+                })
+                .collect(),
+        }
     }
 
-    fn sorted_gauges(&self) -> Vec<(String, u64, u64)> {
-        self.gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get(), v.max_seen()))
-            .collect()
+    /// Stable text rendering (see [`Snapshot::to_text`]).
+    pub fn snapshot_text(&self) -> String {
+        self.snapshot().to_text()
     }
 
-    fn sorted_histograms(&self) -> Vec<(String, Histogram)> {
-        self.histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Stable JSON rendering (see [`Snapshot::to_json`]).
+    pub fn snapshot_json(&self) -> String {
+        self.snapshot().to_json()
+    }
+}
+
+/// A gauge's level and high-water mark at snapshot time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GaugeSnapshot {
+    /// Current level.
+    pub value: u64,
+    /// Highest level ever set.
+    pub max: u64,
+}
+
+/// A histogram at snapshot time.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Samples observed.
+    pub count: u64,
+    /// Sum of all samples.
+    pub sum: u64,
+    /// `(bucket index, occupancy)` for every nonempty bucket, ascending.
+    pub buckets: Vec<(usize, u64)>,
+}
+
+/// A trace event at snapshot time (the label is owned, so a parsed
+/// snapshot can carry labels no `&'static str` names).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceLine {
+    /// Logical timestamp.
+    pub clock: u64,
+    /// Event label.
+    pub label: String,
+    /// First payload field.
+    pub a: u64,
+    /// Second payload field.
+    pub b: u64,
+}
+
+/// A registry's contents, detached from the live atomics: what
+/// [`Registry::snapshot`] captures, [`Snapshot::to_text`] renders, and
+/// [`Snapshot::parse`] reads back. This is the one metrics vocabulary of
+/// every `stats` body.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauges by name.
+    pub gauges: BTreeMap<String, GaugeSnapshot>,
+    /// Histograms by name.
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// Retained trace events in `(clock, label, a, b)` order.
+    pub trace: Vec<TraceLine>,
+}
+
+impl Snapshot {
+    /// The value of the counter `name`, if the snapshot has one.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.get(name).copied()
+    }
+
+    /// The current level of the gauge `name`, if the snapshot has one.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.get(name).map(|g| g.value)
     }
 
     /// Stable text rendering: one line per metric, sections in fixed
-    /// order, names sorted (BTreeMap order). Byte-identical for equal
-    /// metric contents.
-    pub fn snapshot_text(&self) -> String {
+    /// order (`counter`, `gauge`, `histogram`, `trace`), names sorted.
+    /// Byte-identical for equal contents; [`Snapshot::parse`] inverts it.
+    pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (name, v) in self.sorted_counters() {
-            out.push_str(&format!("counter {name} {v}\n"));
+        for (name, v) in &self.counters {
+            let _ = writeln!(out, "counter {name} {v}");
         }
-        for (name, v, max) in self.sorted_gauges() {
-            out.push_str(&format!("gauge {name} {v} max {max}\n"));
+        for (name, g) in &self.gauges {
+            let _ = writeln!(out, "gauge {name} {} max {}", g.value, g.max);
         }
-        for (name, h) in self.sorted_histograms() {
-            let buckets: Vec<String> = h
-                .nonzero_buckets()
-                .into_iter()
-                .map(|(i, c)| format!("{i}:{c}"))
-                .collect();
-            out.push_str(&format!(
-                "histogram {name} count {} sum {} buckets {}\n",
-                h.count(),
-                h.sum(),
+        for (name, h) in &self.histograms {
+            let buckets: Vec<String> = h.buckets.iter().map(|(i, c)| format!("{i}:{c}")).collect();
+            let _ = writeln!(
+                out,
+                "histogram {name} count {} sum {} buckets {}",
+                h.count,
+                h.sum,
                 if buckets.is_empty() {
                     "-".to_string()
                 } else {
                     buckets.join(",")
                 }
-            ));
+            );
         }
-        for e in self.tracer.snapshot() {
-            out.push_str(&format!("trace {} {} {} {}\n", e.clock, e.label, e.a, e.b));
+        for e in &self.trace {
+            let _ = writeln!(out, "trace {} {} {} {}", e.clock, e.label, e.a, e.b);
         }
         out
     }
 
     /// Stable JSON rendering (same ordering contract as
-    /// [`Registry::snapshot_text`]).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let counters = self.sorted_counters();
-        for (i, (name, v)) in counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            out.push_str(&format!("{sep}\n    \"{name}\": {v}"));
-        }
-        out.push_str(if counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        let gauges = self.sorted_gauges();
-        out.push_str("  \"gauges\": {");
-        for (i, (name, v, max)) in gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            out.push_str(&format!(
-                "{sep}\n    \"{name}\": {{\"value\": {v}, \"max\": {max}}}"
-            ));
-        }
-        out.push_str(if gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        let histograms = self.sorted_histograms();
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
+    /// [`Snapshot::to_text`]).
+    pub fn to_json(&self) -> String {
+        let counters = self.counters.iter().map(|(k, v)| format!("\"{k}\": {v}"));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(k, g)| format!("\"{k}\": {{\"value\": {}, \"max\": {}}}", g.value, g.max));
+        let histograms = self.histograms.iter().map(|(k, h)| {
             let buckets: Vec<String> = h
-                .nonzero_buckets()
-                .into_iter()
+                .buckets
+                .iter()
                 .map(|(b, c)| format!("\"{b}\": {c}"))
                 .collect();
-            out.push_str(&format!(
-                "{sep}\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{{}}}}}",
-                h.count(),
-                h.sum(),
+            format!(
+                "\"{k}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{{}}}}}",
+                h.count,
+                h.sum,
                 buckets.join(", ")
-            ));
-        }
-        out.push_str(if histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+            )
         });
-        out.push_str("  \"trace\": [");
-        let events = self.tracer.snapshot();
-        for (i, e) in events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            out.push_str(&format!(
-                "{sep}\n    {{\"clock\": {}, \"label\": \"{}\", \"a\": {}, \"b\": {}}}",
+        let trace = self.trace.iter().map(|e| {
+            format!(
+                "{{\"clock\": {}, \"label\": \"{}\", \"a\": {}, \"b\": {}}}",
                 e.clock, e.label, e.a, e.b
-            ));
-        }
-        out.push_str(if events.is_empty() { "]\n" } else { "\n  ]\n" });
+            )
+        });
+        let mut out = String::from("{\n");
+        json_member(&mut out, "\"counters\": {", counters.collect(), "},");
+        json_member(&mut out, "\"gauges\": {", gauges.collect(), "},");
+        json_member(&mut out, "\"histograms\": {", histograms.collect(), "},");
+        json_member(&mut out, "\"trace\": [", trace.collect(), "]");
         out.push_str("}\n");
         out
     }
+
+    /// Parses [`Snapshot::to_text`] output back into a snapshot: the one
+    /// reader of the `counter|gauge|histogram|trace` line format.
+    ///
+    /// # Errors
+    ///
+    /// Names the first line that is not a well-formed registry line.
+    pub fn parse(text: &str) -> Result<Snapshot, String> {
+        let mut snap = Snapshot::default();
+        for (n, line) in text.lines().enumerate() {
+            let bad = || format!("line {}: not a registry line: `{line}`", n + 1);
+            let int = |s: &str| s.parse::<u64>().map_err(|_| bad());
+            let fields: Vec<&str> = line.split(' ').collect();
+            match fields.as_slice() {
+                ["counter", name, v] => {
+                    snap.counters.insert(name.to_string(), int(v)?);
+                }
+                ["gauge", name, v, "max", m] => {
+                    let g = GaugeSnapshot {
+                        value: int(v)?,
+                        max: int(m)?,
+                    };
+                    snap.gauges.insert(name.to_string(), g);
+                }
+                ["histogram", name, "count", c, "sum", s, "buckets", b] => {
+                    let mut buckets = Vec::new();
+                    if *b != "-" {
+                        for pair in b.split(',') {
+                            let (i, c) = pair.split_once(':').ok_or_else(bad)?;
+                            let i = i.parse::<usize>().map_err(|_| bad())?;
+                            if i >= HISTOGRAM_BUCKETS {
+                                return Err(bad());
+                            }
+                            buckets.push((i, int(c)?));
+                        }
+                    }
+                    let h = HistogramSnapshot {
+                        count: int(c)?,
+                        sum: int(s)?,
+                        buckets,
+                    };
+                    snap.histograms.insert(name.to_string(), h);
+                }
+                ["trace", clock, label, a, b] => snap.trace.push(TraceLine {
+                    clock: int(clock)?,
+                    label: label.to_string(),
+                    a: int(a)?,
+                    b: int(b)?,
+                }),
+                _ => return Err(bad()),
+            }
+        }
+        Ok(snap)
+    }
+}
+
+/// One top-level member of [`Snapshot::to_json`]: `open`, then one item
+/// per line (none for an empty collection), then `close`.
+fn json_member(out: &mut String, open: &str, items: Vec<String>, close: &str) {
+    let _ = write!(out, "  {open}");
+    if !items.is_empty() {
+        let _ = write!(out, "\n    {}\n  ", items.join(",\n    "));
+    }
+    let _ = writeln!(out, "{close}");
 }
 
 #[cfg(test)]
@@ -591,5 +724,62 @@ mod tests {
             backward.record(ev(i));
         }
         assert_eq!(forward.snapshot(), backward.snapshot());
+    }
+
+    #[test]
+    fn parse_inverts_snapshot_text() {
+        let reg = Registry::with_trace_capacity(4);
+        reg.counter("a.first").add(7);
+        reg.counter("zero");
+        let g = reg.gauge("depth");
+        g.set(9);
+        g.set(3);
+        reg.gauge("idle");
+        let h = reg.histogram("lat");
+        for v in [0, 1, 3, 1000, u64::MAX / 2] {
+            h.observe(v);
+        }
+        reg.histogram("empty");
+        for i in 0..6u64 {
+            reg.trace(TraceEvent {
+                clock: i,
+                label: "server.request",
+                a: i,
+                b: i % 2,
+            });
+        }
+        let text = reg.snapshot_text();
+        let parsed = Snapshot::parse(&text).unwrap();
+        assert_eq!(parsed, reg.snapshot());
+        assert_eq!(parsed.to_text(), text);
+        assert_eq!(parsed.to_json(), reg.snapshot_json());
+        assert_eq!(parsed.counter("a.first"), Some(7));
+        assert_eq!(parsed.counter("missing"), None);
+        assert_eq!(parsed.gauge("depth"), Some(3));
+        assert_eq!(parsed.gauges["depth"].max, 9);
+        assert_eq!(parsed.histograms["lat"].count, 5);
+        assert!(parsed.histograms["empty"].buckets.is_empty());
+        assert_eq!(parsed.trace.len(), 4, "the ring kept the last four");
+        assert_eq!(parsed.trace[0].label, "server.request");
+        assert_eq!(Snapshot::parse("").unwrap(), Snapshot::default());
+    }
+
+    #[test]
+    fn parse_rejects_lines_outside_the_vocabulary() {
+        for bad in [
+            "requests 3",
+            "counter x",
+            "counter x y",
+            "gauge g 1 2",
+            "histogram h count 1 sum 2 buckets 65:1",
+            "histogram h count 1 sum 2 buckets 3",
+            "trace 1 x 2",
+            "== router ==",
+            "counter  x 1",
+        ] {
+            let text = format!("counter ok 1\n{bad}\n");
+            let err = Snapshot::parse(&text).unwrap_err();
+            assert!(err.starts_with("line 2:"), "{bad}: {err}");
+        }
     }
 }

@@ -47,6 +47,6 @@ pub use repl::{
 pub use shard::{ShardMap, SHARD_MAP_VERSION};
 pub use store::{DbRecord, DigestEntry, ProfileDb};
 pub use wal::{
-    encode_record, scan_chain, scan_wal, segment_file_name, DiskFaults, RecordKind, ScanItem,
-    SegmentConfig, SegmentScan, Wal, WalRecord, WalScan, WalStats, WAL_FILE,
+    encode_record, scan_chain, scan_wal, segment_file_name, write_atomic, DiskFaults, RecordKind,
+    ScanItem, SegmentConfig, SegmentScan, Wal, WalRecord, WalScan, WalStats, WAL_FILE,
 };

@@ -59,7 +59,6 @@ struct DbState {
     wal: Wal,
     applied: HashSet<u64>,
     applied_order: VecDeque<u64>,
-    dedup_hits: u64,
     /// Pre-merge replication deltas kept for anti-entropy re-send. The
     /// WAL proper logs *post-merge* redo states — absolute snapshots
     /// that would double-count if merged into a diverged sibling — so
@@ -257,7 +256,6 @@ impl ProfileDb {
             wal,
             applied: HashSet::new(),
             applied_order: VecDeque::new(),
-            dedup_hits: 0,
             retain_wal,
             retained,
             entries: HashMap::new(),
@@ -294,7 +292,6 @@ impl ProfileDb {
             wal,
             applied: HashSet::new(),
             applied_order: VecDeque::new(),
-            dedup_hits: 0,
             retain_wal,
             retained,
             entries: HashMap::new(),
@@ -345,11 +342,6 @@ impl ProfileDb {
     /// Entry records in the WAL not yet folded away by a checkpoint.
     pub fn wal_pending(&self) -> bool {
         self.lock().wal.has_pending()
-    }
-
-    /// Merges deduplicated by an already-seen idempotency key.
-    pub fn dedup_hits(&self) -> u64 {
-        self.lock().dedup_hits
     }
 
     /// WAL observability counters (appends/syncs/checkpoints since open).
@@ -486,7 +478,6 @@ impl ProfileDb {
         check_workload_name(&entry.workload)?;
         let mut st = self.lock();
         if req_id != 0 && st.applied.contains(&req_id) {
-            st.dedup_hits += 1;
             let stored = self.load_locked(&mut st, &entry.workload, entry.module_hash)?;
             return Ok((Arc::unwrap_or_clone(stored), true));
         }
@@ -918,7 +909,6 @@ mod tests {
         assert!(dup2);
         assert_eq!(second.runs, 1, "duplicate id must not re-merge");
         assert_eq!(second, first);
-        assert_eq!(db.dedup_hits(), 1);
         // A different id merges normally.
         let (third, dup3) = db.merge_store_logged(&e, 0xbeef).unwrap();
         assert!(!dup3);

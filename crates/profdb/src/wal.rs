@@ -489,7 +489,7 @@ pub(crate) fn sync_dir(dir: &Path) {
 
 /// Atomic file replace with durability: write temp, fsync, rename,
 /// fsync the directory.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DbError> {
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DbError> {
     let tmp = path.with_extension("tmp");
     let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
     f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;

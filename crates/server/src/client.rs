@@ -206,16 +206,28 @@ impl Client {
     /// *not* `Err`: they arrive as [`Response::Err`] with a typed
     /// [`crate::ErrorKind`].
     pub fn call(&mut self, req: &Request) -> io::Result<Response> {
+        // Only merges get ids: they are the requests whose retry must not
+        // double-count. (An id on every request would cost WAL traffic
+        // for no dedup value.)
+        let req_id = match req {
+            Request::MergeProfile { .. } => self.next_req_id(),
+            _ => 0,
+        };
+        self.call_with_id(req, req_id)
+    }
+
+    /// [`Client::call`] under a caller-chosen idempotency id (0 for
+    /// none): the router sends a forwarded `profile` with the id its
+    /// replicated run is stored under.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::call`].
+    pub(crate) fn call_with_id(&mut self, req: &Request, req_id: u64) -> io::Result<Response> {
         self.trace.clear();
         self.calls += 1;
         let meta = RequestMeta {
-            // Only merges get ids: they are the requests whose retry
-            // must not double-count. (An id on every request would cost
-            // WAL traffic for no dedup value.)
-            req_id: match req {
-                Request::MergeProfile { .. } => self.next_req_id(),
-                _ => 0,
-            },
+            req_id,
             deadline_fuel: self.deadline_fuel,
         };
         let payload = encode_request(&meta, req);

@@ -33,12 +33,12 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    /// Stable one-word label for stats bodies and health reports.
-    pub fn label(self) -> &'static str {
+    /// The state as a gauge level: 0 alive, 1 suspect, 2 dead.
+    pub(crate) fn level(self) -> u64 {
         match self {
-            HealthState::Alive => "alive",
-            HealthState::Suspect(_) => "suspect",
-            HealthState::Dead => "dead",
+            HealthState::Alive => 0,
+            HealthState::Suspect(_) => 1,
+            HealthState::Dead => 2,
         }
     }
 }

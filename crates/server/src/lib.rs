@@ -45,6 +45,6 @@ pub use proto::{
     RequestMeta, Response, MAX_FRAME, PROTO_VERSION,
 };
 pub use queue::BoundedQueue;
-pub use router::{Router, RouterConfig, RouterServer};
+pub use router::{split_sections, Origin, Router, RouterConfig, RouterServer, Section};
 pub use server::{Server, ServerConfig};
 pub use service::{render_classification, render_speedup, Service, ServiceConfig};

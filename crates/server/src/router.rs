@@ -2,19 +2,23 @@
 //! sides. Every profile key `(workload, module-hash)` is owned by one
 //! shard per [`stride_profdb::ShardMap`]; the router forwards each
 //! request to the owning shard's replicas and composes fan-out verbs
-//! (`stats`, `gc`, `shutdown`) across the whole cluster.
+//! (`stats`, `gc`, `shutdown`) across the whole cluster; [`split_sections`]
+//! reads a composed body back.
 //!
 //! # Replication
 //!
 //! A `merge-profile` arriving at the router is converted into a
 //! [`stride_profdb::repl`] delta — the *pre-merge* entry plus its
 //! idempotency id — and sent as a `sync-delta` batch to **every**
-//! replica of the owning shard. The merge is acknowledged once at least
-//! one replica applied it durably; replicas the delivery missed get the
-//! delta spooled to their durable hint log, drained in order before
-//! that replica's next delivery. Delivery is therefore at-least-once in
-//! any order — exactly what the store's delivery-order-independent
-//! delta merge absorbs into byte-identical convergence.
+//! replica of the owning shard. (A `profile` is forwarded to one replica
+//! under a router-stamped id; the fresh-run entry it returns is then
+//! delivered to the other replicas the same way.) The merge is
+//! acknowledged once at least one replica applied it durably; replicas
+//! the delivery missed get the delta spooled to their durable hint log,
+//! drained in order before that replica's next delivery. Delivery is
+//! therefore at-least-once in any order — exactly what the store's
+//! delivery-order-independent delta merge absorbs into byte-identical
+//! convergence.
 //!
 //! # Self-healing
 //!
@@ -63,10 +67,10 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use stride_core::{splitmix64_mix, Counter, Registry, SPLITMIX64_GAMMA};
+use stride_core::{splitmix64_mix, Counter, Gauge, Registry, SPLITMIX64_GAMMA};
 use stride_profdb::{
-    decode_delta_batch, decode_digest_table, encode_delta_batch, DeltaRecord, ProfileEntry,
-    ShardMap, SHARD_MAP_VERSION,
+    decode_delta_batch, decode_digest_table, encode_delta_batch, write_atomic, DeltaRecord,
+    ProfileEntry, ShardMap, SHARD_MAP_VERSION,
 };
 
 /// Retry-after hint on `unavailable` responses, in milliseconds.
@@ -86,6 +90,10 @@ const REPAIR_EVERY_PASSES: u64 = 4;
 
 /// Health-table snapshot file, beside the hint spool.
 const HEALTH_FILE: &str = "health.txt";
+
+/// Router start count over a hint root, beside the hint spool; it
+/// picks the start of the router-id stream (see [`Router::stamp_id`]).
+const GENERATION_FILE: &str = "generation.txt";
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -136,11 +144,17 @@ impl RouterConfig {
 }
 
 /// One backend replica: its (mutable — `route-update`) address, a lazy
-/// connection, and the durable hint spool of deliveries it has missed.
+/// connection, the durable hint spool of deliveries it has missed, and
+/// its two gauges: `router.hint_depth.sKrR` (spool length, updated on
+/// every spool and drain, so its `max` is the peak depth) and
+/// `router.health.sKrR` (detector state as 0 alive, 1 suspect, 2 dead,
+/// sampled for each `stats` body).
 struct Replica {
     addr: Mutex<String>,
     client: Mutex<Option<Client>>,
     hints: Mutex<HintLog>,
+    hint_depth: Gauge,
+    health: Gauge,
 }
 
 impl Replica {
@@ -149,6 +163,10 @@ impl Replica {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
+    }
+
+    fn hints(&self) -> std::sync::MutexGuard<'_, HintLog> {
+        self.hints.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -172,7 +190,7 @@ pub struct Router {
     repair_rounds: Counter,
     repair_resent: Counter,
     policy: RetryPolicy,
-    /// Router-generated idempotency ids for merges arriving without one.
+    /// Router-generated idempotency ids for writes arriving without one.
     id_seq: AtomicU64,
     /// Handled-request seqno: the logical clock probing runs on.
     req_seq: AtomicU64,
@@ -183,6 +201,25 @@ pub struct Router {
     detector: Mutex<FailureDetector>,
     probe_every: u64,
     health_path: PathBuf,
+}
+
+/// Counts one more router start over `hint_root` (replaced atomically);
+/// returns the number of earlier starts, 0 for a fresh root.
+fn next_generation(hint_root: &std::path::Path) -> io::Result<u64> {
+    let path = hint_root.join(GENERATION_FILE);
+    let fail = |why: String| io::Error::other(format!("{}: {why}", path.display()));
+    let generation = match std::fs::read_to_string(&path) {
+        Ok(text) => text
+            .trim()
+            .parse()
+            .map_err(|_| fail(format!("bad count `{text}`")))?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        Err(e) => return Err(fail(e.to_string())),
+    };
+    std::fs::create_dir_all(hint_root).map_err(|e| fail(e.to_string()))?;
+    write_atomic(&path, format!("{}\n", generation + 1).as_bytes())
+        .map_err(|e| fail(e.to_string()))?;
+    Ok(generation)
 }
 
 /// Distinct per-process hint roots for routers started without one
@@ -211,14 +248,19 @@ impl Router {
             for (r, addr) in replicas.iter().enumerate() {
                 let spool = HintLog::open(&hint_root.join(format!("s{k}r{r}")), config.hint_cap)
                     .map_err(|e| io::Error::other(format!("hint spool s{k}r{r}: {e}")))?;
+                let hint_depth = obs.gauge(&format!("router.hint_depth.s{k}r{r}"));
+                hint_depth.set(spool.len() as u64);
                 row.push(Replica {
                     addr: Mutex::new(addr.clone()),
                     client: Mutex::new(None),
                     hints: Mutex::new(spool),
+                    hint_depth,
+                    health: obs.gauge(&format!("router.health.s{k}r{r}")),
                 });
             }
             shards.push(row);
         }
+        let generation = next_generation(&hint_root)?;
         let health_path = hint_root.join(HEALTH_FILE);
         // Resume mid-suspicion from the persisted health table; a
         // missing or unparsable snapshot starts everyone alive.
@@ -226,6 +268,9 @@ impl Router {
             .ok()
             .and_then(|text| FailureDetector::restore_text(config.detector_seed, &topo, &text).ok())
             .unwrap_or_else(|| FailureDetector::new(config.detector_seed, &topo));
+        obs.gauge("router.shards").set(config.shards.len() as u64);
+        obs.gauge("router.shard_map_version")
+            .set(u64::from(SHARD_MAP_VERSION));
         Ok(Router {
             map,
             shards,
@@ -243,7 +288,9 @@ impl Router {
             repair_resent: obs.counter("router.repair_resent"),
             obs,
             policy: config.backend_retry,
-            id_seq: AtomicU64::new(0x7007_c0de),
+            id_seq: AtomicU64::new(
+                0x7007_c0de_u64.wrapping_add((generation << 40).wrapping_mul(SPLITMIX64_GAMMA)),
+            ),
             req_seq: AtomicU64::new(0),
             probe_passes: AtomicU64::new(0),
             probing: AtomicBool::new(false),
@@ -251,11 +298,6 @@ impl Router {
             probe_every: config.probe_every,
             health_path,
         })
-    }
-
-    /// The router's metrics registry.
-    pub fn obs(&self) -> &Arc<Registry> {
-        &self.obs
     }
 
     fn detector(&self) -> std::sync::MutexGuard<'_, FailureDetector> {
@@ -274,12 +316,17 @@ impl Router {
         let _ = std::fs::write(&self.health_path, text);
     }
 
+    /// One call to one replica, without request metadata.
+    fn call_replica(&self, replica: &Replica, req: &Request) -> io::Result<Response> {
+        self.call_replica_with(replica, &RequestMeta::default(), req)
+    }
+
     /// One call to one replica over its cached connection (connecting
     /// lazily, reconnecting after `route-update`).
-    fn call_replica(
+    fn call_replica_with(
         &self,
         replica: &Replica,
-        deadline_fuel: Option<u64>,
+        meta: &RequestMeta,
         req: &Request,
     ) -> io::Result<Response> {
         let mut slot = replica
@@ -294,8 +341,8 @@ impl Router {
         let Some(client) = slot.as_mut() else {
             return Err(io::Error::other("no backend connection"));
         };
-        client.set_deadline_fuel(deadline_fuel);
-        let result = client.call(req);
+        client.set_deadline_fuel(meta.deadline_fuel);
+        let result = client.call_with_id(req, meta.req_id);
         if result.is_err() {
             // Poisoned transport: reconnect fresh on the next call.
             *slot = None;
@@ -338,7 +385,7 @@ impl Router {
             for r in 0..self.shards[k].len() {
                 self.probes.inc();
                 let up = matches!(
-                    self.call_replica(&self.shards[k][r], None, &Request::Ping),
+                    self.call_replica(&self.shards[k][r], &Request::Ping),
                     Ok(Response::Ok(_))
                 );
                 let outcome = if up {
@@ -373,7 +420,7 @@ impl Router {
             .collect();
         drop(modules);
         for req in &teach {
-            let _ = self.call_replica(replica, None, req);
+            let _ = self.call_replica(replica, req);
         }
         self.drain_hints(replica);
         let (_, resent) = self.repair_shard(shard);
@@ -387,21 +434,20 @@ impl Router {
     /// succeed later either, and anti-entropy re-converges the key.
     fn drain_hints(&self, replica: &Replica) -> bool {
         loop {
-            let hints = replica.hints.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(hint) = hints.front().cloned() else {
+            let Some(hint) = replica.hints().front().cloned() else {
                 return true;
             };
-            drop(hints);
             let req = Request::SyncDelta {
                 batch_text: encode_delta_batch(&[DeltaRecord {
                     req_id: hint.req_id,
                     entry_text: hint.entry_text,
                 }]),
             };
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(_) => {
-                    let mut hints = replica.hints.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut hints = replica.hints();
                     let _ = hints.pop_delivered();
+                    replica.hint_depth.set(hints.len() as u64);
                     self.hints_drained.inc();
                 }
                 Err(_) => return false,
@@ -413,42 +459,15 @@ impl Router {
     /// Capacity was pre-checked by the caller, so a refusal here (a
     /// race) surfaces as `handoff-full` upstream.
     fn spool_hint(&self, replica: &Replica, req_id: u64, entry_text: &str) -> bool {
-        let mut hints = replica.hints.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut hints = replica.hints();
         match hints.spool(req_id, entry_text) {
             Ok(()) => {
+                replica.hint_depth.set(hints.len() as u64);
                 self.hints_spooled.inc();
                 true
             }
             Err(_) => false,
         }
-    }
-
-    /// Per-replica spooled-hint depth plus health state (quiesce probe;
-    /// the `lag` line shape predates hinted handoff and is kept for its
-    /// scripted consumers).
-    fn lag_lines(&self) -> String {
-        let mut out = String::new();
-        for (k, replicas) in self.shards.iter().enumerate() {
-            for (r, replica) in replicas.iter().enumerate() {
-                let queued = replica
-                    .hints
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len();
-                let _ = writeln!(out, "lag shard={k} replica={r} queued={queued}");
-            }
-        }
-        let detector = self.detector();
-        for (k, replicas) in self.shards.iter().enumerate() {
-            for r in 0..replicas.len() {
-                let _ = writeln!(
-                    out,
-                    "health shard={k} replica={r} state={}",
-                    detector.state(k, r).label()
-                );
-            }
-        }
-        out
     }
 
     fn shard_replicas(&self, shard: u32) -> &[Replica] {
@@ -465,8 +484,8 @@ impl Router {
         match req {
             Request::SubmitModule { workload, text } => self.submit(workload, text),
             Request::MergeProfile { entry_text } => self.merge(meta, entry_text),
-            Request::Profile { workload, .. }
-            | Request::Classify { workload, .. }
+            Request::Profile { workload, .. } => self.profile(workload, meta, req),
+            Request::Classify { workload, .. }
             | Request::Prefetch { workload, .. }
             | Request::GetProfile { workload } => self.route_by_workload(workload, meta, req),
             Request::SyncDelta { .. } => Response::err(
@@ -517,7 +536,7 @@ impl Router {
                 continue;
             }
             self.drain_hints(replica);
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
                 Ok(resp @ Response::Err { .. }) => return resp,
                 Err(_) => self.note_miss(shard as usize, r),
@@ -534,52 +553,113 @@ impl Router {
 
     /// Converts a merge into a replication delta and delivers it to all
     /// replicas of the owning shard, acknowledging on the first durable
-    /// apply. Replicas the delivery misses get the delta spooled to
-    /// their hint log — but only if *every* replica's spool has room,
-    /// checked before any delivery, so a `handoff-full` refusal means
-    /// the merge was applied nowhere and the client's retry is clean.
+    /// apply.
     fn merge(&self, meta: &RequestMeta, entry_text: &str) -> Response {
         let entry = match ProfileEntry::from_text(entry_text) {
             Ok(e) => e,
             Err(e) => return Response::err(ErrorKind::from(&e), e.to_string()),
         };
         let shard = self.map.shard_of(&entry.workload, entry.module_hash);
-        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
-            let full = replica
-                .hints
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_full();
-            if full {
-                self.handoff_refused.inc();
-                return Response::handoff_full(
-                    shard,
-                    UNAVAILABLE_RETRY_AFTER_MS,
-                    format!("replica {r} hint spool at capacity; merge refused whole, retry later"),
-                );
+        if let Some(refused) = self.refuse_if_a_spool_is_full(shard) {
+            return refused;
+        }
+        match self.deliver(shard, self.stamp_id(meta.req_id), entry_text, None) {
+            Ok(Some(body)) => {
+                self.forwarded.inc();
+                Response::Ok(body)
+            }
+            Ok(None) => self.unavailable(shard, "no live replica applied the merge"),
+            Err(refused) => refused,
+        }
+    }
+
+    /// Forwards a `profile` to the first live replica of the owning shard
+    /// under a router-stamped id (the replica stores the run as a delta
+    /// under it), then delivers the returned fresh-run entry to the other
+    /// replicas as the same delta, so every replica holds the run. A
+    /// sibling's refusal is not the client's error: the run is already
+    /// stored, and the sibling gets the delta as a hint instead.
+    fn profile(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
+        let shard = match self.shard_of_workload(workload) {
+            Ok(shard) => shard,
+            Err(resp) => return resp,
+        };
+        if let Some(refused) = self.refuse_if_a_spool_is_full(shard) {
+            return refused;
+        }
+        let stamped = RequestMeta {
+            req_id: self.stamp_id(meta.req_id),
+            ..*meta
+        };
+        match self.forward(shard, workload, &stamped, req) {
+            Ok((r, Response::Ok(entry_text))) => {
+                let _ = self.deliver(shard, stamped.req_id, &entry_text, Some(r));
+                Response::Ok(entry_text)
+            }
+            Ok((_, resp)) | Err(resp) => resp,
+        }
+    }
+
+    /// Refuses a write whole with `handoff-full` when any replica's hint
+    /// spool of `shard` is at capacity — checked before any delivery, so
+    /// the write was applied nowhere and the client's retry is clean.
+    fn refuse_if_a_spool_is_full(&self, shard: u32) -> Option<Response> {
+        let r = self
+            .shard_replicas(shard)
+            .iter()
+            .position(|replica| replica.hints().is_full())?;
+        self.handoff_refused.inc();
+        Some(Response::handoff_full(
+            shard,
+            UNAVAILABLE_RETRY_AFTER_MS,
+            format!("replica {r} hint spool at capacity; write refused whole, retry later"),
+        ))
+    }
+
+    /// The client's idempotency id, or for an id-less client a fresh
+    /// router id, so replica dedup sees one identity for the write
+    /// across all replicas. Replicas remember applied ids across
+    /// restarts, so router ids must not repeat over one hint root: the
+    /// `g`-th start over a root begins the splitmix stream `g·2⁴⁰` steps
+    /// in (no start stamps 2⁴⁰ ids), and a fresh root's start `g = 0`
+    /// keeps seeded replays stamping the same ids.
+    fn stamp_id(&self, req_id: u64) -> u64 {
+        if req_id != 0 {
+            return req_id;
+        }
+        loop {
+            let id = splitmix64_mix(self.id_seq.fetch_add(SPLITMIX64_GAMMA, Ordering::Relaxed));
+            if id != 0 {
+                return id;
             }
         }
-        let req_id = if meta.req_id != 0 {
-            meta.req_id
-        } else {
-            // Id-less client: stamp a router id so replica dedup still
-            // sees one identity for this merge across all replicas.
-            loop {
-                let id = splitmix64_mix(self.id_seq.fetch_add(SPLITMIX64_GAMMA, Ordering::Relaxed));
-                if id != 0 {
-                    break id;
-                }
-            }
-        };
-        let batch = encode_delta_batch(&[DeltaRecord {
-            req_id,
-            entry_text: entry_text.to_string(),
-        }]);
+    }
+
+    /// Delivers one delta as a `sync-delta` to every replica of `shard`
+    /// but `skip`. Replicas the delivery misses get it spooled to their
+    /// hint log, drained in order before their next delivery. Returns
+    /// the first replica's ack body (`None` when no replica applied it),
+    /// or a replica's typed refusal. With a `skip` (the write is already
+    /// stored on that replica and acked), a refusal does not cut the
+    /// fan-out short: the refusing replica is treated as missed.
+    fn deliver(
+        &self,
+        shard: u32,
+        req_id: u64,
+        entry_text: &str,
+        skip: Option<usize>,
+    ) -> Result<Option<String>, Response> {
         let req = Request::SyncDelta {
-            batch_text: batch.clone(),
+            batch_text: encode_delta_batch(&[DeltaRecord {
+                req_id,
+                entry_text: entry_text.to_string(),
+            }]),
         };
         let mut acked = None;
         for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
+            if skip == Some(r) {
+                continue;
+            }
             if self.is_dead(shard as usize, r) {
                 self.spool_hint(replica, req_id, entry_text);
                 continue;
@@ -590,57 +670,65 @@ impl Router {
                 self.note_miss(shard as usize, r);
                 continue;
             }
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
-                Ok(resp @ Response::Err { .. }) => return resp,
+                Ok(resp @ Response::Err { .. }) if skip.is_none() => return Err(resp),
+                Ok(Response::Err { .. }) => drop(self.spool_hint(replica, req_id, entry_text)),
                 Err(_) => {
                     self.spool_hint(replica, req_id, entry_text);
                     self.note_miss(shard as usize, r);
                 }
             }
         }
-        match acked {
-            Some(body) => {
-                self.forwarded.inc();
-                Response::Ok(body)
-            }
-            None => self.unavailable(shard, "no live replica applied the merge"),
+        Ok(acked)
+    }
+
+    /// The shard owning `workload`'s registered module.
+    fn shard_of_workload(&self, workload: &str) -> Result<u32, Response> {
+        let modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
+        match modules.get(workload) {
+            Some(&(hash, _)) => Ok(self.map.shard_of(workload, hash)),
+            None => Err(Response::err(
+                ErrorKind::NotFound,
+                format!("no module submitted for workload `{workload}` via this router"),
+            )),
         }
     }
 
     /// Routes a read/compute request to the first live replica of the
     /// owning shard.
     fn route_by_workload(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
-        let hash = {
-            let modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
-            match modules.get(workload) {
-                Some(&(hash, _)) => hash,
-                None => {
-                    return Response::err(
-                        ErrorKind::NotFound,
-                        format!("no module submitted for workload `{workload}` via this router"),
-                    )
-                }
-            }
-        };
-        let shard = self.map.shard_of(workload, hash);
+        match self.shard_of_workload(workload) {
+            Ok(shard) => match self.forward(shard, workload, meta, req) {
+                Ok((_, resp)) | Err(resp) => resp,
+            },
+            Err(resp) => resp,
+        }
+    }
+
+    /// Sends `req` to the first live replica of `shard` that answers;
+    /// returns that replica's index and answer, or `unavailable`.
+    fn forward(
+        &self,
+        shard: u32,
+        workload: &str,
+        meta: &RequestMeta,
+        req: &Request,
+    ) -> Result<(usize, Response), Response> {
         for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
             if self.is_dead(shard as usize, r) {
                 continue;
             }
             self.drain_hints(replica);
-            match self.call_replica(replica, meta.deadline_fuel, req) {
+            match self.call_replica_with(replica, meta, req) {
                 Ok(resp) => {
                     self.forwarded.inc();
-                    return resp;
+                    return Ok((r, resp));
                 }
-                Err(_) => {
-                    self.note_miss(shard as usize, r);
-                    continue;
-                }
+                Err(_) => self.note_miss(shard as usize, r),
             }
         }
-        self.unavailable(shard, format!("no live replica for `{workload}`"))
+        Err(self.unavailable(shard, format!("no live replica for `{workload}`")))
     }
 
     /// The failure detector's table, for operators and tests.
@@ -689,7 +777,7 @@ impl Router {
             if self.is_dead(shard, r) {
                 continue;
             }
-            if let Ok(Response::Ok(body)) = self.call_replica(replica, None, &Request::Digest) {
+            if let Ok(Response::Ok(body)) = self.call_replica(replica, &Request::Digest) {
                 if let Ok(table) = decode_digest_table(&body) {
                     tables.push((r, table));
                 }
@@ -701,8 +789,7 @@ impl Router {
         }
         let mut resent = 0u64;
         for &(r, _) in &tables {
-            let Ok(Response::Ok(batch)) =
-                self.call_replica(&replicas[r], None, &Request::PullDeltas)
+            let Ok(Response::Ok(batch)) = self.call_replica(&replicas[r], &Request::PullDeltas)
             else {
                 continue;
             };
@@ -717,7 +804,7 @@ impl Router {
                 if r2 == r {
                     continue;
                 }
-                if let Ok(Response::Ok(_)) = self.call_replica(&replicas[r2], None, &req) {
+                if let Ok(Response::Ok(_)) = self.call_replica(&replicas[r2], &req) {
                     resent += deltas.len() as u64;
                 }
             }
@@ -726,15 +813,20 @@ impl Router {
     }
 
     /// Fans a verb out to every replica of every shard, composing the
-    /// bodies under `== shard K replica R addr A ==` section headers.
-    /// The leading `== router ==` section carries the router's own
-    /// counters, per-replica hint depths, and health states.
+    /// bodies under `== shard K replica R addr A ==` section headers (a
+    /// replica that failed gets one `err KIND: …` or `unreachable: …`
+    /// line instead). The leading `== router ==` section is the router's
+    /// own registry snapshot. [`split_sections`] is the inverse.
     fn fan_out_body(&self, req: &Request) -> String {
-        let mut out = format!(
-            "== router ==\nshards {}\nshard-map-version {SHARD_MAP_VERSION}\n",
-            self.shards.len()
-        );
-        out.push_str(&self.lag_lines());
+        {
+            let detector = self.detector();
+            for (k, replicas) in self.shards.iter().enumerate() {
+                for (r, replica) in replicas.iter().enumerate() {
+                    replica.health.set(detector.state(k, r).level());
+                }
+            }
+        }
+        let mut out = format!("{ROUTER_HEADER}\n");
         out.push_str(&self.obs.snapshot_text());
         for (k, replicas) in self.shards.iter().enumerate() {
             for (r, replica) in replicas.iter().enumerate() {
@@ -743,7 +835,7 @@ impl Router {
                 }
                 let addr = replica.addr();
                 let _ = writeln!(out, "== shard {k} replica {r} addr {addr} ==");
-                match self.call_replica(replica, None, req) {
+                match self.call_replica(replica, req) {
                     Ok(Response::Ok(body)) => out.push_str(&body),
                     Ok(Response::Err { kind, message, .. }) => {
                         let _ = writeln!(out, "err {kind}: {message}");
@@ -800,10 +892,86 @@ impl Router {
     fn shutdown_backends(&self) {
         for replicas in &self.shards {
             for replica in replicas {
-                let _ = self.call_replica(replica, None, &Request::Shutdown);
+                let _ = self.call_replica(replica, &Request::Shutdown);
             }
         }
     }
+}
+
+/// The header of the router's own section in a fan-out body.
+const ROUTER_HEADER: &str = "== router ==";
+
+/// Where one section of a fan-out body came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin<'a> {
+    /// A single daemon's body, which has no section headers.
+    Daemon,
+    /// `== router ==`: the router's own registry.
+    Router,
+    /// `== shard K replica R addr A ==`: one replica's body.
+    Replica {
+        /// Shard index.
+        shard: usize,
+        /// Replica index within the shard.
+        replica: usize,
+        /// The replica's address when the body was composed.
+        addr: &'a str,
+    },
+}
+
+/// One section of a `stats` (or `gc`) body. A replica's section that is
+/// not a registry snapshot (`Snapshot::parse` fails) holds the one
+/// `err KIND: …` or `unreachable: …` line its failure left.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Section<'a> {
+    /// Whose body this is.
+    pub origin: Origin<'a>,
+    /// The section's lines, header excluded.
+    pub body: &'a str,
+}
+
+fn parse_header(line: &str) -> Option<Origin<'_>> {
+    if line == ROUTER_HEADER {
+        return Some(Origin::Router);
+    }
+    let rest = line.strip_prefix("== shard ")?.strip_suffix(" ==")?;
+    match rest.split(' ').collect::<Vec<_>>().as_slice() {
+        [k, "replica", r, "addr", addr] => Some(Origin::Replica {
+            shard: k.parse().ok()?,
+            replica: r.parse().ok()?,
+            addr,
+        }),
+        _ => None,
+    }
+}
+
+/// Splits a `stats` or `gc` body into its sections, in order: the
+/// inverse of the router's fan-out composition. A single daemon's body
+/// has no headers and comes back as one [`Origin::Daemon`] section.
+pub fn split_sections(body: &str) -> Vec<Section<'_>> {
+    let mut sections = Vec::new();
+    let mut origin = Origin::Daemon;
+    let (mut start, mut at) = (0, 0);
+    for line in body.split_inclusive('\n') {
+        if let Some(next) = parse_header(line.trim_end_matches('\n')) {
+            if origin != Origin::Daemon || at > start {
+                sections.push(Section {
+                    origin,
+                    body: &body[start..at],
+                });
+            }
+            origin = next;
+            start = at + line.len();
+        }
+        at += line.len();
+    }
+    if origin != Origin::Daemon || at > start || sections.is_empty() {
+        sections.push(Section {
+            origin,
+            body: &body[start..],
+        });
+    }
+    sections
 }
 
 /// Connections that may wait for a router worker before the acceptor
@@ -856,5 +1024,60 @@ impl Handler for Router {
     /// then the router itself.
     fn on_shutdown(&self) {
         self.shutdown_backends();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stride_core::Snapshot;
+
+    #[test]
+    fn split_sections_inverts_the_fan_out_composition() {
+        let body = "== router ==\ncounter router.forwarded 3\ngauge router.shards 2 max 2\n\
+                    == shard 0 replica 0 addr 127.0.0.1:7 ==\ncounter server.req.stats 1\n\
+                    == shard 0 replica 1 addr 127.0.0.1:8 ==\nunreachable: Connection refused\n\
+                    == shard 1 replica 0 addr 127.0.0.1:9 ==\nerr io: disk full\n";
+        let sections = split_sections(body);
+        let origins: Vec<Origin<'_>> = sections.iter().map(|s| s.origin).collect();
+        let replica = |shard, replica, addr| Origin::Replica {
+            shard,
+            replica,
+            addr,
+        };
+        assert_eq!(
+            origins,
+            [
+                Origin::Router,
+                replica(0, 0, "127.0.0.1:7"),
+                replica(0, 1, "127.0.0.1:8"),
+                replica(1, 0, "127.0.0.1:9"),
+            ]
+        );
+        let router = Snapshot::parse(sections[0].body).unwrap();
+        assert_eq!(router.counter("router.forwarded"), Some(3));
+        assert_eq!(router.gauge("router.shards"), Some(2));
+        let up = Snapshot::parse(sections[1].body).unwrap();
+        assert_eq!(up.counter("server.req.stats"), Some(1));
+        assert_eq!(sections[2].body, "unreachable: Connection refused\n");
+        assert!(Snapshot::parse(sections[2].body)
+            .unwrap_err()
+            .contains("unreachable:"));
+        assert_eq!(sections[3].body, "err io: disk full\n");
+        assert!(Snapshot::parse(sections[3].body).is_err());
+    }
+
+    #[test]
+    fn a_headerless_body_is_one_daemon_section() {
+        let body = "counter server.req.stats 1\n";
+        let sections = split_sections(body);
+        assert_eq!(sections.len(), 1);
+        assert_eq!(sections[0].origin, Origin::Daemon);
+        assert_eq!(sections[0].body, body);
+        // A malformed header is not a section break: it fails the parse.
+        let odd = "== shard x replica 0 addr a ==\ncounter c 1\n";
+        let sections = split_sections(odd);
+        assert_eq!(sections.len(), 1);
+        assert!(Snapshot::parse(sections[0].body).is_err());
     }
 }

@@ -15,8 +15,8 @@ use stride_core::{
 };
 use stride_ir::{module_from_string, module_to_string, Module};
 use stride_profdb::{
-    decode_delta_batch, encode_delta_batch, encode_digest_table, module_hash, DbError, DiskFaults,
-    ProfileDb, ProfileEntry,
+    decode_delta_batch, encode_delta_batch, encode_digest_table, module_hash, DbError, DeltaRecord,
+    DiskFaults, ProfileDb, ProfileEntry,
 };
 
 /// Converts the plan's disk fault kinds into the store's injectable
@@ -67,13 +67,6 @@ impl ServiceConfig {
     }
 }
 
-/// Monotonic service counters (the `stats` response).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    errors: AtomicU64,
-}
-
 /// Metric handles for the request path. Updates through these are
 /// lock-free atomic adds; registration (which takes the registry lock and
 /// allocates) happens once per handle: at service construction, or for
@@ -86,7 +79,6 @@ struct ServiceMetrics {
     retried_merges: Counter,
     deltas_applied: Counter,
     deltas_deduped: Counter,
-    segments_compacted: Counter,
     /// `server.req.<verb>`, indexed like [`VERBS`].
     requests: [OnceLock<Counter>; VERBS.len()],
     /// `server.error.<kind>`, indexed like [`ErrorKind::ALL`].
@@ -102,7 +94,6 @@ impl ServiceMetrics {
             retried_merges: obs.counter("server.merge.retried"),
             deltas_applied: obs.counter("repl.deltas_applied"),
             deltas_deduped: obs.counter("repl.deltas_deduped"),
-            segments_compacted: obs.counter("wal.segments_compacted"),
             requests: Default::default(),
             errors: Default::default(),
         }
@@ -172,13 +163,10 @@ pub struct Service {
     db: Mutex<ProfileDb>,
     modules: Mutex<HashMap<String, Arc<Submitted>>>,
     cache: RunCache,
-    counters: Counters,
+    /// Requests handled: the logical clock of the request trace.
+    requests: AtomicU64,
     obs: Arc<Registry>,
     metrics: ServiceMetrics,
-    /// High-water mark of the WAL's `segments_compacted` stat already
-    /// bridged into the `wal.segments_compacted` counter (the stat is
-    /// monotonic; the counter receives deltas).
-    compacted_seen: AtomicU64,
 }
 
 impl Service {
@@ -198,10 +186,9 @@ impl Service {
             db: Mutex::new(db),
             modules: Mutex::new(HashMap::new()),
             cache: RunCache::new(),
-            counters: Counters::default(),
+            requests: AtomicU64::new(0),
             obs,
             metrics,
-            compacted_seen: AtomicU64::new(0),
             config,
         })
     }
@@ -278,14 +265,13 @@ impl Service {
     pub fn handle_meta(&self, meta: &RequestMeta, req: &Request) -> Response {
         // The request sequence number doubles as the trace event's
         // logical clock: metrics never read wall-clock time.
-        let seq = self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let seq = self.requests.fetch_add(1, Ordering::Relaxed);
         let verb = verb_of(req);
         bump(&self.obs, &self.metrics.requests[verb], || {
             format!("server.req.{}", VERBS[verb])
         });
         let resp = self.dispatch(meta, req);
         let failed = if let Response::Err { kind, .. } = &resp {
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
             bump(&self.obs, &self.metrics.errors[*kind as usize], || {
                 format!("server.error.{kind}")
             });
@@ -321,7 +307,7 @@ impl Service {
                 workload,
                 variant,
                 args,
-            } => self.profile(workload, *variant, args, &config),
+            } => self.profile(workload, *variant, args, &config, meta.req_id),
             Request::Classify {
                 workload,
                 variant,
@@ -394,12 +380,17 @@ impl Service {
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
+    /// Profiles one run and merges it into the store. A request with an
+    /// idempotency id (the router stamps one) stores the run as a
+    /// replication delta under that id, so the run is logged, deduped,
+    /// and retained for anti-entropy like any replicated merge.
     fn profile(
         &self,
         workload: &str,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
+        req_id: u64,
     ) -> Response {
         let sub = match self.module_of(workload) {
             Ok(s) => s,
@@ -418,13 +409,26 @@ impl Service {
         };
         self.metrics.latency_profile.observe(outcome.run.cycles);
         let entry = ProfileEntry::from_run(workload, sub.hash, &outcome.edge, &outcome.stride);
-        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = db.merge_store(&entry) {
-            return db_err(&e);
-        }
         // The response is the *fresh* run's entry (runs=1): deterministic
         // bytes regardless of how many runs the database has accumulated.
-        Response::Ok(entry.to_text())
+        let entry_text = entry.to_text();
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        let stored = if req_id == 0 {
+            db.merge_store(&entry).map(drop)
+        } else {
+            db.apply_deltas(&[DeltaRecord {
+                req_id,
+                entry_text: entry_text.clone(),
+            }])
+            .map(|report| {
+                self.metrics.deltas_applied.add(report.applied as u64);
+                self.metrics.deltas_deduped.add(report.deduped as u64);
+            })
+        };
+        match stored {
+            Ok(()) => Response::Ok(entry_text),
+            Err(e) => db_err(&e),
+        }
     }
 
     fn classify_req(
@@ -537,7 +541,6 @@ impl Service {
                 } else {
                     ""
                 };
-                self.bridge_wal_counters(&db);
                 Response::Ok(format!("{}{dedup_note}\n", merged.summary()))
             }
             Err(e) => db_err(&e),
@@ -555,7 +558,6 @@ impl Service {
             Ok(report) => {
                 self.metrics.deltas_applied.add(report.applied as u64);
                 self.metrics.deltas_deduped.add(report.deduped as u64);
-                self.bridge_wal_counters(&db);
                 Response::Ok(format!(
                     "applied {} deduped {}\n",
                     report.applied, report.deduped
@@ -605,67 +607,42 @@ impl Service {
         }
     }
 
-    /// Forwards the WAL's monotonic `segments_compacted` stat into the
-    /// metrics registry as counter deltas (idempotent under races: the
-    /// `fetch_max` hands the gap to exactly one caller).
-    fn bridge_wal_counters(&self, db: &ProfileDb) {
-        let compacted = db.wal_stats().segments_compacted;
-        let prev = self.compacted_seen.fetch_max(compacted, Ordering::Relaxed);
-        if compacted > prev {
-            self.metrics.segments_compacted.add(compacted - prev);
-        }
-    }
-
+    /// The `stats` body: the registry snapshot, after sampling the
+    /// store's levels into gauges and bridging its (and the run cache's)
+    /// monotonic stats into counters. Holding the store lock serializes
+    /// bridging, so each build adds exactly the growth since the last.
     fn stats_body(&self) -> String {
-        let cache = self.cache.stats();
-        let (db_entries, db_runs, dedup_hits, wal_pending, wal, recovery) = {
-            let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-            self.bridge_wal_counters(&db);
-            let records = db.list().unwrap_or_default();
-            let runs: u64 = records.iter().map(|r| r.runs).sum();
-            (
-                records.len(),
-                runs,
-                db.dedup_hits(),
-                db.wal_pending(),
-                db.wal_stats(),
-                db.recovery_report().cloned(),
-            )
+        let gauge = |name: &str, level: u64| self.obs.gauge(name).set(level);
+        let bridge = |name: &str, total: u64| {
+            let counter = self.obs.counter(name);
+            counter.add(total.saturating_sub(counter.get()));
         };
         let modules = self
             .modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len();
-        let mut out = format!(
-            "requests {}\nerrors {}\nmodules {}\ndb-entries {}\ndb-runs {}\ndedup-hits {}\nwal-pending {}\ncache-hits {}\ncache-misses {}\n",
-            self.counters.requests.load(Ordering::Relaxed),
-            self.counters.errors.load(Ordering::Relaxed),
-            modules,
-            db_entries,
-            db_runs,
-            dedup_hits,
-            if wal_pending { 1 } else { 0 },
-            cache.hits,
-            cache.misses,
-        );
-        let _ = write!(
-            out,
-            "wal-appends {}\nwal-syncs {}\nwal-checkpoints {}\nwal-seals {}\nwal-live-segments {}\n",
-            wal.appends, wal.syncs, wal.checkpoints, wal.seals, wal.live_segments,
-        );
-        if let Some(r) = recovery {
-            let _ = write!(
-                out,
-                "recovery-replayed {}\nrecovery-quarantined {}\n",
-                r.replayed, r.quarantined,
-            );
-        }
-        // Structured metrics (per-verb counters, per-error-kind tallies,
-        // latency histograms, acceptor-side counters) follow the legacy
-        // key-value block; each line is `counter|gauge|histogram|trace ...`.
-        out.push_str(&self.obs.snapshot_text());
-        out
+        gauge("server.modules", modules as u64);
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        let records = db.list().unwrap_or_default();
+        gauge("profdb.entries", records.len() as u64);
+        gauge("profdb.runs", records.iter().map(|r| r.runs).sum());
+        gauge("wal.pending", u64::from(db.wal_pending()));
+        let wal = db.wal_stats();
+        gauge("wal.live_segments", wal.live_segments);
+        bridge("wal.appends", wal.appends);
+        bridge("wal.syncs", wal.syncs);
+        bridge("wal.checkpoints", wal.checkpoints);
+        bridge("wal.seals", wal.seals);
+        bridge("wal.segments_compacted", wal.segments_compacted);
+        let recovery = db.recovery_report().cloned().unwrap_or_default();
+        bridge("recovery.replayed", recovery.replayed as u64);
+        bridge("recovery.quarantined", recovery.quarantined as u64);
+        let cache = self.cache.stats();
+        bridge("server.cache.hits", cache.hits);
+        bridge("server.cache.misses", cache.misses);
+        drop(db);
+        self.obs.snapshot_text()
     }
 }
 
@@ -948,8 +925,14 @@ mod tests {
             workload: "nope".into(),
         });
         let body = ok_body(svc.handle(&Request::Stats));
-        assert!(body.contains("requests 2"), "{body}");
-        assert!(body.contains("errors 1"), "{body}");
+        // The stats request itself is counted before its body is built.
+        let snap = stride_core::Snapshot::parse(&body).unwrap();
+        let sum = |prefix: &str| -> u64 {
+            let of = snap.counters.iter().filter(|(k, _)| k.starts_with(prefix));
+            of.map(|(_, v)| v).sum()
+        };
+        assert_eq!(sum("server.req."), 2, "{body}");
+        assert_eq!(sum("server.error."), 1, "{body}");
         let _ = std::fs::remove_dir_all(&svc.config.db_root);
     }
 
@@ -969,11 +952,18 @@ mod tests {
             workload: "nope".into(),
         });
         let body = ok_body(svc.handle(&Request::Stats));
-        // WAL counters: the profile request appended nothing (merge_store
-        // is unlogged) but the handle reports zeros rather than omitting.
-        assert!(body.contains("wal-appends "), "{body}");
-        assert!(body.contains("wal-syncs "), "{body}");
-        assert!(body.contains("recovery-replayed 0"), "{body}");
+        // Every line is a registry line.
+        let snap = stride_core::Snapshot::parse(&body).unwrap();
+        // WAL and recovery counters are registered up front, so the
+        // registry reports zeros rather than omitting them.
+        assert!(snap.counter("wal.appends").is_some(), "{body}");
+        assert!(snap.counter("wal.syncs").is_some(), "{body}");
+        assert_eq!(snap.counter("recovery.replayed"), Some(0), "{body}");
+        // Store levels are gauges sampled for the body.
+        assert_eq!(snap.gauge("server.modules"), Some(1), "{body}");
+        assert_eq!(snap.gauge("profdb.entries"), Some(1), "{body}");
+        assert_eq!(snap.gauge("profdb.runs"), Some(1), "{body}");
+        assert_eq!(snap.counter("server.cache.misses"), Some(1), "{body}");
         // Per-verb and per-error-kind counters.
         assert!(body.contains("counter server.req.submit 1"), "{body}");
         assert!(body.contains("counter server.req.profile 1"), "{body}");

@@ -2,11 +2,12 @@
 //! shard's replicas, and graceful degradation when a whole shard dies.
 
 use std::collections::HashMap;
+use stride_core::Snapshot;
 use stride_profdb::{ProfileEntry, ShardMap};
 use stride_profiling::StrideProfile;
 use stride_server::{
-    Client, ErrorKind, Request, Response, RetryPolicy, RouterConfig, RouterServer, Server,
-    ServerConfig, ServiceConfig,
+    split_sections, Client, ErrorKind, Origin, Request, Response, RetryPolicy, RouterConfig,
+    RouterServer, Server, ServerConfig, ServiceConfig,
 };
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {
@@ -54,33 +55,31 @@ fn entry_text(workload: &str, module_hash: u64) -> String {
     .to_text()
 }
 
-/// Parses each `== shard K replica R ... ==` stats section into its
-/// `key value` integer map.
-fn stats_sections(body: &str) -> HashMap<(u32, u32), HashMap<String, u64>> {
-    let mut sections = HashMap::new();
-    let mut current: Option<(u32, u32)> = None;
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("== shard ") {
-            let mut parts = rest.split_whitespace();
-            let k: u32 = parts.next().unwrap().parse().unwrap();
-            assert_eq!(parts.next(), Some("replica"));
-            let r: u32 = parts.next().unwrap().parse().unwrap();
-            current = Some((k, r));
-            sections.insert((k, r), HashMap::new());
-            continue;
-        }
-        if line.starts_with("== ") {
-            current = None;
-            continue;
-        }
-        let (Some(key), Some((k, v))) = (current, line.split_once(' ')) else {
-            continue;
-        };
-        if let Ok(n) = v.parse::<u64>() {
-            sections.get_mut(&key).unwrap().insert(k.to_string(), n);
+/// The router section's registry snapshot, and each answering replica
+/// section's (a down replica's section is one `unreachable:` line).
+fn stats_sections(body: &str) -> (Snapshot, HashMap<(usize, usize), Snapshot>) {
+    let mut router = None;
+    let mut replicas = HashMap::new();
+    for section in split_sections(body) {
+        match (section.origin, Snapshot::parse(section.body)) {
+            (Origin::Router, metrics) => router = Some(metrics.expect("router section parses")),
+            (Origin::Replica { shard, replica, .. }, Ok(metrics)) => {
+                replicas.insert((shard, replica), metrics);
+            }
+            (Origin::Replica { .. }, Err(_)) => {}
+            (Origin::Daemon, _) => panic!("a router body has no headerless section:\n{body}"),
         }
     }
-    sections
+    (router.expect("a router section"), replicas)
+}
+
+fn entries(s: &Snapshot) -> u64 {
+    s.gauge("profdb.entries").expect("profdb.entries gauge")
+}
+
+fn hint_depth(router: &Snapshot, shard: usize, replica: usize) -> u64 {
+    let name = format!("router.hint_depth.s{shard}r{replica}");
+    router.gauge(&name).expect("hint depth gauge")
 }
 
 #[test]
@@ -109,20 +108,20 @@ fn merges_replicate_to_every_replica_of_the_owning_shard() {
     let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
         panic!("stats failed")
     };
-    assert!(body.contains("counter router.forwarded 9"), "{body}");
-    let sections = stats_sections(&body);
-    for k in 0..3u32 {
-        for r in 0..2u32 {
-            let s = &sections[&(k, r)];
+    let (router_stats, sections) = stats_sections(&body);
+    assert_eq!(router_stats.counter("router.forwarded"), Some(9), "{body}");
+    assert_eq!(router_stats.gauge("router.shards"), Some(3), "{body}");
+    for k in 0..3 {
+        for r in 0..2 {
             assert_eq!(
-                s["db-entries"], per_shard[k as usize],
+                entries(&sections[&(k, r)]),
+                per_shard[k],
                 "shard {k} replica {r} entry count"
             );
             // Replication delivered every owned merge to this replica.
-            assert!(
-                body.contains(&format!("lag shard={k} replica={r} queued=0")),
-                "{body}"
-            );
+            assert_eq!(hint_depth(&router_stats, k, r), 0, "{body}");
+            let health = format!("router.health.s{k}r{r}");
+            assert_eq!(router_stats.gauge(&health), Some(0), "{body}");
         }
     }
 
@@ -199,8 +198,13 @@ fn full_hint_spool_refuses_merges_typed_and_drains_on_revival() {
     let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
         panic!("stats failed")
     };
-    assert!(body.contains("lag shard=0 replica=0 queued=2"), "{body}");
-    assert!(body.contains("counter router.handoff_refused 1"), "{body}");
+    let (router_stats, _) = stats_sections(&body);
+    assert_eq!(hint_depth(&router_stats, 0, 0), 2, "{body}");
+    assert_eq!(
+        router_stats.counter("router.handoff_refused"),
+        Some(1),
+        "{body}"
+    );
 
     // Revival: a replacement daemon on a fresh port self-announces via
     // route-update (what `strided --announce` sends). The router drains
@@ -226,10 +230,14 @@ fn full_hint_spool_refuses_merges_typed_and_drains_on_revival() {
     let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
         panic!("stats failed")
     };
-    assert!(body.contains("lag shard=0 replica=0 queued=0"), "{body}");
-    let sections = stats_sections(&body);
+    let (router_stats, sections) = stats_sections(&body);
+    assert_eq!(hint_depth(&router_stats, 0, 0), 0, "{body}");
     assert_eq!(
-        sections[&(0, 0)]["db-entries"],
+        router_stats.gauges["router.hint_depth.s0r0"].max, 2,
+        "the gauge's high-water mark is the peak spool depth"
+    );
+    assert_eq!(
+        entries(&sections[&(0, 0)]),
         3,
         "spooled + retried merges all landed: {body}"
     );
@@ -293,9 +301,9 @@ fn repair_round_heals_divergent_replicas() {
     let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
         panic!("stats failed")
     };
-    let sections = stats_sections(&body);
-    assert_eq!(sections[&(0, 0)]["db-entries"], 2, "{body}");
-    assert_eq!(sections[&(0, 1)]["db-entries"], 2, "{body}");
+    let (_, sections) = stats_sections(&body);
+    assert_eq!(entries(&sections[&(0, 0)]), 2, "{body}");
+    assert_eq!(entries(&sections[&(0, 1)]), 2, "{body}");
 
     let resp = client.call(&Request::Shutdown).unwrap();
     assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
@@ -306,6 +314,158 @@ fn repair_round_heals_divergent_replicas() {
         }
     }
     for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// A small strided sweep: a module the replicas can really profile.
+fn sweep_module_text() -> String {
+    use stride_ir::{ModuleBuilder, Operand};
+    let mut mb = ModuleBuilder::new();
+    let g = mb.add_global("arr", 1 << 14);
+    let f = mb.declare_function("main", 1);
+    let mut fb = mb.function(f);
+    let base = fb.global_addr(g);
+    let sum = fb.mov(0i64);
+    fb.counted_loop(fb.param(0), |fb, _| {
+        fb.counted_loop(200i64, |fb, i| {
+            let off = fb.mul(i, 64i64);
+            let a = fb.add(base, off);
+            let (v, _) = fb.load(a, 0);
+            fb.bin_to(sum, stride_ir::BinOp::Add, sum, v);
+        });
+    });
+    fb.ret(Some(Operand::Reg(sum)));
+    mb.set_entry(f);
+    stride_ir::module_to_string(&mb.finish())
+}
+
+/// A `profile` sent through the router stores its run on every replica
+/// of the owning shard, under one id: the replicas' entry files are
+/// byte-equal and later repair rounds find nothing to heal.
+/// Submits the sweep module through `client`; returns its module hash.
+fn submit_sweep(client: &mut Client) -> u64 {
+    let resp = client
+        .call(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: sweep_module_text(),
+        })
+        .unwrap();
+    let Response::Ok(submitted) = resp else {
+        panic!("submit failed: {resp:?}")
+    };
+    u64::from_str_radix(submitted.trim().trim_start_matches("module "), 16)
+        .expect("submit answers the module hash")
+}
+
+/// One id-less `profile` of the sweep workload; asserts the fresh run.
+fn profile_sweep(client: &mut Client) {
+    let resp = client
+        .call(&Request::Profile {
+            workload: "sweep".into(),
+            variant: stride_core::ProfilingVariant::EdgeCheck,
+            args: vec![2],
+        })
+        .unwrap();
+    let Response::Ok(fresh) = resp else {
+        panic!("profile failed: {resp:?}")
+    };
+    assert!(fresh.contains("\nruns 1\n"), "{fresh}");
+}
+
+/// Asserts every replica of `backends` stores the sweep entry with
+/// `runs` runs.
+fn assert_sweep_runs(backends: &[Server], runs: u64) {
+    for (r, backend) in backends.iter().enumerate() {
+        let mut direct = Client::connect(backend.addr()).unwrap();
+        let resp = direct
+            .call(&Request::GetProfile {
+                workload: "sweep".into(),
+            })
+            .unwrap();
+        let Response::Ok(stored) = resp else {
+            panic!("replica {r} lacks the run: {resp:?}")
+        };
+        assert!(
+            stored.contains(&format!("\nruns {runs}\n")),
+            "replica {r}: {stored}"
+        );
+    }
+}
+
+#[test]
+fn profile_through_the_router_is_stored_on_every_replica() {
+    let (router, backends, roots) = boot_cluster("profile", 1, 2);
+    let mut client = Client::connect(router.addr()).unwrap();
+    let module_hash = submit_sweep(&mut client);
+    for _ in 0..2 {
+        profile_sweep(&mut client);
+    }
+
+    let entry_file = |r: usize| {
+        let path = roots[r].join(format!("sweep@{module_hash:016x}.profdb"));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    assert_eq!(entry_file(0), entry_file(1), "replica entry files differ");
+    assert_sweep_runs(&backends[0], 2);
+    for _ in 0..2 {
+        let Response::Ok(body) = client.call(&Request::Repair).unwrap() else {
+            panic!("repair failed")
+        };
+        assert_eq!(body, "repair shard=0 divergent=false resent=0\n");
+    }
+    assert_eq!(entry_file(0), entry_file(1), "repair changed a replica");
+    assert!(
+        String::from_utf8(entry_file(0))
+            .unwrap()
+            .contains("\nruns 2\n"),
+        "repair double-applied a run"
+    );
+
+    let resp = client.call(&Request::Shutdown).unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    router.join();
+    for row in backends {
+        for b in row {
+            b.join();
+        }
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// Replicas remember applied ids across restarts, so a router restarted
+/// over the same hint root must not stamp an id its predecessor used:
+/// the second profile would be deduped on every replica yet acked.
+#[test]
+fn restarted_router_does_not_reuse_stamped_ids() {
+    let (first, backends, roots) = boot_cluster("restart", 1, 2);
+    first.shutdown_and_join();
+    let hint_root = tmp_root("restart-hints");
+    let config = RouterConfig {
+        hint_root: Some(hint_root.clone()),
+        ..RouterConfig::loopback(vec![backends[0]
+            .iter()
+            .map(|b| b.addr().to_string())
+            .collect()])
+    };
+    for runs in 1..=2 {
+        let router = RouterServer::start(config.clone()).expect("start router");
+        let mut client = Client::connect(router.addr()).unwrap();
+        submit_sweep(&mut client);
+        profile_sweep(&mut client);
+        assert_sweep_runs(&backends[0], runs);
+        drop(client);
+        router.shutdown_and_join();
+    }
+
+    for row in backends {
+        for b in row {
+            b.shutdown_and_join();
+        }
+    }
+    for root in roots.into_iter().chain([hint_root]) {
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -5,7 +5,7 @@
 //! under a seeded server-side fault plan.
 
 use std::net::TcpStream;
-use stride_prefetch::core::{FaultInjector, FaultPlan, ProfilingVariant};
+use stride_prefetch::core::{FaultInjector, FaultPlan, ProfilingVariant, Snapshot};
 use stride_prefetch::ir::module_to_string;
 use stride_prefetch::server::{
     read_frame, Client, ErrorKind, Request, Response, Server, ServerConfig, ServiceConfig,
@@ -19,13 +19,10 @@ fn ok_body(resp: Response) -> String {
     }
 }
 
-/// The value of a `counter <name> <v>` line in a stats body.
+/// The value of the counter `name` in a stats body.
 fn counter_value(stats: &str, name: &str) -> Option<u64> {
-    let prefix = format!("counter {name} ");
-    stats
-        .lines()
-        .find_map(|l| l.strip_prefix(&prefix))
-        .and_then(|v| v.parse().ok())
+    let snap = Snapshot::parse(stats).expect("stats is a registry snapshot");
+    snap.counter(name)
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! worker count and client concurrency.
 
 use stride_prefetch::core::{
-    classify, measure_speedup, run_profiling, PipelineConfig, ProfilingVariant,
+    classify, measure_speedup, run_profiling, PipelineConfig, ProfilingVariant, Snapshot,
 };
 use stride_prefetch::ir::module_to_string;
 use stride_prefetch::profdb::{module_hash, ProfileEntry};
@@ -157,7 +157,8 @@ fn eight_concurrent_clients_match_direct_pipeline_byte_for_byte() {
     );
 
     let stats = ok_body(setup.call(&Request::Stats).expect("stats round trip"));
-    assert!(stats.contains("requests "), "{stats}");
+    let snap = Snapshot::parse(&stats).expect("stats is a registry snapshot");
+    assert!(snap.counter("server.req.profile").is_some(), "{stats}");
 
     let bye = ok_body(setup.call(&Request::Shutdown).expect("shutdown round trip"));
     assert!(bye.contains("shutting down"), "{bye}");

@@ -3,7 +3,7 @@
 //! and duplicated `merge-profile` deliveries merge exactly once, and the
 //! client's seeded backoff must be identical from any thread.
 
-use stride_prefetch::core::{FaultInjector, FaultPlan};
+use stride_prefetch::core::{FaultInjector, FaultPlan, Snapshot};
 use stride_prefetch::ir::{FuncId, InstrId};
 use stride_prefetch::profdb::ProfileEntry;
 use stride_prefetch::profiling::{LoadStrideProfile, StrideProfile};
@@ -33,11 +33,18 @@ fn entry(total: u64) -> ProfileEntry {
     }
 }
 
-fn stat(stats: &str, key: &str) -> u64 {
-    stats
-        .lines()
-        .find_map(|l| l.strip_prefix(key)?.trim().parse().ok())
-        .unwrap_or_else(|| panic!("stat `{key}` missing in:\n{stats}"))
+/// Runs stored in the daemon's profile database.
+fn db_runs(stats: &str) -> u64 {
+    let snap = Snapshot::parse(stats).expect("stats is a registry snapshot");
+    snap.gauge("profdb.runs")
+        .unwrap_or_else(|| panic!("profdb.runs missing in:\n{stats}"))
+}
+
+/// Merges deduplicated by request id, whichever verb carried them.
+fn dedup_hits(stats: &str) -> u64 {
+    let snap = Snapshot::parse(stats).expect("stats is a registry snapshot");
+    let counter = |name| snap.counter(name).unwrap_or(0);
+    counter("server.merge.retried") + counter("repl.deltas_deduped")
 }
 
 fn start_server(tag: &str, inject: Option<&str>) -> (Server, std::path::PathBuf) {
@@ -79,8 +86,8 @@ fn duplicated_merge_frame_merges_exactly_once() {
         Response::Ok(body) => body,
         other => panic!("{other:?}"),
     };
-    assert_eq!(stat(&stats, "db-runs"), 2, "duplicate was double-merged");
-    assert_eq!(stat(&stats, "dedup-hits"), 1, "{stats}");
+    assert_eq!(db_runs(&stats), 2, "duplicate was double-merged");
+    assert_eq!(dedup_hits(&stats), 1, "{stats}");
 
     drop(client);
     server.shutdown_and_join();
@@ -118,8 +125,8 @@ fn truncated_response_is_retried_and_merges_exactly_once() {
         Response::Ok(body) => body,
         other => panic!("{other:?}"),
     };
-    assert_eq!(stat(&stats, "db-runs"), 1, "retried merge double-counted");
-    assert_eq!(stat(&stats, "dedup-hits"), 1, "{stats}");
+    assert_eq!(db_runs(&stats), 1, "retried merge double-counted");
+    assert_eq!(dedup_hits(&stats), 1, "{stats}");
 
     drop(client);
     server.shutdown_and_join();
@@ -150,7 +157,7 @@ fn reset_connection_is_retried_transparently() {
         Response::Ok(body) => body,
         other => panic!("{other:?}"),
     };
-    assert_eq!(stat(&stats, "db-runs"), 1, "{stats}");
+    assert_eq!(db_runs(&stats), 1, "{stats}");
 
     drop(client);
     server.shutdown_and_join();
