@@ -109,8 +109,15 @@ ctl prefetch mcf --variant edge-check --train "$train" --ref "$ref" | grep -q '^
     || { echo "prefetch round trip failed" >&2; exit 1; }
 ctl get-profile mcf > "$entry_file"
 grep -q '^runs ' "$entry_file" || { echo "get-profile round trip failed" >&2; exit 1; }
+# One merge is one fsync: the log append. Entry files are written back
+# without fsync and flushed only before the log is truncated.
+fsyncs() { ctl stats | sed -n 's/^counter profdb.fsyncs //p'; }
+fsyncs_before=$(fsyncs)
 ctl merge-profile --file "$entry_file" | grep -q 'run(s)' \
     || { echo "merge-profile round trip failed" >&2; exit 1; }
+fsyncs_after=$(fsyncs)
+[ -n "$fsyncs_before" ] && [ "$((fsyncs_after - fsyncs_before))" -eq 1 ] \
+    || { echo "merge-profile issued $fsyncs_before -> $fsyncs_after fsyncs, want exactly 1" >&2; exit 1; }
 ctl stats | grep -q '^counter server.req.stats ' || { echo "stats round trip failed" >&2; exit 1; }
 ctl stats | grep -Ev '^(counter|gauge|histogram|trace) ' \
     && { echo "stats body has a line outside the registry vocabulary" >&2; exit 1; }

@@ -40,7 +40,7 @@
 //! edge-counter scaling, so any lost or double-applied delta produces a
 //! unique byte difference.
 //!
-//! Four of the cluster scenarios exercise the self-healing loop with
+//! Five of the cluster scenarios exercise the self-healing loop with
 //! **zero operator verbs**: a killed replica restarted with
 //! `--announce` re-registers itself and is revived by the router's
 //! probe clock (hints drained, modules re-taught, repair run);
@@ -48,9 +48,12 @@
 //! by traffic-driven anti-entropy rounds alone; a `--hint-cap 2`
 //! router overflows its spool under a replica outage and must refuse
 //! the overflow whole with typed `handoff-full` until self-announce
-//! revival drains it; and 8 concurrent writers push ~2x the AIMD
+//! revival drains it; 8 concurrent writers push ~2x the AIMD
 //! admission floor, where every shed must be a typed `busy` with a
-//! retry hint and every acked merge must survive byte-identically.
+//! retry hint and every acked merge must survive byte-identically; and
+//! the divergence scenario again after 4,200 more merges on one shard
+//! than its replicas remember idempotency ids for, where repair must
+//! ship only the missing deltas.
 //!
 //! Exit status: 0 when every scenario either completed with the
 //! invariant held or degraded to a structured diagnostic; 1 when any
@@ -657,6 +660,10 @@ const CLUSTER_KEYS: usize = 8;
 /// every applied-delta subset has a unique counter sum.
 const CLUSTER_ROUNDS: usize = 4;
 
+/// Extra merges the deep-repair scenario sends one shard: more than the
+/// 4,096 idempotency ids a replica remembers.
+const DEEP_MERGES: usize = 4_200;
+
 /// How a cluster scenario heals after its fault.
 #[derive(Clone, Copy, PartialEq)]
 enum Heal {
@@ -676,6 +683,10 @@ enum Heal {
     /// 2x-capacity concurrent merge pressure against the router's AIMD
     /// admission limiter: sheds must be typed, acked merges durable.
     Overload,
+    /// [`Heal::AntiEntropy`] after more merges on one shard than a
+    /// replica remembers idempotency ids for: repair must ship exactly
+    /// the missing deltas, never re-apply old ones.
+    DeepRepair,
 }
 
 /// One scenario of the `--cluster` chaos campaign.
@@ -745,6 +756,12 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
             kill: None,
             salt: 8,
             heal: Heal::Overload,
+        },
+        ClusterScenario {
+            index: 8,
+            kill: None,
+            salt: 9,
+            heal: Heal::DeepRepair,
         },
     ]
 }
@@ -847,6 +864,7 @@ fn plan_traffic(
         .zip(&texts)
         .map(|(req_id, t)| DeltaRecord {
             req_id,
+            dot: None,
             entry_text: t.clone(),
         })
         .collect();
@@ -1306,10 +1324,12 @@ fn run_announce_scenario(
     ))
 }
 
-/// Self-healing scenario #5: a healthy run, then one fresh delta per
-/// key injected behind the router's back into exactly one (seeded)
-/// replica of its owning shard — a stand-in for a healed partition that
-/// left replicas divergent. Only traffic-driven anti-entropy rounds may
+/// Self-healing scenarios #5 and #8: a healthy run — for #8 followed by
+/// `deep` more merges on the shard owning the first key, more than a
+/// replica remembers idempotency ids for — then one fresh delta per key
+/// injected behind the router's back into exactly one (seeded) replica
+/// of its owning shard — a stand-in for a healed partition that left
+/// replicas divergent. Only traffic-driven anti-entropy rounds may
 /// reconverge them; no kill, no restart, no operator verbs.
 fn run_antientropy_scenario(
     strided: &std::path::Path,
@@ -1317,17 +1337,38 @@ fn run_antientropy_scenario(
     bases: &[ProfileEntry],
     sc: &ClusterScenario,
     seed: u64,
+    deep: usize,
 ) -> Result<String, String> {
     let plan = plan_traffic(bases, sc, seed)?;
-    let total = plan.texts.len();
+    let deep_shard = plan.owner[0];
+    let deep_keys: Vec<usize> = (0..CLUSTER_KEYS)
+        .filter(|&i| plan.owner[i] == deep_shard)
+        .collect();
+    // Every merge's owning shard and delta, in submission order.
+    let mut traffic: Vec<(usize, DeltaRecord)> = (0..plan.texts.len())
+        .map(|i| (plan.owner[i % CLUSTER_KEYS], plan.records[i].clone()))
+        .collect();
+    let ids = id_stream(plan.id0, traffic.len() + deep);
+    for (j, &req_id) in ids[traffic.len()..].iter().enumerate() {
+        let key = deep_keys[j % deep_keys.len()];
+        let (w, h) = &plan.keys[key];
+        let entry = cluster_entry(&bases[key % bases.len()], w, *h, j % CLUSTER_ROUNDS);
+        let rec = DeltaRecord {
+            req_id,
+            dot: None,
+            entry_text: entry.to_text(),
+        };
+        traffic.push((deep_shard, rec));
+    }
+    let total = traffic.len();
     let root = cluster_root(sc.index);
     let (mut cluster, router_addr) = boot_cluster_3x2(strided, router, &root, &[])?;
     let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
         .map_err(|e| format!("connect to router: {e}"))?;
     client.set_id_state(plan.id0);
-    for i in 0..total {
+    for (i, (_, rec)) in traffic.iter().enumerate() {
         match client.call(&Request::MergeProfile {
-            entry_text: plan.texts[i].clone(),
+            entry_text: rec.entry_text.clone(),
         }) {
             Ok(Response::Ok(_)) => {}
             other => return Err(format!("merge {i} on healthy cluster: {other:?}")),
@@ -1343,6 +1384,7 @@ fn run_antientropy_scenario(
     for (i, (w, h)) in plan.keys.iter().enumerate() {
         let rec = DeltaRecord {
             req_id: extra_ids[i],
+            dot: None,
             entry_text: cluster_entry(&bases[i % bases.len()], w, *h, CLUSTER_ROUNDS).to_text(),
         };
         let k = plan.owner[i];
@@ -1362,32 +1404,35 @@ fn run_antientropy_scenario(
     }
 
     // Demand two full anti-entropy passes after the cluster looks quiet:
-    // the first detects the digest mismatch and cross-sends retained
-    // deltas, the second verifies convergence.
+    // the first finds the replicas' causal contexts differ and ships each
+    // the deltas it lacks, the second verifies convergence.
     settle_selfhealed(&mut client, 2 * CLUSTER_SHARDS as u64)?;
 
     let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
         .map(|k| {
-            let mut v: Vec<DeltaRecord> = (0..total)
-                .filter(|i| plan.owner[i % CLUSTER_KEYS] == k)
-                .map(|i| plan.records[i].clone())
-                .collect();
-            v.extend(
-                extras
-                    .iter()
-                    .filter(|(ek, _)| *ek == k)
-                    .map(|(_, r)| r.clone()),
-            );
-            v
+            traffic
+                .iter()
+                .chain(&extras)
+                .filter(|(owner, _)| *owner == k)
+                .map(|(_, r)| r.clone())
+                .collect()
         })
         .collect();
     stop_and_compare(&mut client, &mut cluster, &root, &reference, false)?;
     let _ = std::fs::remove_dir_all(&root);
-    Ok(format!(
-        "ok: {total} merges + {CLUSTER_KEYS} divergent deltas behind the router, \
-         anti-entropy reconverged (zero operator verbs), {} stores byte-identical",
-        CLUSTER_SHARDS * CLUSTER_REPLICAS
-    ))
+    let stores = CLUSTER_SHARDS * CLUSTER_REPLICAS;
+    Ok(if deep == 0 {
+        format!(
+            "ok: {total} merges + {CLUSTER_KEYS} divergent deltas behind the router, \
+             anti-entropy reconverged (zero operator verbs), {stores} stores byte-identical"
+        )
+    } else {
+        format!(
+            "ok: {total} merges ({deep} more on shard {deep_shard}, past its replicas' \
+             id window) + {CLUSTER_KEYS} divergent deltas behind the router, exact repair \
+             reconverged (zero operator verbs), {stores} stores byte-identical"
+        )
+    })
 }
 
 /// Self-healing scenario #6: a replica dies before traffic and the
@@ -1496,6 +1541,7 @@ fn run_hint_pressure_scenario(
         }
         resent.push(DeltaRecord {
             req_id: resend_ids[j],
+            dot: None,
             entry_text: plan.texts[i].clone(),
         });
     }
@@ -1588,6 +1634,7 @@ fn run_overload_scenario(
                         map.shard_of(w, *h) as usize,
                         DeltaRecord {
                             req_id,
+                            dot: None,
                             entry_text: txt.clone(),
                         },
                     )
@@ -1744,7 +1791,10 @@ fn cluster_main(jobs: usize, seed: u64) -> i32 {
     let results = parallel_map_isolated(&scenarios, jobs, |_, sc| match sc.heal {
         Heal::Operator => run_cluster_scenario(&strided, &router, &bases, sc, seed),
         Heal::Announce => run_announce_scenario(&strided, &router, &bases, sc, seed),
-        Heal::AntiEntropy => run_antientropy_scenario(&strided, &router, &bases, sc, seed),
+        Heal::AntiEntropy => run_antientropy_scenario(&strided, &router, &bases, sc, seed, 0),
+        Heal::DeepRepair => {
+            run_antientropy_scenario(&strided, &router, &bases, sc, seed, DEEP_MERGES)
+        }
         Heal::HintPressure => run_hint_pressure_scenario(&strided, &router, &bases, sc, seed),
         Heal::Overload => run_overload_scenario(&strided, &router, &bases, sc, seed),
     });
@@ -1761,6 +1811,7 @@ fn cluster_main(jobs: usize, seed: u64) -> i32 {
             (Heal::AntiEntropy, _) => "anti-entropy".to_string(),
             (Heal::HintPressure, _) => "hint-overflow".to_string(),
             (Heal::Overload, _) => "overload-2x".to_string(),
+            (Heal::DeepRepair, _) => "deep-repair".to_string(),
         };
         match result {
             Ok(Ok(line)) => println!("  #{:<3} {label:<24} {line}", sc.index),

@@ -29,6 +29,7 @@
 //! header; a content hash of the module guards against feeding a profile
 //! back into a binary it was not measured on.
 
+pub mod context;
 pub mod entry;
 pub mod hash;
 pub mod recovery;
@@ -37,15 +38,15 @@ pub mod shard;
 pub mod store;
 pub mod wal;
 
+pub use context::{CausalContext, Dot, CONTEXT_HEADER};
 pub use entry::{DbError, ProfileEntry};
 pub use hash::{fnv1a64, module_hash};
 pub use recovery::{check, recover, RecoveryReport, QUARANTINE_DIR};
 pub use repl::{
-    decode_delta_batch, decode_digest_table, encode_delta_batch, encode_digest_table,
-    DeltaApplyReport, DeltaRecord, DELTA_BATCH_HEADER, DIGEST_TABLE_HEADER,
+    decode_delta_batch, encode_delta_batch, DeltaApplyReport, DeltaRecord, DELTA_BATCH_HEADER,
 };
 pub use shard::{ShardMap, SHARD_MAP_VERSION};
-pub use store::{DbRecord, DigestEntry, ProfileDb};
+pub use store::{DbRecord, ProfileDb};
 pub use wal::{
     encode_record, scan_chain, scan_wal, segment_file_name, write_atomic, DiskFaults, RecordKind,
     ScanItem, SegmentConfig, SegmentScan, Wal, WalRecord, WalScan, WalStats, WAL_FILE,

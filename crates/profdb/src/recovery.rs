@@ -19,9 +19,12 @@
 //!         └────────────┘
 //! ```
 //!
-//! Replay is **idempotent and non-regressing**: an `E` record holds the
-//! absolute post-merge entry, and it is applied only when the entry file
-//! is missing, unreadable, or older (fewer merged runs) than the record.
+//! Replay is **idempotent and non-regressing**: an `E` record (and a `D`
+//! record's post-merge text) holds the absolute post-merge entry, and it
+//! is applied only when the entry file is missing, torn or empty (no
+//! verifying checksum trailer as its last line), or older (fewer merged
+//! runs) than the record. Entry files are a write-back cache of the log,
+//! rewritten without fsync, so any of those states can follow a crash.
 //! So a record whose apply completed before the crash is a no-op, a
 //! record that never reached its entry file is redone, and a record that
 //! is *older* than the on-disk entry (possible when a later redo for the
@@ -38,9 +41,12 @@
 //! untouched, and reports it; [`check`] flags the store CORRUPT until an
 //! operator decides.
 
+use crate::context::{CausalContext, Dot};
 use crate::entry::{DbError, ProfileEntry};
-use crate::store::{entry_file_text, write_entry_file};
-use crate::wal::{scan_chain, DiskFaults, ScanItem, SegmentScan, Wal, WalScan, RECORD_HEADER};
+use crate::repl::DeltaRecord;
+use crate::store::{entry_file_text, is_complete_entry_file, write_back};
+use crate::wal::{scan_chain, DiskFaults, RecordKind, ScanItem, SegmentScan, Wal, WalRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
@@ -66,8 +72,23 @@ pub struct RecoveryReport {
     /// Sealed segments with a torn tail or bad magic — preserved and
     /// reported, never truncated (damaged immutable history).
     pub torn_sealed_segments: usize,
-    /// Idempotency ids recovered from `E` and `I` records.
+    /// Idempotency ids recovered from `E`, `D` and `I` records.
     pub applied_ids: Vec<u64>,
+}
+
+/// What a replay rebuilds besides entry files: the state a store handle
+/// resumes from.
+#[derive(Debug, Default)]
+pub(crate) struct Replayed {
+    pub(crate) report: RecoveryReport,
+    /// Keys whose entry file the replay rewrote (without fsync).
+    pub(crate) dirty: BTreeSet<(String, u64)>,
+    /// Dots of the `D` and `K` records.
+    pub(crate) context: CausalContext,
+    /// The logged deltas, by dot (what anti-entropy may re-send).
+    pub(crate) retained: BTreeMap<Dot, DeltaRecord>,
+    /// Fsyncs the replay issued (torn-tail truncations).
+    pub(crate) fsyncs: u64,
 }
 
 impl RecoveryReport {
@@ -134,12 +155,13 @@ fn quarantine_bytes(
 }
 
 /// Should `record_entry` be written over what the store currently holds
-/// for its key? Missing/corrupt files are always overwritten; otherwise
-/// only a strictly newer record (more merged runs) applies.
+/// for its key? Missing, torn and corrupt files are always overwritten;
+/// otherwise only a strictly newer record (more merged runs) applies.
 fn should_apply(root: &Path, rec: &ProfileEntry) -> bool {
     match entry_file_text(root, &rec.workload, rec.module_hash)
         .ok()
         .flatten()
+        .filter(|text| is_complete_entry_file(text))
         .and_then(|text| ProfileEntry::from_text(&text).ok())
     {
         Some(current) => current.runs < rec.runs,
@@ -159,11 +181,17 @@ fn should_apply(root: &Path, rec: &ProfileEntry) -> bool {
 /// Returns [`DbError::Io`] only for filesystem failures while repairing;
 /// corrupt *content* never errors — it is quarantined or truncated.
 pub fn recover(root: &Path, faults: &DiskFaults) -> Result<RecoveryReport, DbError> {
+    replay(root, faults).map(|state| state.report)
+}
+
+/// [`recover`], keeping everything the replay rebuilt.
+pub(crate) fn replay(root: &Path, faults: &DiskFaults) -> Result<Replayed, DbError> {
     let chain = scan_chain(root, faults)?;
-    let mut report = RecoveryReport::default();
+    let mut state = Replayed::default();
     for seg in &chain {
-        recover_segment(root, seg, &mut report)?;
+        recover_segment(root, seg, &mut state)?;
     }
+    let report = &mut state.report;
     // Clean means "nothing for replay to ever look at again": a fully
     // compacted chain whose active log ends in a valid footer. Leftover
     // sealed segments (e.g. a crash between a compaction's fresh-log
@@ -172,53 +200,102 @@ pub fn recover(root: &Path, faults: &DiskFaults) -> Result<RecoveryReport, DbErr
         && chain
             .last()
             .is_some_and(|seg| seg.is_active() && seg.scan.clean_footer);
-    Ok(report)
+    Ok(state)
+}
+
+/// Redoes one record's post-merge entry state when the entry file is
+/// behind it; `false` when the payload does not parse.
+fn redo(root: &Path, payload: &[u8], state: &mut Replayed) -> Result<bool, DbError> {
+    let Some((text, entry)) = std::str::from_utf8(payload)
+        .ok()
+        .and_then(|t| Some((t, ProfileEntry::from_text(t).ok()?)))
+    else {
+        return Ok(false);
+    };
+    if should_apply(root, &entry) {
+        write_back(root, &entry.workload, entry.module_hash, text)?;
+        state.dirty.insert((entry.workload, entry.module_hash));
+        state.report.replayed += 1;
+    } else {
+        state.report.already_applied += 1;
+    }
+    Ok(true)
+}
+
+/// Folds one verified record's idempotency ids, dot and causal context
+/// into `state` — everything a store handle resumes from besides entry
+/// files; `false` when its payload is unusable.
+fn fold_record(record: &WalRecord, state: &mut Replayed) -> bool {
+    match record.kind {
+        RecordKind::Entry | RecordKind::Delta if record.req_id != 0 => {
+            state.report.applied_ids.push(record.req_id);
+        }
+        RecordKind::Ids => state.report.applied_ids.extend(record.unpack_ids()),
+        _ => {}
+    }
+    match record.kind {
+        RecordKind::Delta => match record.unpack_delta() {
+            Some(delta) => {
+                if let Some(dot) = delta.dot {
+                    state.context.insert(dot);
+                    state.retained.insert(dot, delta);
+                }
+            }
+            None => return false,
+        },
+        RecordKind::Context => {
+            let Some(ctx) = std::str::from_utf8(&record.payload)
+                .ok()
+                .and_then(|t| CausalContext::from_text(t).ok())
+            else {
+                return false;
+            };
+            state.context.union(&ctx);
+        }
+        _ => {}
+    }
+    true
+}
+
+/// The state a scanned chain holds besides entry files — its ids, causal
+/// context and logged deltas — without redoing anything (for a store
+/// opened without recovery).
+pub(crate) fn fold_chain(chain: &[SegmentScan]) -> Replayed {
+    let mut state = Replayed::default();
+    for item in chain.iter().flat_map(|seg| &seg.scan.items) {
+        if let ScanItem::Record { record, .. } = item {
+            fold_record(record, &mut state);
+        }
+    }
+    state
+}
+
+/// Folds one verified record into the replay and redoes its entry
+/// state; `false` when its payload is unusable (the caller quarantines
+/// it).
+fn replay_record(root: &Path, record: &WalRecord, state: &mut Replayed) -> Result<bool, DbError> {
+    if !fold_record(record, state) {
+        return Ok(false);
+    }
+    match record.redo_payload() {
+        Some(payload) => redo(root, payload, state),
+        None => Ok(true),
+    }
 }
 
 /// Recovery for one segment of the chain (see [`recover`]).
-fn recover_segment(
-    root: &Path,
-    seg: &SegmentScan,
-    report: &mut RecoveryReport,
-) -> Result<(), DbError> {
+fn recover_segment(root: &Path, seg: &SegmentScan, state: &mut Replayed) -> Result<(), DbError> {
     let seg_path = root.join(&seg.name);
     for item in &seg.scan.items {
         match item {
-            ScanItem::Record { offset, record } => match record.kind {
-                crate::wal::RecordKind::Entry => {
-                    if record.req_id != 0 {
-                        report.applied_ids.push(record.req_id);
-                    }
-                    let text = match std::str::from_utf8(&record.payload) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            report.unparseable += 1;
-                            quarantine_bytes(root, seg.index, *offset, &record.payload)?;
-                            continue;
-                        }
-                    };
-                    match ProfileEntry::from_text(text) {
-                        Ok(entry) => {
-                            if should_apply(root, &entry) {
-                                write_entry_file(root, &entry)?;
-                                report.replayed += 1;
-                            } else {
-                                report.already_applied += 1;
-                            }
-                        }
-                        Err(_) => {
-                            report.unparseable += 1;
-                            quarantine_bytes(root, seg.index, *offset, &record.payload)?;
-                        }
-                    }
+            ScanItem::Record { offset, record } => {
+                if !replay_record(root, record, state)? {
+                    state.report.unparseable += 1;
+                    quarantine_bytes(root, seg.index, *offset, &record.payload)?;
                 }
-                crate::wal::RecordKind::Ids => {
-                    report.applied_ids.extend(record.unpack_ids());
-                }
-                crate::wal::RecordKind::Footer => {}
-            },
+            }
             ScanItem::Corrupt { offset, bytes } => {
-                report.quarantined += 1;
+                state.report.quarantined += 1;
                 quarantine_bytes(root, seg.index, *offset, bytes)?;
             }
             ScanItem::TornTail { offset } if seg.is_active() => {
@@ -228,13 +305,13 @@ fn recover_segment(
                     // and start a fresh log.
                     if let Ok(bytes) = std::fs::read(&seg_path) {
                         quarantine_bytes(root, seg.index, 0, &bytes)?;
-                        report.quarantined += 1;
+                        state.report.quarantined += 1;
                     }
                     let _ = std::fs::remove_file(&seg_path);
                 } else {
-                    Wal::truncate_to(&seg_path, *offset)?;
+                    Wal::truncate_to(&seg_path, *offset, &mut state.fsyncs)?;
                 }
-                report.torn_tail_bytes = Some(cut);
+                state.report.torn_tail_bytes = Some(cut);
             }
             ScanItem::TornTail { offset } => {
                 // Sealed segment: preserve a copy of the damaged span and
@@ -244,7 +321,7 @@ fn recover_segment(
                     let at = (*offset).min(bytes.len() as u64) as usize;
                     quarantine_bytes(root, seg.index, *offset, &bytes[at..])?;
                 }
-                report.torn_sealed_segments += 1;
+                state.report.torn_sealed_segments += 1;
             }
         }
     }
@@ -380,22 +457,4 @@ pub fn check(root: &Path) -> (String, bool) {
     }
     let _ = writeln!(out, "verdict: {}", if healthy { "ok" } else { "CORRUPT" });
     (out, healthy)
-}
-
-/// The WAL byte offset where record `index` (0-based, counting every
-/// scan item) starts — test support for crash-at-offset schedules.
-pub fn record_offsets(scan: &WalScan) -> Vec<u64> {
-    scan.items
-        .iter()
-        .map(|i| match i {
-            ScanItem::Record { offset, .. }
-            | ScanItem::Corrupt { offset, .. }
-            | ScanItem::TornTail { offset } => *offset,
-        })
-        .collect()
-}
-
-/// Size in bytes of an encoded record with `payload_len` payload bytes.
-pub fn encoded_record_len(payload_len: usize) -> usize {
-    RECORD_HEADER + payload_len + crate::wal::RECORD_TRAILER
 }

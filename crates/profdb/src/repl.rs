@@ -6,7 +6,7 @@
 //! redo state. That distinction is what makes replication delivery-order
 //! independent: post-merge states are absolute snapshots (applying them
 //! out of order rolls counters back), whereas incoming entries are pure
-//! increments under [`ProfileEntry::merge`], which is commutative,
+//! increments under [`crate::ProfileEntry::merge`], which is commutative,
 //! associative, and saturating byte-for-byte. Any replica that applies
 //! the same *set* of deltas — in any order, with any duplication —
 //! converges to the identical store bytes:
@@ -14,42 +14,44 @@
 //! * ordering: merge commutativity/associativity (PR 3's property,
 //!   strengthened to exact byte equality by the canonical top-table
 //!   order);
-//! * duplication: every delta carries a nonzero request id and is
-//!   applied through [`ProfileDb::merge_store_logged`]'s dedup, so
-//!   redelivery is exactly-once;
+//! * duplication: every delta carries a dot (stamped by the router, or
+//!   by the first replica it reaches) and a nonzero request id; a store
+//!   skips a dot its causal context already holds and an id its recent
+//!   id set remembers, so redelivery is exactly-once;
 //! * loss: the sender retries a batch until acknowledged; resends are
 //!   harmless by the previous two points.
 //!
-//! Batches reuse the WAL redo record's shape — `(req_id, entry text)`
-//! pairs — in a line-oriented, checksummed text envelope that travels
-//! inside wire-protocol request bodies:
+//! Batches carry `(req_id, dot, entry text)` triples in a
+//! line-oriented, checksummed text envelope that travels inside
+//! wire-protocol request bodies (` dot=` is absent for a delta sent
+//! without one):
 //!
 //! ```text
 //! # profdb delta-batch v1
 //! count <N>
-//! delta id=<16 hex> bytes=<B>
+//! delta id=<16 hex> dot=<16 hex>.<n> bytes=<B>
 //! <B bytes of profile entry text>
 //! ...
 //! checksum <16 hex>              fnv1a64 of everything above
 //! ```
 
-use crate::entry::{DbError, ProfileEntry};
+use crate::context::Dot;
+use crate::entry::DbError;
 use crate::hash::fnv1a64;
-use crate::store::{DigestEntry, ProfileDb};
 use std::fmt::Write as _;
 
 /// Header line of the batch envelope.
 pub const DELTA_BATCH_HEADER: &str = "# profdb delta-batch v1";
 
-/// Header line of the digest-table envelope.
-pub const DIGEST_TABLE_HEADER: &str = "# profdb digest v1";
-
-/// One replicated merge: the client's incoming entry and its idempotency
-/// id (never zero — dedup is what makes redelivery safe).
+/// One replicated merge: the client's incoming entry, its idempotency id
+/// (never zero in a batch) and its dot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// Idempotency id stamped by the original submitter.
     pub req_id: u64,
+    /// Repair identity; `None` until a router or the first replica to
+    /// apply the delta stamps one.
+    pub dot: Option<Dot>,
     /// The *pre-merge* incoming entry text (a `# profdb v1` document).
     pub entry_text: String,
 }
@@ -69,12 +71,11 @@ pub fn encode_delta_batch(deltas: &[DeltaRecord]) -> String {
     let _ = writeln!(out, "{DELTA_BATCH_HEADER}");
     let _ = writeln!(out, "count {}", deltas.len());
     for d in deltas {
-        let _ = writeln!(
-            out,
-            "delta id={:016x} bytes={}",
-            d.req_id,
-            d.entry_text.len()
-        );
+        let _ = write!(out, "delta id={:016x}", d.req_id);
+        if let Some(dot) = d.dot {
+            let _ = write!(out, " dot={:016x}.{}", dot.origin, dot.n);
+        }
+        let _ = writeln!(out, " bytes={}", d.entry_text.len());
         out.push_str(&d.entry_text);
         if !d.entry_text.ends_with('\n') {
             out.push('\n');
@@ -87,6 +88,20 @@ pub fn encode_delta_batch(deltas: &[DeltaRecord]) -> String {
 
 fn batch_err(msg: impl Into<String>) -> DbError {
     DbError::KeyMismatch(format!("delta batch: {}", msg.into()))
+}
+
+/// Parses a `<16 hex>.<n>` dot; origin and `n` are both nonzero.
+fn parse_dot(text: &str) -> Result<Dot, DbError> {
+    let bad = || batch_err(format!("bad delta dot `{text}`"));
+    let (origin, n) = text.split_once('.').ok_or_else(bad)?;
+    let dot = Dot {
+        origin: u64::from_str_radix(origin, 16).map_err(|_| bad())?,
+        n: n.parse().map_err(|_| bad())?,
+    };
+    if dot.origin == 0 || dot.n == 0 {
+        return Err(bad());
+    }
+    Ok(dot)
 }
 
 /// Parses and verifies a delta batch envelope.
@@ -146,6 +161,10 @@ pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
         let (id_s, bytes_s) = rest_head
             .split_once(" bytes=")
             .ok_or_else(|| batch_err(format!("bad delta header `{head}`")))?;
+        let (id_s, dot) = match id_s.split_once(" dot=") {
+            Some((id_s, dot_s)) => (id_s, Some(parse_dot(dot_s)?)),
+            None => (id_s, None),
+        };
         let req_id = u64::from_str_radix(id_s.trim(), 16)
             .map_err(|_| batch_err(format!("bad delta id `{id_s}`")))?;
         if req_id == 0 {
@@ -171,7 +190,11 @@ pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
                 rest = stripped;
             }
         }
-        deltas.push(DeltaRecord { req_id, entry_text });
+        deltas.push(DeltaRecord {
+            req_id,
+            dot,
+            entry_text,
+        });
     }
     if !rest.trim().is_empty() {
         return Err(batch_err(format!(
@@ -182,106 +205,6 @@ pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
     Ok(deltas)
 }
 
-/// Serializes a digest table into its text envelope (no checksum line —
-/// digests travel inside checksummed wire frames and are advisory: a
-/// corrupted digest at worst triggers one spurious repair round, which
-/// dedup makes harmless).
-pub fn encode_digest_table(entries: &[DigestEntry]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{DIGEST_TABLE_HEADER}");
-    let _ = writeln!(out, "count {}", entries.len());
-    for e in entries {
-        let _ = writeln!(
-            out,
-            "entry {} {:016x} {:016x}",
-            e.workload, e.module_hash, e.digest
-        );
-    }
-    out
-}
-
-/// Parses a digest-table envelope.
-///
-/// # Errors
-///
-/// Returns [`DbError::KeyMismatch`] for a bad header, count mismatch, or
-/// unparsable line.
-pub fn decode_digest_table(text: &str) -> Result<Vec<DigestEntry>, DbError> {
-    let err = |msg: String| DbError::KeyMismatch(format!("digest table: {msg}"));
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| err("empty".into()))?;
-    if header.trim() != DIGEST_TABLE_HEADER {
-        return Err(err(format!("bad header `{}`", header.trim())));
-    }
-    let count_line = lines.next().ok_or_else(|| err("missing count".into()))?;
-    let count: usize = count_line
-        .strip_prefix("count ")
-        .and_then(|n| n.trim().parse().ok())
-        .ok_or_else(|| err(format!("bad count line `{count_line}`")))?;
-    let mut entries = Vec::with_capacity(count);
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("entry ")
-            .ok_or_else(|| err(format!("bad line `{line}`")))?;
-        let mut parts = rest.split_whitespace();
-        let (Some(workload), Some(hash_s), Some(digest_s), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(err(format!("bad line `{line}`")));
-        };
-        let module_hash = u64::from_str_radix(hash_s, 16)
-            .map_err(|_| err(format!("bad module hash `{hash_s}`")))?;
-        let digest = u64::from_str_radix(digest_s, 16)
-            .map_err(|_| err(format!("bad digest `{digest_s}`")))?;
-        entries.push(DigestEntry {
-            workload: workload.to_string(),
-            module_hash,
-            digest,
-        });
-    }
-    if entries.len() != count {
-        return Err(err(format!(
-            "count says {count}, table holds {}",
-            entries.len()
-        )));
-    }
-    Ok(entries)
-}
-
-impl ProfileDb {
-    /// Applies a replication delta batch, exactly-once per id: each
-    /// delta's entry is parsed and merged through
-    /// [`ProfileDb::merge_store_logged`] under its original request id,
-    /// so redelivered or overlapping batches never double-count. Every
-    /// delta that actually applied is also appended to the pre-merge
-    /// retention window, so anti-entropy can later re-send it verbatim
-    /// to a diverged sibling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse/merge/WAL failures of the first failing delta;
-    /// deltas before it are applied and durable (redelivery of the whole
-    /// batch is the intended retry path — dedup skips them).
-    pub fn apply_deltas(&self, deltas: &[DeltaRecord]) -> Result<DeltaApplyReport, DbError> {
-        let mut report = DeltaApplyReport::default();
-        for d in deltas {
-            let entry = ProfileEntry::from_text(&d.entry_text)?;
-            let (_, duplicate) = self.merge_store_logged(&entry, d.req_id)?;
-            if duplicate {
-                report.deduped += 1;
-            } else {
-                self.retain_delta(d.req_id, &d.entry_text)?;
-                report.applied += 1;
-            }
-        }
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,20 +212,27 @@ mod tests {
     fn delta(id: u64, text: &str) -> DeltaRecord {
         DeltaRecord {
             req_id: id,
+            dot: None,
             entry_text: text.to_string(),
         }
     }
 
     #[test]
     fn batch_round_trip() {
+        let dotted = DeltaRecord {
+            dot: Some(Dot { origin: 3, n: 41 }),
+            ..delta(0x3333, "dotted\n")
+        };
         let deltas = vec![
             delta(0x1111, "# profdb v1\nworkload a\n"),
             delta(0x2222, "no trailing newline"),
             delta(0xffff_ffff_ffff_ffff, ""),
+            dotted.clone(),
         ];
         let text = encode_delta_batch(&deltas);
         let back = decode_delta_batch(&text).unwrap();
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.len(), 4);
+        assert_eq!(back[3], dotted);
         assert_eq!(back[0], deltas[0]);
         assert_eq!(back[1].entry_text, "no trailing newline");
         assert_eq!(back[2].req_id, u64::MAX);
@@ -334,37 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn digest_table_round_trips_and_rejects_garbage() {
-        let entries = vec![
-            DigestEntry {
-                workload: "gap".into(),
-                module_hash: 0x9,
-                digest: 0xdead_beef,
-            },
-            DigestEntry {
-                workload: "mcf".into(),
-                module_hash: 0x1234,
-                digest: 1,
-            },
-        ];
-        let text = encode_digest_table(&entries);
-        assert_eq!(decode_digest_table(&text).unwrap(), entries);
-        assert!(decode_digest_table(&encode_digest_table(&[]))
-            .unwrap()
-            .is_empty());
-        assert!(decode_digest_table("").is_err());
-        assert!(decode_digest_table("# wrong header\ncount 0\n").is_err());
-        let short = text.replace("count 2", "count 3");
-        assert!(decode_digest_table(&short).is_err());
-        let mangled = text.replace("entry mcf", "mcf entry");
-        assert!(decode_digest_table(&mangled).is_err());
-    }
-
-    #[test]
-    fn applied_deltas_are_retained_for_anti_entropy() {
-        let root = std::env::temp_dir().join(format!("repl-retain-{}", std::process::id()));
+    fn held_dots_and_unpruned_deltas_survive_compaction_and_reopen() {
+        use crate::{CausalContext, ProfileDb, ProfileEntry};
+        let root = std::env::temp_dir().join(format!("repl-context-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let db = ProfileDb::open(&root).unwrap();
         let text = ProfileEntry {
             workload: "mcf".into(),
             module_hash: 3,
@@ -373,21 +276,42 @@ mod tests {
             stride: stride_profiling::StrideProfile::new(),
         }
         .to_text();
-        let a = delta(0x11, &text);
-        let b = delta(0x22, &text);
-        db.apply_deltas(&[a.clone(), b.clone(), a.clone()]).unwrap();
-        // Two applied, the redelivered duplicate deduped — and only the
-        // applied ones retained, in order.
-        assert_eq!(db.retained_deltas(), vec![a.clone(), b.clone()]);
-        drop(db);
-        // The window is durable across a crash-reopen...
+        let dotted = |id, n| DeltaRecord {
+            dot: Some(Dot { origin: 1, n }),
+            ..delta(id, &text)
+        };
+        let (a, b, d) = (dotted(0x11, 1), dotted(0x22, 2), dotted(0x44, 3));
+        let everything = CausalContext::default();
+        let (held, kept) = {
+            let db = ProfileDb::open(&root).unwrap();
+            let report = db
+                .apply_deltas(&[a.clone(), b.clone(), delta(0x33, &text), a.clone()])
+                .unwrap();
+            assert_eq!((report.applied, report.deduped), (3, 1));
+            // The dot-less delta got a dot of the store's own origin.
+            let stamped = db.deltas_missing_from(&everything, usize::MAX);
+            assert_eq!(stamped.len(), 3);
+            let own = stamped[2].clone();
+            assert!(own.dot.is_some_and(|dot| dot.origin >= 1 << 63), "{own:?}");
+            // Every replica holds `a`: the floor drops it from repair.
+            let mut floor = CausalContext::default();
+            floor.insert(Dot { origin: 1, n: 1 });
+            db.adopt_floor(&floor);
+            db.checkpoint().unwrap();
+            db.apply_deltas(std::slice::from_ref(&d)).unwrap();
+            (db.causal_context(), vec![b, d, own])
+            // Dropped without a checkpoint: a crash after `d`.
+        };
         let db = ProfileDb::open(&root).unwrap();
-        assert_eq!(db.retained_deltas(), vec![a, b]);
-        // ...and cleared by a checkpoint (the repair-window bound).
-        db.checkpoint().unwrap();
-        drop(db);
-        let db = ProfileDb::open(&root).unwrap();
-        assert!(db.retained_deltas().is_empty());
+        assert_eq!(db.causal_context(), held);
+        assert!(held.contains(Dot { origin: 1, n: 1 }), "pruned but held");
+        assert_eq!(db.deltas_missing_from(&everything, usize::MAX), kept);
+        assert_eq!(db.deltas_missing_from(&held, usize::MAX), vec![]);
+        assert_eq!(db.deltas_missing_from(&everything, 1).len(), 1, "batch cap");
+        // The pruned delta is still skipped by its dot.
+        let report = db.apply_deltas(&[a]).unwrap();
+        assert_eq!((report.applied, report.deduped), (0, 1));
+        assert_eq!(db.load("mcf", 3).unwrap().runs, 4);
         let _ = std::fs::remove_dir_all(&root);
     }
 

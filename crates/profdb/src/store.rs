@@ -1,23 +1,28 @@
 //! The on-disk store: one text file per `(workload, module hash)` key
-//! under a root directory, with atomic replace on write, a write-ahead
-//! log in front of every merge, and checksum trailers on entry files.
+//! under a root directory, a write-ahead log in front of every merge,
+//! and checksum trailers on entry files.
 //!
-//! Durability contract: [`ProfileDb::merge_store_logged`] appends the
-//! post-merge state to the WAL and fsyncs it *before* rewriting the
-//! entry file — the commit point is the fsync. A crash anywhere after it
-//! is repaired by [`crate::recovery::recover`] at the next open; a crash
-//! before it loses only an unacknowledged merge. Idempotency keys
-//! (nonzero request ids) are recorded in the WAL and deduplicated both
-//! live and at replay, so a retried merge can never double-count.
+//! Durability contract: [`ProfileDb::merge_store_logged`] and
+//! [`ProfileDb::apply_deltas`] append the post-merge state to the WAL
+//! and fsync it *before* rewriting the entry file — the commit point is
+//! that one fsync. Entry files are a write-back cache of the log: they
+//! are rewritten without fsync, redone by [`crate::recovery::recover`]
+//! at the next open when a crash left them missing, torn or stale, and
+//! flushed (file and directory fsync) before a checkpoint drops the log
+//! records that could redo them. A crash before the log fsync loses
+//! only an unacknowledged merge. Idempotency keys (nonzero request ids)
+//! are recorded in the WAL and deduplicated both live and at replay, so
+//! a retried merge can never double-count.
 
+use crate::context::{CausalContext, Dot};
 use crate::entry::{DbError, ProfileEntry};
 use crate::hash::fnv1a64;
-use crate::recovery::{recover, RecoveryReport};
-use crate::repl::DeltaRecord;
+use crate::recovery::{fold_chain, replay, RecoveryReport};
+use crate::repl::{DeltaApplyReport, DeltaRecord};
 use crate::wal::{
-    scan_chain, write_atomic, DiskFaults, RecordKind, ScanItem, SegmentConfig, Wal, WalRecord,
+    fsync, scan_chain, sync_dir, write_atomic, DiskFaults, SegmentConfig, Wal, WalRecord,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -33,50 +38,56 @@ pub struct DbRecord {
     pub runs: u64,
 }
 
-/// One line of the anti-entropy digest table: a key plus the fnv1a64 of
-/// its entry file's bytes. Two replicas that applied the same delta set
-/// have byte-identical entry files (the CRDT merge is canonical), so
-/// equal tables mean converged stores.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct DigestEntry {
-    /// Workload name.
-    pub workload: String,
-    /// Module content hash.
-    pub module_hash: u64,
-    /// fnv1a64 over the entry file's bytes.
-    pub digest: u64,
-}
-
 /// Most-recent idempotency keys remembered for live dedup (and carried
-/// across checkpoints). Old ids age out FIFO.
+/// across checkpoints). Old ids age out FIFO; replicated deltas dedup by
+/// dot, so the set only has to cover client retries.
 const APPLIED_IDS_CAP: usize = 4096;
-
-/// Subdirectory holding the pre-merge delta retention chain.
-const RETAIN_DIR: &str = "retain";
 
 #[derive(Debug)]
 struct DbState {
     wal: Wal,
     applied: HashSet<u64>,
     applied_order: VecDeque<u64>,
-    /// Pre-merge replication deltas kept for anti-entropy re-send. The
-    /// WAL proper logs *post-merge* redo states — absolute snapshots
-    /// that would double-count if merged into a diverged sibling — so
-    /// the exact incoming deltas are retained separately, in their own
-    /// segmented chain under [`RETAIN_DIR`]. The window is cleared by
-    /// [`ProfileDb::checkpoint`]; repair can only re-send deltas applied
-    /// since then (hinted handoff, not anti-entropy, is the primary
-    /// loss-prevention path).
-    retain_wal: Wal,
-    retained: Vec<DeltaRecord>,
-    /// Decoded entries already read through this handle, by key. Every
-    /// write through the handle drops its key first, so a hit equals
-    /// what a fresh read of the file would return — as long as nothing
-    /// else edits the store (see [`ProfileDb`]).
+    /// Dots of every replicated delta this store holds: merged here, or
+    /// skipped because its request id already merged.
+    context: CausalContext,
+    /// Logged deltas some replica may still lack, by dot: what
+    /// anti-entropy re-sends. A floor from the router prunes it, and a
+    /// checkpoint carries the rest into the fresh log.
+    retained: BTreeMap<Dot, DeltaRecord>,
+    /// The origin this handle stamps dot-less deltas with (see
+    /// [`Dot::fresh_origin`]) and the last `n` it stamped.
+    origin: u64,
+    stamped: u64,
+    /// Keys whose entry file was rewritten without fsync since the last
+    /// flush.
+    dirty: BTreeSet<(String, u64)>,
+    /// Fsyncs issued outside the WAL handle: entry files, the root
+    /// directory, and recovery's truncations.
+    fsyncs: u64,
+    /// Decoded entries already read or merged through this handle, by
+    /// key. Every write through the handle drops or replaces its key, so
+    /// a hit equals what a fresh read of the file would return — as long
+    /// as nothing else edits the store (see [`ProfileDb`]).
     entries: HashMap<(String, u64), Arc<ProfileEntry>>,
 }
 
 impl DbState {
+    fn new(wal: Wal) -> DbState {
+        DbState {
+            wal,
+            applied: HashSet::new(),
+            applied_order: VecDeque::new(),
+            context: CausalContext::default(),
+            retained: BTreeMap::new(),
+            origin: Dot::fresh_origin(true),
+            stamped: 0,
+            dirty: BTreeSet::new(),
+            fsyncs: 0,
+            entries: HashMap::new(),
+        }
+    }
+
     /// Drops a key's decoded entry ahead of a write to its file.
     fn forget(&mut self, workload: &str, module_hash: u64) {
         self.entries.remove(&(workload.to_string(), module_hash));
@@ -93,19 +104,46 @@ impl DbState {
             }
         }
     }
+
+    /// Records a logged delta's dot as held and keeps the delta for
+    /// repair.
+    fn hold(&mut self, delta: DeltaRecord) {
+        if let Some(dot) = delta.dot {
+            self.context.insert(dot);
+            self.retained.insert(dot, delta);
+        }
+    }
+
+    /// The records a checkpoint carries into the fresh log: the id set,
+    /// the causal context, and the retained deltas (without redo state —
+    /// the entry files are flushed by then).
+    fn carry(&self) -> Vec<WalRecord> {
+        let ids: Vec<u64> = self.applied_order.iter().copied().collect();
+        let mut carry = Vec::with_capacity(2 + self.retained.len());
+        if !ids.is_empty() {
+            carry.push(WalRecord::ids(&ids));
+        }
+        if self.context != CausalContext::default() {
+            carry.push(WalRecord::context(&self.context));
+        }
+        carry.extend(self.retained.values().map(|d| WalRecord::delta(d, "")));
+        carry
+    }
 }
 
 /// A profile database rooted at a directory.
 ///
-/// Concurrency: entry writes are atomic (temp file + fsync + rename) and
-/// the read-merge-write sequence of [`ProfileDb::merge_store_logged`] is
+/// Concurrency: an entry file is replaced by renaming a temp file over
+/// it, so readers never see a torn file while the process lives, and the
+/// read-merge-write sequence of [`ProfileDb::merge_store_logged`] is
 /// serialized on an internal lock, so concurrent merges from the daemon's
 /// worker pool never interleave mid-merge.
 ///
-/// Ownership: [`ProfileDb::load`] keeps each entry it decodes and serves
-/// later loads of that key from memory until a write through this handle
-/// replaces or removes it. A handle therefore does not see outside edits
-/// to an entry file it has already read; reopen the store to pick them up.
+/// Ownership: [`ProfileDb::load`] keeps each entry it decodes (and a
+/// merge, each entry it writes) and serves later loads of that key from
+/// memory until a write through this handle replaces or removes it. A
+/// handle therefore does not see outside edits to an entry file it has
+/// already read; reopen the store to pick them up.
 #[derive(Debug)]
 pub struct ProfileDb {
     root: PathBuf,
@@ -142,9 +180,22 @@ fn entry_path(root: &Path, workload: &str, module_hash: u64) -> PathBuf {
 }
 
 /// Entry text plus its checksum trailer line.
-fn entry_text_checksummed(entry: &ProfileEntry) -> String {
-    let text = entry.to_text();
+fn checksummed(text: &str) -> String {
     format!("{text}{CHECKSUM_PREFIX}{:016x}\n", fnv1a64(text.as_bytes()))
+}
+
+/// True when `text` is a whole entry file as this store writes it: its
+/// last line is a checksum trailer over everything before it. A torn,
+/// empty or trailer-less file is not.
+pub(crate) fn is_complete_entry_file(text: &str) -> bool {
+    let Some(start) = text.rfind(CHECKSUM_PREFIX) else {
+        return false;
+    };
+    let hex = &text[start + CHECKSUM_PREFIX.len()..];
+    hex.len() == 17
+        && hex.ends_with('\n')
+        && u64::from_str_radix(&hex[..16], 16)
+            .is_ok_and(|want| want == fnv1a64(&text.as_bytes()[..start]))
 }
 
 /// Verifies an entry file's checksum trailer when one is present.
@@ -171,45 +222,26 @@ fn verify_entry_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Atomically (and durably) writes `entry` under `root`. Shared with
-/// recovery's replay path.
-pub(crate) fn write_entry_file(root: &Path, entry: &ProfileEntry) -> Result<(), DbError> {
+/// Atomically and durably writes `entry` under `root` (a raw store).
+fn write_entry_file(root: &Path, entry: &ProfileEntry, fsyncs: &mut u64) -> Result<(), DbError> {
     let path = entry_path(root, &entry.workload, entry.module_hash);
-    write_atomic(&path, entry_text_checksummed(entry).as_bytes())
+    write_atomic(&path, checksummed(&entry.to_text()).as_bytes(), fsyncs)
 }
 
-/// Opens (creating if needed) the retention chain under `root/retain`,
-/// replaying it into the in-memory window. A torn active-log tail is
-/// truncated (the merge it retained was never acknowledged as retained);
-/// checksum-corrupt records are skipped — a hole in the window only
-/// narrows what anti-entropy can re-send.
-fn open_retention(root: &Path) -> Result<(Wal, Vec<DeltaRecord>), DbError> {
-    let dir = root.join(RETAIN_DIR);
-    fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-    let chain = scan_chain(&dir, &DiskFaults::default())?;
-    let mut retained = Vec::new();
-    for seg in &chain {
-        for item in &seg.scan.items {
-            match item {
-                ScanItem::Record { record, .. } => {
-                    if record.kind == RecordKind::Entry {
-                        retained.push(DeltaRecord {
-                            req_id: record.req_id,
-                            entry_text: String::from_utf8_lossy(&record.payload).into_owned(),
-                        });
-                    }
-                }
-                ScanItem::Corrupt { .. } => {}
-                ScanItem::TornTail { offset } => {
-                    if seg.is_active() {
-                        Wal::truncate_to(&dir.join(&seg.name), *offset)?;
-                    }
-                }
-            }
-        }
-    }
-    let wal = Wal::open_append(&dir, retained.len() as u64, DiskFaults::default())?;
-    Ok((wal, retained))
+/// Rewrites the entry file under a key from its entry text, without
+/// fsync: a temp file renamed over it, so a crashed process never leaves
+/// a torn file. The log holds the durable copy; shared with recovery's
+/// replay.
+pub(crate) fn write_back(
+    root: &Path,
+    workload: &str,
+    module_hash: u64,
+    text: &str,
+) -> Result<(), DbError> {
+    let path = entry_path(root, workload, module_hash);
+    let tmp = path.with_extension("tmp");
+    fs::write(&tmp, checksummed(text)).map_err(|e| io_err(&tmp, e))?;
+    fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
 }
 
 /// Raw text of the entry file under a key (`Ok(None)` when absent). No
@@ -248,18 +280,14 @@ impl ProfileDb {
     pub fn open_with(root: impl Into<PathBuf>, faults: DiskFaults) -> Result<Self, DbError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        let report = recover(&root, &faults)?;
+        let replayed = replay(&root, &faults)?;
+        let report = replayed.report;
         let pending = (report.replayed + report.already_applied) as u64;
-        let wal = Wal::open_append(&root, pending, faults)?;
-        let (retain_wal, retained) = open_retention(&root)?;
-        let mut state = DbState {
-            wal,
-            applied: HashSet::new(),
-            applied_order: VecDeque::new(),
-            retain_wal,
-            retained,
-            entries: HashMap::new(),
-        };
+        let mut state = DbState::new(Wal::open_append(&root, pending, faults)?);
+        state.context = replayed.context;
+        state.retained = replayed.retained;
+        state.dirty = replayed.dirty;
+        state.fsyncs = replayed.fsyncs;
         for id in &report.applied_ids {
             state.remember(*id);
         }
@@ -275,7 +303,8 @@ impl ProfileDb {
     /// Opens without running recovery — for inspection tools. A store
     /// opened this way refuses to [`ProfileDb::gc`] while the WAL holds
     /// a pending tail, since removal decisions made on unreplayed state
-    /// would be wrong.
+    /// would be wrong. It still resumes the log's ids, causal context and
+    /// logged deltas, so a checkpoint through it carries them forward.
     ///
     /// # Errors
     ///
@@ -285,19 +314,13 @@ impl ProfileDb {
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
         let chain = scan_chain(&root, &DiskFaults::default())?;
         let pending: usize = chain.iter().map(|s| s.scan.pending_entries()).sum();
-        let known: Vec<u64> = chain.iter().flat_map(|s| s.scan.known_ids()).collect();
+        let held = fold_chain(&chain);
         let wal = Wal::open_append(&root, pending as u64, DiskFaults::default())?;
-        let (retain_wal, retained) = open_retention(&root)?;
-        let mut state = DbState {
-            wal,
-            applied: HashSet::new(),
-            applied_order: VecDeque::new(),
-            retain_wal,
-            retained,
-            entries: HashMap::new(),
-        };
-        for id in known {
-            state.remember(id);
+        let mut state = DbState::new(wal);
+        state.context = held.context;
+        state.retained = held.retained;
+        for id in &held.report.applied_ids {
+            state.remember(*id);
         }
         Ok(ProfileDb {
             root,
@@ -349,6 +372,13 @@ impl ProfileDb {
         self.lock().wal.stats()
     }
 
+    /// Every fsync this handle issued since open: log syncs, seals and
+    /// checkpoints, entry-file and directory flushes, and recovery's.
+    pub fn fsyncs(&self) -> u64 {
+        let st = self.lock();
+        st.fsyncs + st.wal.stats().fsyncs
+    }
+
     fn path_for(&self, workload: &str, module_hash: u64) -> PathBuf {
         entry_path(&self.root, workload, module_hash)
     }
@@ -365,7 +395,7 @@ impl ProfileDb {
         check_workload_name(&entry.workload)?;
         let mut st = self.lock();
         st.forget(&entry.workload, entry.module_hash);
-        write_entry_file(&self.root, entry)
+        write_entry_file(&self.root, entry, &mut st.fsyncs)
     }
 
     /// Loads the entry under `(workload, module_hash)`, verifying its
@@ -457,13 +487,14 @@ impl ProfileDb {
     }
 
     /// The crash-safe merge: WAL-append the post-merge state, fsync,
-    /// then apply to the entry file. Returns the accumulated entry and
-    /// whether the request id was a duplicate (in which case nothing was
-    /// merged and the stored entry is returned as-is).
+    /// then rewrite the entry file (without fsync). Returns the
+    /// accumulated entry and whether the request id was a duplicate (in
+    /// which case nothing was merged and the stored entry is returned
+    /// as-is).
     ///
     /// An acknowledgement sent after this returns `Ok` is durable: the
     /// fsynced redo record reconstructs the entry file even if the
-    /// process dies before (or during) the apply.
+    /// process dies before (or during) the rewrite.
     ///
     /// # Errors
     ///
@@ -481,8 +512,72 @@ impl ProfileDb {
             let stored = self.load_locked(&mut st, &entry.workload, entry.module_hash)?;
             return Ok((Arc::unwrap_or_clone(stored), true));
         }
+        let merged = self.merge_locked(&mut st, entry, req_id, None)?;
+        Ok((Arc::unwrap_or_clone(merged), false))
+    }
+
+    /// Applies a replication delta batch, exactly once per delta: a
+    /// delta whose dot the store holds is skipped; one whose request id
+    /// already merged (a retried write under a fresh dot) only has its
+    /// dot held; any other merges under its dot — or under a dot stamped
+    /// with this handle's own origin when it arrived without one — and
+    /// is kept for anti-entropy. One log fsync per merged delta, none
+    /// per skipped one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parse/merge/WAL failures of the first failing delta;
+    /// deltas before it are applied and durable (redelivery of the whole
+    /// batch is the intended retry path — dedup skips them).
+    pub fn apply_deltas(&self, deltas: &[DeltaRecord]) -> Result<DeltaApplyReport, DbError> {
+        let mut report = DeltaApplyReport::default();
+        for d in deltas {
+            let entry = ProfileEntry::from_text(&d.entry_text)?;
+            check_workload_name(&entry.workload)?;
+            let mut st = self.lock();
+            if d.dot.is_some_and(|dot| st.context.contains(dot)) {
+                report.deduped += 1;
+            } else if d.req_id != 0 && st.applied.contains(&d.req_id) {
+                // Logged without fsync: losing the record in a crash only
+                // makes repair re-send the dot, which the id skips again.
+                if d.dot.is_some() {
+                    st.wal.append(&WalRecord::delta(d, ""))?;
+                    st.hold(d.clone());
+                    self.apply_segment_policy(&mut st)?;
+                }
+                report.deduped += 1;
+            } else {
+                st.stamped += 1;
+                let own = Dot {
+                    origin: st.origin,
+                    n: st.stamped,
+                };
+                let delta = DeltaRecord {
+                    dot: Some(d.dot.unwrap_or(own)),
+                    ..d.clone()
+                };
+                self.merge_locked(&mut st, &entry, d.req_id, Some(delta))?;
+                report.applied += 1;
+            }
+        }
+        Ok(report)
+    }
+
+    /// The read-merge-log-apply step of both merge paths, under the
+    /// state lock: merges `entry` into the stored entry, logs the result
+    /// (`E` for a direct merge, `D` carrying `delta` for a replicated
+    /// one), fsyncs the log once, rewrites the entry file without fsync,
+    /// and applies the segment policy.
+    fn merge_locked(
+        &self,
+        st: &mut DbState,
+        entry: &ProfileEntry,
+        req_id: u64,
+        delta: Option<DeltaRecord>,
+    ) -> Result<Arc<ProfileEntry>, DbError> {
         // The key's file is about to be rewritten, so its decoded entry
-        // leaves the cache here: moved out rather than copied.
+        // leaves the cache here: moved out rather than copied, and the
+        // merged entry takes its place once the file holds it.
         let key = (entry.workload.clone(), entry.module_hash);
         let existing = match st.entries.remove(&key) {
             Some(cached) => Ok(Arc::unwrap_or_clone(cached)),
@@ -496,44 +591,77 @@ impl ProfileDb {
             Err(DbError::NotFound { .. }) => entry.clone(),
             Err(e) => return Err(e),
         };
-        st.wal
-            .append(&WalRecord::entry(req_id, &merged.to_text()))?;
+        let text = merged.to_text();
+        st.wal.append(&match &delta {
+            Some(d) => WalRecord::delta(d, &text),
+            None => WalRecord::entry(req_id, &text),
+        })?;
         st.wal.sync()?;
-        write_entry_file(&self.root, &merged)?;
         st.remember(req_id);
-        // Segment policy, applied inside the same critical section so
-        // the live-segment bound holds between any two merges: roll the
-        // active log once it outgrows its cap, and compact the chain
-        // once the roll would leave too many live segments.
+        if let Some(d) = delta {
+            st.hold(d);
+        }
+        write_back(&self.root, &key.0, key.1, &text)?;
+        let merged = Arc::new(merged);
+        st.entries.insert(key.clone(), Arc::clone(&merged));
+        st.dirty.insert(key);
+        self.apply_segment_policy(st)?;
+        Ok(merged)
+    }
+
+    /// Segment policy, applied inside the merge's critical section so
+    /// the live-segment bound holds between any two merges: roll the
+    /// active log once it outgrows its cap, and compact the chain once
+    /// the roll would leave too many live segments.
+    fn apply_segment_policy(&self, st: &mut DbState) -> Result<(), DbError> {
         if st.wal.len() > self.segments.seal_bytes {
             st.wal.seal()?;
         }
         if st.wal.live_segments() > self.segments.max_live_segments {
-            let ids: Vec<u64> = st.applied_order.iter().copied().collect();
-            st.wal.checkpoint(&ids)?;
+            self.checkpoint_locked(st)?;
         }
-        Ok((merged, false))
+        Ok(())
     }
 
-    /// Folds the whole WAL chain away (compaction): all redo state is
-    /// already applied, so the active log is atomically replaced by a
-    /// fresh one carrying only the idempotency-id set and a clean
-    /// footer, and sealed segments are deleted. Called on graceful
-    /// daemon shutdown and automatically when the chain outgrows
+    /// Folds the whole WAL chain away (compaction): the entry files the
+    /// log was redoing are flushed first (file and directory fsync), then
+    /// the active log is atomically replaced by a fresh one carrying only
+    /// the idempotency-id set, the causal context, the deltas repair may
+    /// still need, and a clean footer, and sealed segments are deleted.
+    /// Called on graceful daemon shutdown, by [`ProfileDb::gc`], and
+    /// automatically when the chain outgrows
     /// [`SegmentConfig::max_live_segments`].
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Io`] on filesystem trouble (the old log stays).
     pub fn checkpoint(&self) -> Result<(), DbError> {
-        let mut st = self.lock();
-        let ids: Vec<u64> = st.applied_order.iter().copied().collect();
-        st.wal.checkpoint(&ids)?;
-        // The retention window rides the checkpoint: everything before
-        // it is assumed replicated (graceful shutdown), so anti-entropy
-        // only ever needs the deltas applied since.
-        st.retained.clear();
-        st.retain_wal.checkpoint(&[])
+        self.checkpoint_locked(&mut self.lock())
+    }
+
+    fn checkpoint_locked(&self, st: &mut DbState) -> Result<(), DbError> {
+        self.flush_dirty(st)?;
+        let carry = st.carry();
+        st.wal.checkpoint(&carry)
+    }
+
+    /// Fsyncs every entry file rewritten since the last flush, then the
+    /// root directory, so the log records that could redo them may go.
+    fn flush_dirty(&self, st: &mut DbState) -> Result<(), DbError> {
+        if st.dirty.is_empty() {
+            return Ok(());
+        }
+        for (workload, module_hash) in &st.dirty {
+            let path = self.path_for(workload, *module_hash);
+            match fs::File::open(&path) {
+                Ok(file) => fsync(&file, &mut st.fsyncs).map_err(|e| io_err(&path, e))?,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(io_err(&path, e)),
+            }
+        }
+        sync_dir(&self.root, &mut st.fsyncs);
+        st.dirty.clear();
+        Ok(())
     }
 
     /// Lists all keys, sorted by `(workload, module_hash)`.
@@ -582,103 +710,38 @@ impl ProfileDb {
         Ok((out, bad))
     }
 
-    /// Durably appends one pre-merge replication delta to the retention
-    /// window (append + fsync, torn tails cut at reopen). Called by
-    /// [`ProfileDb::apply_deltas`] after a non-duplicate apply so
-    /// anti-entropy can re-send the exact delta later.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] on disk trouble; the merge itself is
-    /// already durable, so the caller may treat this as best-effort.
-    pub(crate) fn retain_delta(&self, req_id: u64, entry_text: &str) -> Result<(), DbError> {
-        let mut st = self.lock();
-        st.retain_wal
-            .append(&WalRecord::entry(req_id, entry_text))?;
-        st.retain_wal.sync()?;
-        st.retained.push(DeltaRecord {
-            req_id,
-            entry_text: entry_text.to_string(),
-        });
-        if st.retain_wal.len() > self.segments.seal_bytes {
-            st.retain_wal.seal()?;
-        }
-        Ok(())
+    /// The dots this store holds (anti-entropy compares these across a
+    /// shard's replicas).
+    pub fn causal_context(&self) -> CausalContext {
+        self.lock().context.clone()
     }
 
-    /// Snapshot of the retained pre-merge delta window, in apply order —
-    /// what anti-entropy re-sends to a diverged sibling. Empty after a
-    /// checkpoint (the documented repair-window bound).
-    pub fn retained_deltas(&self) -> Vec<DeltaRecord> {
-        self.lock().retained.clone()
-    }
-
-    /// Per-key digest table: the fnv1a64 of every entry file's bytes,
-    /// sorted by `(workload, module_hash)`. Cheap to diff across the
-    /// replicas of a shard — any differing or missing line localizes
-    /// divergence to one key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] on directory or file read trouble.
-    pub fn digest_table(&self) -> Result<Vec<DigestEntry>, DbError> {
-        let mut out = Vec::new();
-        let dir = fs::read_dir(&self.root).map_err(|e| io_err(&self.root, e))?;
-        for item in dir {
-            let item = item.map_err(|e| io_err(&self.root, e))?;
-            let name = item.file_name();
-            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(SUFFIX)) else {
+    /// The retained deltas whose dots `held` lacks, in dot order, up to
+    /// about `max_bytes` of entry text (at least one delta when any is
+    /// missing) — what anti-entropy ships to a sibling with context
+    /// `held`.
+    pub fn deltas_missing_from(&self, held: &CausalContext, max_bytes: usize) -> Vec<DeltaRecord> {
+        let st = self.lock();
+        let mut out: Vec<DeltaRecord> = Vec::new();
+        let mut bytes = 0usize;
+        for (dot, delta) in &st.retained {
+            if held.contains(*dot) {
                 continue;
-            };
-            let Some((workload, hash_s)) = stem.rsplit_once('@') else {
-                continue;
-            };
-            let Ok(module_hash) = u64::from_str_radix(hash_s, 16) else {
-                continue;
-            };
-            let path = item.path();
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            out.push(DigestEntry {
-                workload: workload.to_string(),
-                module_hash,
-                digest: fnv1a64(&bytes),
-            });
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Order-independent fingerprint of the store's *profile content*:
-    /// fnv1a64 over every entry file's name and bytes in sorted name
-    /// order. WAL/quarantine state is deliberately excluded — two
-    /// replicas that applied the same set of merge deltas must compare
-    /// equal even when their logs sealed and compacted differently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] on directory or file read trouble.
-    pub fn content_digest(&self) -> Result<u64, DbError> {
-        let mut names: Vec<String> = Vec::new();
-        let dir = fs::read_dir(&self.root).map_err(|e| io_err(&self.root, e))?;
-        for item in dir {
-            let item = item.map_err(|e| io_err(&self.root, e))?;
-            if let Some(name) = item.file_name().to_str() {
-                if name.ends_with(SUFFIX) {
-                    names.push(name.to_string());
-                }
             }
+            if !out.is_empty() && bytes + delta.entry_text.len() > max_bytes {
+                break;
+            }
+            bytes += delta.entry_text.len();
+            out.push(delta.clone());
         }
-        names.sort();
-        let mut buf = Vec::new();
-        for name in &names {
-            buf.extend_from_slice(name.as_bytes());
-            buf.push(0);
-            let path = self.root.join(name);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            buf.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
-            buf.extend_from_slice(&bytes);
-        }
-        Ok(fnv1a64(&buf))
+        out
+    }
+
+    /// Adopts a shard-wide floor — dots every replica of the shard holds
+    /// — by dropping those deltas from the repair set; the next
+    /// compaction drops them from the log.
+    pub fn adopt_floor(&self, floor: &CausalContext) {
+        self.lock().retained.retain(|dot, _| !floor.contains(*dot));
     }
 
     /// Deletes the entry under a key (no-op when absent).
@@ -689,6 +752,7 @@ impl ProfileDb {
     pub fn remove(&self, workload: &str, module_hash: u64) -> Result<(), DbError> {
         let mut st = self.lock();
         st.forget(workload, module_hash);
+        st.dirty.remove(&(workload.to_string(), module_hash));
         let path = self.path_for(workload, module_hash);
         match fs::remove_file(&path) {
             Ok(()) => Ok(()),
@@ -958,6 +1022,97 @@ mod tests {
         let e = db.load("mcf", 3).unwrap();
         assert_eq!(e.runs, 2);
         assert_eq!(e.edge_tables[0][0], 15);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn delta(id: u64, dot: Option<Dot>, e: &ProfileEntry) -> DeltaRecord {
+        DeltaRecord {
+            req_id: id,
+            dot,
+            entry_text: e.to_text(),
+        }
+    }
+
+    #[test]
+    fn one_fsync_per_merge_and_none_per_duplicate() {
+        let db = ProfileDb::open(tmpdir("fsyncs")).unwrap();
+        let e = entry("mcf", 3, 10);
+        let dot = |n| Some(Dot { origin: 1, n });
+        let mut last = db.fsyncs();
+        let mut grew = || {
+            let now = db.fsyncs();
+            now - std::mem::replace(&mut last, now)
+        };
+        db.merge_store_logged(&e, 0x10).unwrap();
+        assert_eq!(grew(), 1, "direct merge");
+        db.merge_store_logged(&e, 0x10).unwrap();
+        assert_eq!(grew(), 0, "direct duplicate");
+        let report = db.apply_deltas(&[delta(0x11, dot(1), &e)]).unwrap();
+        assert_eq!((report.applied, grew()), (1, 1), "dotted delta");
+        let report = db.apply_deltas(&[delta(0x12, None, &e)]).unwrap();
+        assert_eq!((report.applied, grew()), (1, 1), "dot-less delta");
+        let report = db
+            .apply_deltas(&[delta(0x13, dot(1), &e), delta(0x11, dot(2), &e)])
+            .unwrap();
+        assert_eq!(
+            (report.deduped, grew()),
+            (2, 0),
+            "held dot, then a known id under a fresh dot"
+        );
+        assert!(db.causal_context().contains(Dot { origin: 1, n: 2 }));
+        assert_eq!(db.load("mcf", 3).unwrap().runs, 3);
+        let _ = fs::remove_dir_all(db.root());
+    }
+
+    #[test]
+    fn checkpoint_flushes_every_dirty_entry_before_truncating() {
+        let db = ProfileDb::open(tmpdir("flush")).unwrap();
+        for (i, key) in [1u64, 2, 1, 3].iter().enumerate() {
+            db.merge_store_logged(&entry("gap", *key, 5), i as u64 + 1)
+                .unwrap();
+        }
+        assert_eq!(db.lock().dirty.len(), 3);
+        let before = db.fsyncs();
+        db.checkpoint().unwrap();
+        // Three entry files and the directory, then the fresh log's temp
+        // file, the rename's directory sync and the segment sweep's.
+        assert_eq!(db.fsyncs() - before, 3 + 1 + 2 + 1);
+        assert!(db.lock().dirty.is_empty());
+        assert!(!db.wal_pending());
+        let before = db.fsyncs();
+        db.checkpoint().unwrap();
+        assert_eq!(db.fsyncs() - before, 2 + 1, "nothing dirty");
+        let _ = fs::remove_dir_all(db.root());
+    }
+
+    #[test]
+    fn gc_on_an_unrecovered_handle_keeps_the_context_and_repair_set() {
+        let root = tmpdir("gc-context");
+        let e = entry("mcf", 3, 10);
+        let held = |db: &ProfileDb| {
+            let all = db.deltas_missing_from(&CausalContext::default(), usize::MAX);
+            (db.causal_context(), all)
+        };
+        let before = {
+            let db = ProfileDb::open(&root).unwrap();
+            let deltas: Vec<DeltaRecord> = (1..=3)
+                .map(|n| delta(0x20 + n, Some(Dot { origin: 1, n }), &e))
+                .collect();
+            db.apply_deltas(&deltas).unwrap();
+            // A pruned dot: held in the context, gone from the repair set.
+            let mut floor = CausalContext::default();
+            floor.insert(Dot { origin: 1, n: 1 });
+            db.adopt_floor(&floor);
+            db.checkpoint().unwrap();
+            held(&db)
+        };
+        assert_eq!(before.1.len(), 2);
+        let db = ProfileDb::open_unrecovered(&root).unwrap();
+        db.gc(|_, _| true).unwrap();
+        assert_eq!(held(&db), before, "unrecovered handle");
+        drop(db);
+        let db = ProfileDb::open(&root).unwrap();
+        assert_eq!(held(&db), before, "after reopen");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -37,22 +37,35 @@
 //!   replay idempotent: applying a record twice (or applying one whose
 //!   merge already reached the entry file before the crash) rewrites the
 //!   same bytes. `req_id` is the client's idempotency key (0 = none).
+//!   A direct merge logs one of these.
+//! * `D` — replicated delta: `origin(u64 BE) | n(u64 BE) |
+//!   delta_len(u32 BE) | delta text | post-merge entry text`. The dot
+//!   `(origin, n)` names the delta for exact anti-entropy repair, the
+//!   delta text is what repair re-sends, and the post-merge text (empty
+//!   when the delta changed nothing here) is redone exactly like an `E`
+//!   payload. Origin 0 means "no dot" (a hint spooled before the router
+//!   stamped dots).
 //! * `I` — idempotency-id carryover: the payload is a concatenation of
 //!   big-endian `u64` request ids. Written at checkpoint so the dedup
 //!   set survives WAL truncation.
+//! * `K` — causal-context carryover: the store's context text, written
+//!   at checkpoint so the held dots survive WAL truncation.
 //! * `C` — footer: the payload is the `fnv1a64` of the whole file up to
 //!   the record's first byte. A valid footer as the last record marks a
 //!   cleanly checkpointed log; recovery then knows there is no torn
 //!   tail to hunt for.
 //!
 //! The commit protocol for a merge is **append → fsync → apply**: the
-//! caller acknowledges only after the fsync, and the entry file rewrite
-//! can be redone from the log at startup if the process dies in between.
-//! Checkpoints (truncations) go through a temp file + atomic rename, the
-//! same discipline entry files use.
+//! caller acknowledges only after the fsync, and the entry file is a
+//! write-back cache of the log — rewritten without fsync, redone from
+//! the log at startup if it is missing, torn or stale, and flushed
+//! before a checkpoint drops the records that could redo it.
+//! Checkpoints (truncations) go through a temp file + atomic rename.
 
+use crate::context::{CausalContext, Dot};
 use crate::entry::DbError;
 use crate::hash::fnv1a64;
+use crate::repl::DeltaRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -122,6 +135,10 @@ impl Default for SegmentConfig {
 /// allocated (a torn length field must not ask for gigabytes).
 pub const MAX_WAL_RECORD: usize = 64 << 20;
 
+/// Fixed bytes of a `D` payload before the delta text: origin, n, and
+/// the delta text's length.
+const DELTA_HEADER: usize = 8 + 8 + 4;
+
 /// Fixed bytes per record around the payload: tag + len + req_id.
 pub(crate) const RECORD_HEADER: usize = 1 + 4 + 8;
 /// Trailing checksum bytes.
@@ -132,8 +149,12 @@ pub(crate) const RECORD_TRAILER: usize = 8;
 pub enum RecordKind {
     /// Post-merge entry redo state.
     Entry,
+    /// Replicated delta: dot, delta text and post-merge redo state.
+    Delta,
     /// Idempotency-id carryover (checkpoint).
     Ids,
+    /// Causal-context carryover (checkpoint).
+    Context,
     /// Clean-checkpoint footer.
     Footer,
 }
@@ -142,7 +163,9 @@ impl RecordKind {
     fn tag(self) -> u8 {
         match self {
             RecordKind::Entry => b'E',
+            RecordKind::Delta => b'D',
             RecordKind::Ids => b'I',
+            RecordKind::Context => b'K',
             RecordKind::Footer => b'C',
         }
     }
@@ -150,7 +173,9 @@ impl RecordKind {
     fn from_tag(tag: u8) -> Option<RecordKind> {
         match tag {
             b'E' => Some(RecordKind::Entry),
+            b'D' => Some(RecordKind::Delta),
             b'I' => Some(RecordKind::Ids),
+            b'K' => Some(RecordKind::Context),
             b'C' => Some(RecordKind::Footer),
             _ => None,
         }
@@ -164,8 +189,7 @@ pub struct WalRecord {
     pub kind: RecordKind,
     /// Idempotency key (0 when the request carried none).
     pub req_id: u64,
-    /// Record body (entry text for `E`, packed ids for `I`, file
-    /// checksum for `C`).
+    /// Record body (see the module docs per tag).
     pub payload: Vec<u8>,
 }
 
@@ -179,6 +203,68 @@ impl WalRecord {
         }
     }
 
+    /// Builds a replicated-delta record: `delta` (its dot, id and text)
+    /// plus the post-merge entry text it produced (empty for none).
+    pub fn delta(delta: &DeltaRecord, post_text: &str) -> WalRecord {
+        let dot = delta.dot.unwrap_or(Dot { origin: 0, n: 0 });
+        let text = delta.entry_text.as_bytes();
+        let mut payload = Vec::with_capacity(DELTA_HEADER + text.len() + post_text.len());
+        payload.extend_from_slice(&dot.origin.to_be_bytes());
+        payload.extend_from_slice(&dot.n.to_be_bytes());
+        payload.extend_from_slice(&(text.len() as u32).to_be_bytes());
+        payload.extend_from_slice(text);
+        payload.extend_from_slice(post_text.as_bytes());
+        WalRecord {
+            kind: RecordKind::Delta,
+            req_id: delta.req_id,
+            payload,
+        }
+    }
+
+    /// Splits a `D` payload into its dot, delta text and post-merge
+    /// text (`None` for another kind or a payload whose lengths do not
+    /// add up).
+    fn split_delta(&self) -> Option<(Option<Dot>, &str, &[u8])> {
+        if self.kind != RecordKind::Delta {
+            return None;
+        }
+        let word = |at: usize| -> Option<u64> {
+            Some(u64::from_be_bytes(
+                self.payload.get(at..at + 8)?.try_into().ok()?,
+            ))
+        };
+        let (origin, n) = (word(0)?, word(8)?);
+        let len = u32::from_be_bytes(self.payload.get(16..DELTA_HEADER)?.try_into().ok()?);
+        let end = DELTA_HEADER.checked_add(len as usize)?;
+        let text = std::str::from_utf8(self.payload.get(DELTA_HEADER..end)?).ok()?;
+        let dot = (origin != 0).then_some(Dot { origin, n });
+        Some((dot, text, &self.payload[end..]))
+    }
+
+    /// The delta a `D` record carries (`None` for another kind or a
+    /// malformed payload).
+    pub fn unpack_delta(&self) -> Option<DeltaRecord> {
+        let (dot, text, _) = self.split_delta()?;
+        Some(DeltaRecord {
+            req_id: self.req_id,
+            dot,
+            entry_text: text.to_string(),
+        })
+    }
+
+    /// The post-merge entry state this record asks recovery to redo:
+    /// an `E` payload, or a `D` record's non-empty post-merge text.
+    pub fn redo_payload(&self) -> Option<&[u8]> {
+        match self.kind {
+            RecordKind::Entry => Some(&self.payload),
+            RecordKind::Delta => self
+                .split_delta()
+                .map(|(_, _, post)| post)
+                .filter(|post| !post.is_empty()),
+            _ => None,
+        }
+    }
+
     /// Builds an id-carryover record.
     pub fn ids(ids: &[u64]) -> WalRecord {
         let mut payload = Vec::with_capacity(ids.len() * 8);
@@ -189,6 +275,15 @@ impl WalRecord {
             kind: RecordKind::Ids,
             req_id: 0,
             payload,
+        }
+    }
+
+    /// Builds a causal-context carryover record.
+    pub fn context(ctx: &CausalContext) -> WalRecord {
+        WalRecord {
+            kind: RecordKind::Context,
+            req_id: 0,
+            payload: ctx.to_text().into_bytes(),
         }
     }
 
@@ -277,28 +372,26 @@ pub struct WalScan {
 }
 
 impl WalScan {
-    /// Entry-redo records in order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, &WalRecord)> {
-        self.items.iter().filter_map(|i| match i {
-            ScanItem::Record { offset, record } if record.kind == RecordKind::Entry => {
-                Some((*offset, record))
-            }
-            _ => None,
-        })
-    }
-
-    /// Count of entry-redo records (the "pending tail" gc refuses on).
+    /// Count of records with redo state (the "pending tail" gc refuses
+    /// on).
     pub fn pending_entries(&self) -> usize {
-        self.entries().count()
+        self.items
+            .iter()
+            .filter(
+                |i| matches!(i, ScanItem::Record { record, .. } if record.redo_payload().is_some()),
+            )
+            .count()
     }
 
-    /// All idempotency ids carried by `E` and `I` records.
+    /// All idempotency ids carried by `E`, `D` and `I` records.
     pub fn known_ids(&self) -> Vec<u64> {
         let mut ids = Vec::new();
         for item in &self.items {
             if let ScanItem::Record { record, .. } = item {
                 match record.kind {
-                    RecordKind::Entry if record.req_id != 0 => ids.push(record.req_id),
+                    RecordKind::Entry | RecordKind::Delta if record.req_id != 0 => {
+                        ids.push(record.req_id)
+                    }
                     RecordKind::Ids => ids.extend(record.unpack_ids()),
                     _ => {}
                 }
@@ -479,25 +572,33 @@ fn scan_file(path: &Path, faults: &DiskFaults) -> Result<WalScan, DbError> {
     ))
 }
 
+/// Fsyncs `file`, counting the call in `fsyncs` — the one place the
+/// store issues an fsync, so the count is of system calls, not of call
+/// sites someone remembered to tally.
+pub(crate) fn fsync(file: &File, fsyncs: &mut u64) -> std::io::Result<()> {
+    *fsyncs += 1;
+    file.sync_all()
+}
+
 /// Best-effort directory fsync so a rename survives power loss; ignored
 /// on filesystems that refuse to sync directories.
-pub(crate) fn sync_dir(dir: &Path) {
+pub(crate) fn sync_dir(dir: &Path, fsyncs: &mut u64) {
     if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+        let _ = fsync(&d, fsyncs);
     }
 }
 
 /// Atomic file replace with durability: write temp, fsync, rename,
-/// fsync the directory.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DbError> {
+/// fsync the directory. The fsyncs are counted in `fsyncs`.
+pub fn write_atomic(path: &Path, bytes: &[u8], fsyncs: &mut u64) -> Result<(), DbError> {
     let tmp = path.with_extension("tmp");
     let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
     f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-    f.sync_all().map_err(|e| io_err(&tmp, e))?;
+    fsync(&f, fsyncs).map_err(|e| io_err(&tmp, e))?;
     drop(f);
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
     if let Some(dir) = path.parent() {
-        sync_dir(dir);
+        sync_dir(dir, fsyncs);
     }
     Ok(())
 }
@@ -509,6 +610,9 @@ pub struct WalStats {
     pub appends: u64,
     /// Fsyncs attempted.
     pub syncs: u64,
+    /// Fsync system calls issued on the log and its directory: record
+    /// syncs, seals, checkpoints and log creation.
+    pub fsyncs: u64,
     /// Checkpoints taken (log folded away).
     pub checkpoints: u64,
     /// Active-log seals (segment rolls).
@@ -530,6 +634,7 @@ pub struct Wal {
     entries_since_checkpoint: u64,
     appends: u64,
     syncs: u64,
+    fsyncs: u64,
     checkpoints: u64,
     seals: u64,
     segments_compacted: u64,
@@ -551,8 +656,9 @@ impl Wal {
         faults: DiskFaults,
     ) -> Result<Wal, DbError> {
         let path = root.join(WAL_FILE);
+        let mut fsyncs = 0;
         if !path.exists() {
-            write_atomic(&path, WAL_MAGIC)?;
+            write_atomic(&path, WAL_MAGIC, &mut fsyncs)?;
         }
         let file = OpenOptions::new()
             .append(true)
@@ -569,6 +675,7 @@ impl Wal {
             entries_since_checkpoint: pending_entries,
             appends: 0,
             syncs: 0,
+            fsyncs,
             checkpoints: 0,
             seals: 0,
             segments_compacted: 0,
@@ -586,7 +693,7 @@ impl Wal {
         self.len <= WAL_MAGIC.len() as u64
     }
 
-    /// `E` records written (or found at open) since the last checkpoint.
+    /// Redo records written (or found at open) since the last checkpoint.
     pub fn has_pending(&self) -> bool {
         self.entries_since_checkpoint > 0
     }
@@ -609,7 +716,7 @@ impl Wal {
         if let Some(k) = self.faults.torn_write.take() {
             let cut = (k as usize).min(bytes.len());
             let wrote = self.file.write_all(&bytes[..cut]);
-            let _ = self.file.sync_all();
+            let _ = fsync(&self.file, &mut self.fsyncs);
             self.len += cut as u64;
             wrote.map_err(|e| io_err(&self.path, e))?;
             return Err(DbError::Io(format!(
@@ -622,7 +729,7 @@ impl Wal {
             .write_all(&bytes)
             .map_err(|e| io_err(&self.path, e))?;
         self.len += bytes.len() as u64;
-        if rec.kind == RecordKind::Entry {
+        if rec.redo_payload().is_some() {
             self.entries_since_checkpoint += 1;
         }
         Ok(())
@@ -646,7 +753,7 @@ impl Wal {
                 )));
             }
         }
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))
+        fsync(&self.file, &mut self.fsyncs).map_err(|e| io_err(&self.path, e))
     }
 
     /// Live segments in the chain: sealed ones plus the active log.
@@ -666,12 +773,12 @@ impl Wal {
     /// active log stays in place (a completed rename with a failed
     /// fresh-log write is repaired at reopen, which recreates `wal.log`).
     pub fn seal(&mut self) -> Result<u64, DbError> {
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))?;
+        fsync(&self.file, &mut self.fsyncs).map_err(|e| io_err(&self.path, e))?;
         let idx = self.sealed.last().map_or(0, |i| i + 1);
         let seg = self.root.join(segment_file_name(idx));
         std::fs::rename(&self.path, &seg).map_err(|e| io_err(&seg, e))?;
-        sync_dir(&self.root);
-        write_atomic(&self.path, WAL_MAGIC)?;
+        sync_dir(&self.root, &mut self.fsyncs);
+        write_atomic(&self.path, WAL_MAGIC, &mut self.fsyncs)?;
         self.file = OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -683,9 +790,11 @@ impl Wal {
     }
 
     /// Checkpoints: atomically replaces the active log with a fresh one
-    /// holding only the magic, an id-carryover record, and a clean
-    /// footer, then deletes the sealed segments (compaction). All entry
-    /// redo state must already be applied to entry files.
+    /// holding only the magic, the `carry` records (the store's id and
+    /// context carryover and the deltas repair may still need), and a
+    /// clean footer, then deletes the sealed segments (compaction). All
+    /// entry redo state must already be durable in entry files, and no
+    /// carried record may hold redo state.
     ///
     /// Segment deletion is best-effort and ordered *after* the fresh
     /// log is durable: a leftover sealed segment only causes idempotent
@@ -695,10 +804,10 @@ impl Wal {
     ///
     /// Returns [`DbError::Io`] on filesystem trouble; the old log stays
     /// in place on failure.
-    pub fn checkpoint(&mut self, carry_ids: &[u64]) -> Result<(), DbError> {
+    pub fn checkpoint(&mut self, carry: &[WalRecord]) -> Result<(), DbError> {
         let mut buf = WAL_MAGIC.to_vec();
-        if !carry_ids.is_empty() {
-            buf.extend_from_slice(&encode_record(&WalRecord::ids(carry_ids)));
+        for rec in carry {
+            buf.extend_from_slice(&encode_record(rec));
         }
         let footer = WalRecord {
             kind: RecordKind::Footer,
@@ -706,7 +815,7 @@ impl Wal {
             payload: fnv1a64(&buf).to_be_bytes().to_vec(),
         };
         buf.extend_from_slice(&encode_record(&footer));
-        write_atomic(&self.path, &buf)?;
+        write_atomic(&self.path, &buf, &mut self.fsyncs)?;
         self.file = OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -718,7 +827,7 @@ impl Wal {
         for idx in std::mem::take(&mut self.sealed) {
             let _ = std::fs::remove_file(self.root.join(segment_file_name(idx)));
         }
-        sync_dir(&self.root);
+        sync_dir(&self.root, &mut self.fsyncs);
         Ok(())
     }
 
@@ -727,6 +836,7 @@ impl Wal {
         WalStats {
             appends: self.appends,
             syncs: self.syncs,
+            fsyncs: self.fsyncs,
             checkpoints: self.checkpoints,
             seals: self.seals,
             segments_compacted: self.segments_compacted,
@@ -734,18 +844,19 @@ impl Wal {
         }
     }
 
-    /// Truncates the file to `len` bytes (recovery's torn-tail cut).
+    /// Truncates the file to `len` bytes (recovery's torn-tail cut),
+    /// counting its fsync in `fsyncs`.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Io`] on filesystem trouble.
-    pub fn truncate_to(path: &Path, len: u64) -> Result<(), DbError> {
+    pub fn truncate_to(path: &Path, len: u64, fsyncs: &mut u64) -> Result<(), DbError> {
         let f = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err(path, e))?;
         f.set_len(len).map_err(|e| io_err(path, e))?;
-        f.sync_all().map_err(|e| io_err(path, e))?;
+        fsync(&f, fsyncs).map_err(|e| io_err(path, e))?;
         Ok(())
     }
 }
@@ -777,13 +888,41 @@ mod tests {
     }
 
     #[test]
+    fn delta_records_carry_dot_delta_and_redo_state() {
+        let delta = DeltaRecord {
+            req_id: 7,
+            dot: Some(Dot { origin: 2, n: 9 }),
+            entry_text: "delta text".into(),
+        };
+        let redo = WalRecord::delta(&delta, "post text");
+        assert_eq!(redo.unpack_delta(), Some(delta.clone()));
+        assert_eq!(redo.redo_payload(), Some(&b"post text"[..]));
+        let note = WalRecord::delta(&delta, "");
+        assert_eq!(note.unpack_delta(), Some(delta));
+        assert_eq!(note.redo_payload(), None, "no post-merge state, no redo");
+        let mut torn = note.clone();
+        torn.payload.truncate(25);
+        assert_eq!(torn.unpack_delta(), None);
+
+        let root = tmpdir("delta");
+        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        wal.append(&redo).unwrap();
+        wal.append(&note).unwrap();
+        assert!(wal.has_pending());
+        let scan = scan_wal(&root, &DiskFaults::default()).unwrap();
+        assert_eq!(scan.pending_entries(), 1);
+        assert_eq!(scan.known_ids(), vec![7, 7]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn checkpoint_leaves_a_clean_footer() {
         let root = tmpdir("footer");
         let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
         wal.append(&WalRecord::entry(9, "x")).unwrap();
         wal.sync().unwrap();
         assert!(wal.has_pending());
-        wal.checkpoint(&[9]).unwrap();
+        wal.checkpoint(&[WalRecord::ids(&[9])]).unwrap();
         assert!(!wal.has_pending());
         let scan = scan_wal(&root, &DiskFaults::default()).unwrap();
         assert!(scan.clean_footer, "{scan:?}");
@@ -900,7 +1039,7 @@ mod tests {
             wal.seal().unwrap();
         }
         assert_eq!(wal.live_segments(), 4);
-        wal.checkpoint(&[1, 2, 3]).unwrap();
+        wal.checkpoint(&[WalRecord::ids(&[1, 2, 3])]).unwrap();
         assert_eq!(wal.live_segments(), 1);
         let stats = wal.stats();
         assert_eq!(stats.seals, 3);

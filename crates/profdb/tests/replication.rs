@@ -105,13 +105,13 @@ fn replicas_converge_byte_identically_under_permutation_and_duplication() {
             let count = 1 + rng.next() % 50;
             batch.push(DeltaRecord {
                 req_id,
+                dot: None,
                 entry_text: entry(w, h, stride, count).to_text(),
             });
         }
         batches.push(batch);
     }
 
-    let mut digests = Vec::new();
     let mut contents = Vec::new();
     for replica in 0..3 {
         let root = tmpdir(&format!("conv-{replica}"));
@@ -126,13 +126,10 @@ fn replicas_converge_byte_identically_under_permutation_and_duplication() {
         for idx in order {
             db.apply_deltas(&batches[idx]).expect("apply batch");
         }
-        digests.push(db.content_digest().expect("digest"));
         contents.push(entry_files(&root));
         drop(db);
         let _ = fs::remove_dir_all(&root);
     }
-    assert_eq!(digests[0], digests[1], "replica 0 vs 1 digest diverged");
-    assert_eq!(digests[1], digests[2], "replica 1 vs 2 digest diverged");
     assert_eq!(contents[0], contents[1], "replica 0 vs 1 bytes diverged");
     assert_eq!(contents[1], contents[2], "replica 1 vs 2 bytes diverged");
 }
@@ -175,12 +172,10 @@ fn sustained_merge_traffic_keeps_live_segments_bounded() {
         config.max_live_segments
     );
 
-    let digest = db.content_digest().expect("digest");
     drop(db);
     // Recovery of the segmented store must reproduce the exact bytes.
     let before = entry_files(&root);
     let db2 = ProfileDb::open(&root).expect("reopen");
-    assert_eq!(db2.content_digest().expect("digest"), digest);
     assert_eq!(entry_files(&root), before, "recovery changed entry bytes");
     let (summary, healthy) = check(&root);
     assert!(healthy, "segmented store unhealthy after soak:\n{summary}");
@@ -270,6 +265,7 @@ fn cached_loads_match_a_fresh_handle_after_every_write() {
                 1 => drop(db.merge_store_logged(&e, id)),
                 2 => drop(db.apply_deltas(&[DeltaRecord {
                     req_id: id,
+                    dot: None,
                     entry_text: e.to_text(),
                 }])),
                 3 => db.remove(w, h).expect("remove"),

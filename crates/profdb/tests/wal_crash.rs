@@ -8,12 +8,16 @@
 //! *post-record* state, never a mix. Both crash windows are simulated
 //! per offset: the crash before the entry file was rewritten (recovery
 //! must replay the record) and after (replay must be idempotent).
+//!
+//! Entry files are a write-back cache of the log, so the file itself can
+//! also be missing, empty, torn or stale after a crash; the last two
+//! tests cover that window and the checkpoint's flush-then-replace.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use stride_ir::{FuncId, InstrId};
 use stride_profdb::wal::WAL_FILE;
-use stride_profdb::{recover, DiskFaults, ProfileDb, ProfileEntry};
+use stride_profdb::{recover, DeltaRecord, DiskFaults, Dot, ProfileDb, ProfileEntry};
 use stride_profiling::{LoadStrideProfile, StrideProfile};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -136,4 +140,91 @@ fn crash_at_every_wal_offset_recovers_a_record_boundary_state() {
         }
     }
     let _ = fs::remove_dir_all(&scratch);
+}
+
+/// Golden run for the write-back window: three merges (direct, then a
+/// replicated delta, then direct), snapshotting the log and the entry
+/// file after each. Returns the store directory's log after each merge,
+/// the entry bytes after each, and the entry file's name.
+fn write_back_golden(dir: &Path) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, std::ffi::OsString) {
+    let db = ProfileDb::open(dir).expect("open golden");
+    let (mut logs, mut entries) = (Vec::new(), Vec::new());
+    for m in 0..3u64 {
+        if m == 1 {
+            db.apply_deltas(&[DeltaRecord {
+                req_id: m + 1,
+                dot: Some(Dot { origin: 1, n: 1 }),
+                entry_text: entry(10 + m).to_text(),
+            }])
+            .expect("golden delta");
+        } else {
+            db.merge_store_logged(&entry(10 + m), m + 1)
+                .expect("golden merge");
+        }
+        logs.push(fs::read(dir.join(WAL_FILE)).expect("wal snapshot"));
+        let path = entry_file(dir).expect("entry file exists");
+        entries.push(fs::read(path).expect("entry snapshot"));
+    }
+    let name = entry_file(dir)
+        .and_then(|p| p.file_name().map(|n| n.to_owned()))
+        .expect("entry file name");
+    (logs, entries, name)
+}
+
+/// Entry files are rewritten without fsync, so after a merge's log
+/// fsync a crash can leave the file missing, empty, torn at any byte,
+/// or one merge stale. Recovery must redo the post-record state from
+/// the log in every case.
+#[test]
+fn entry_file_damage_after_the_log_fsync_is_redone_from_the_log() {
+    let golden = tmpdir("writeback-golden");
+    let (logs, entries, name) = write_back_golden(&golden);
+    let _ = fs::remove_dir_all(&golden);
+
+    let scratch = tmpdir("writeback");
+    for m in 0..3 {
+        let post = &entries[m];
+        let mut states: Vec<Option<&[u8]>> = vec![None];
+        states.extend((0..post.len()).map(|cut| Some(&post[..cut])));
+        if m > 0 {
+            states.push(Some(&entries[m - 1]));
+        }
+        for (case, state) in states.into_iter().enumerate() {
+            let _ = fs::remove_dir_all(&scratch);
+            fs::create_dir_all(&scratch).expect("scratch dir");
+            fs::write(scratch.join(WAL_FILE), &logs[m]).expect("write log");
+            if let Some(bytes) = state {
+                fs::write(scratch.join(&name), bytes).expect("write entry state");
+            }
+            let db = ProfileDb::open(&scratch)
+                .unwrap_or_else(|e| panic!("merge {m} case {case}: open: {e}"));
+            let got = fs::read(scratch.join(&name)).expect("recovered entry");
+            assert!(&got == post, "merge {m} case {case}: entry not redone");
+            let stored = db.load("mcf", 0xabcd).expect("load recovered entry");
+            assert_eq!(stored.runs, m as u64 + 1, "merge {m} case {case}");
+        }
+    }
+    let _ = fs::remove_dir_all(&scratch);
+}
+
+/// A checkpoint flushes the entry files, then replaces the log through
+/// a temp file. A crash between the two leaves the flushed files, the
+/// old log and a partial temp log: recovery must keep the same bytes,
+/// and the next checkpoint must complete.
+#[test]
+fn crash_between_checkpoint_flush_and_log_replacement_keeps_the_bytes() {
+    let dir = tmpdir("ckpt-window");
+    let (_, entries, name) = write_back_golden(&dir);
+    let want = entries.last().expect("final entry").clone();
+    fs::write(dir.join("wal.tmp"), b"SPWALv1\nI\0\0").expect("partial temp log");
+
+    let db = ProfileDb::open(&dir).expect("reopen");
+    assert_eq!(fs::read(dir.join(&name)).expect("entry"), want);
+    db.checkpoint().expect("checkpoint after recovery");
+    drop(db);
+    let db = ProfileDb::open(&dir).expect("reopen after checkpoint");
+    assert!(db.recovery_report().expect("report").clean);
+    assert_eq!(fs::read(dir.join(&name)).expect("entry"), want);
+    assert_eq!(db.load("mcf", 0xabcd).expect("load").runs, 3);
+    let _ = fs::remove_dir_all(&dir);
 }

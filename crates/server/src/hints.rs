@@ -6,7 +6,7 @@
 //! WAL chain per replica (the exact record format `profdb` uses, so
 //! torn tails and bit flips are detected the same way). On revival the
 //! router drains the log *in append order* through the normal
-//! `sync-delta` path; the replica's WAL req-id dedup absorbs any
+//! `sync-delta` path; the replica's dot and req-id dedup absorbs any
 //! replays, so a router crash mid-drain merely re-sends a prefix.
 //!
 //! The spool replaces the old bounded in-memory lag queue, which
@@ -18,17 +18,10 @@
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use stride_profdb::{scan_chain, DbError, DiskFaults, ScanItem, SegmentConfig, Wal, WalRecord};
-
-/// One spooled delta: the idempotency id and pre-merge entry text the
-/// router would have forwarded.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Hint {
-    /// The delta's idempotency id (router-stamped, never 0).
-    pub req_id: u64,
-    /// The delta's serialized [`stride_profdb::ProfileEntry`].
-    pub entry_text: String,
-}
+use stride_profdb::{
+    scan_chain, DbError, DeltaRecord, DiskFaults, RecordKind, ScanItem, SegmentConfig, Wal,
+    WalRecord,
+};
 
 /// A durable hint spool for one replica.
 #[derive(Debug)]
@@ -36,19 +29,16 @@ pub struct HintLog {
     root: PathBuf,
     wal: Wal,
     /// In-memory mirror of the undrained suffix, in append order.
-    pending: VecDeque<Hint>,
+    pending: VecDeque<DeltaRecord>,
     cap: usize,
     seal_bytes: u64,
-    /// Checksum-corrupt records skipped at open (each is a delta the
-    /// drain cannot redeliver; anti-entropy repair re-converges it).
-    corrupt_dropped: u64,
 }
 
 impl HintLog {
     /// Opens (creating if needed) the hint log under `root`, replaying
     /// the chain to rebuild the pending queue. A torn active-log tail
     /// is truncated (a crash mid-spool was never acknowledged);
-    /// checksum-corrupt records are counted and skipped.
+    /// checksum-corrupt records are skipped.
     ///
     /// # Errors
     ///
@@ -58,22 +48,25 @@ impl HintLog {
             .map_err(|e| DbError::Io(format!("{}: {e}", root.display())))?;
         let chain = scan_chain(root, &DiskFaults::default())?;
         let mut pending = VecDeque::new();
-        let mut corrupt_dropped = 0u64;
         for seg in &chain {
             for item in &seg.scan.items {
                 match item {
-                    ScanItem::Record { record, .. } => {
-                        if record.kind == stride_profdb::RecordKind::Entry {
-                            pending.push_back(Hint {
-                                req_id: record.req_id,
-                                entry_text: String::from_utf8_lossy(&record.payload).into_owned(),
-                            });
-                        }
-                    }
-                    ScanItem::Corrupt { .. } => corrupt_dropped += 1,
+                    // `E` records are hints spooled before deltas had dots.
+                    ScanItem::Record { record, .. } => match record.kind {
+                        RecordKind::Entry => pending.push_back(DeltaRecord {
+                            req_id: record.req_id,
+                            dot: None,
+                            entry_text: String::from_utf8_lossy(&record.payload).into_owned(),
+                        }),
+                        RecordKind::Delta => pending.extend(record.unpack_delta()),
+                        _ => {}
+                    },
+                    // A delta the drain cannot redeliver; anti-entropy
+                    // repair re-converges it.
+                    ScanItem::Corrupt { .. } => {}
                     ScanItem::TornTail { offset } => {
                         if seg.is_active() {
-                            Wal::truncate_to(&root.join(&seg.name), *offset)?;
+                            Wal::truncate_to(&root.join(&seg.name), *offset, &mut 0)?;
                         }
                     }
                 }
@@ -86,7 +79,6 @@ impl HintLog {
             pending,
             cap,
             seal_bytes: SegmentConfig::default().seal_bytes,
-            corrupt_dropped,
         })
     }
 
@@ -105,16 +97,6 @@ impl HintLog {
         self.pending.len() >= self.cap
     }
 
-    /// Capacity in hints.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Corrupt records dropped at open.
-    pub fn corrupt_dropped(&self) -> u64 {
-        self.corrupt_dropped
-    }
-
     /// Durably spools one delta (append + fsync before returning), then
     /// seals the active segment if it outgrew the roll threshold.
     ///
@@ -122,7 +104,7 @@ impl HintLog {
     ///
     /// Returns [`DbError::Io`] when the log is at capacity (the caller
     /// must refuse the merge with `handoff-full`) or on disk trouble.
-    pub fn spool(&mut self, req_id: u64, entry_text: &str) -> Result<(), DbError> {
+    pub fn spool(&mut self, delta: &DeltaRecord) -> Result<(), DbError> {
         if self.is_full() {
             return Err(DbError::Io(format!(
                 "{}: hint log at capacity ({} hint(s))",
@@ -130,12 +112,9 @@ impl HintLog {
                 self.cap
             )));
         }
-        self.wal.append(&WalRecord::entry(req_id, entry_text))?;
+        self.wal.append(&WalRecord::delta(delta, ""))?;
         self.wal.sync()?;
-        self.pending.push_back(Hint {
-            req_id,
-            entry_text: entry_text.to_string(),
-        });
+        self.pending.push_back(delta.clone());
         if self.wal.len() > self.seal_bytes {
             self.wal.seal()?;
         }
@@ -143,7 +122,7 @@ impl HintLog {
     }
 
     /// The oldest undrained hint.
-    pub fn front(&self) -> Option<&Hint> {
+    pub fn front(&self) -> Option<&DeltaRecord> {
         self.pending.front()
     }
 
@@ -176,13 +155,24 @@ mod tests {
         d
     }
 
+    fn hint(req_id: u64, text: &str) -> DeltaRecord {
+        DeltaRecord {
+            req_id,
+            dot: Some(stride_profdb::Dot {
+                origin: 1,
+                n: req_id,
+            }),
+            entry_text: text.to_string(),
+        }
+    }
+
     #[test]
     fn spools_survive_reopen_in_order() {
         let root = tmpdir("reopen");
         {
             let mut log = HintLog::open(&root, 16).unwrap();
             for i in 1..=5u64 {
-                log.spool(i, &format!("entry {i}")).unwrap();
+                log.spool(&hint(i, &format!("entry {i}"))).unwrap();
             }
             assert_eq!(log.len(), 5);
         }
@@ -190,6 +180,7 @@ mod tests {
         assert_eq!(log.len(), 5);
         let ids: Vec<u64> = log.pending.iter().map(|h| h.req_id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        assert_eq!(log.front(), Some(&hint(1, "entry 1")), "dots survive");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -197,10 +188,10 @@ mod tests {
     fn capacity_refuses_instead_of_dropping() {
         let root = tmpdir("cap");
         let mut log = HintLog::open(&root, 2).unwrap();
-        log.spool(1, "a").unwrap();
-        log.spool(2, "b").unwrap();
+        log.spool(&hint(1, "a")).unwrap();
+        log.spool(&hint(2, "b")).unwrap();
         assert!(log.is_full());
-        assert!(log.spool(3, "c").is_err());
+        assert!(log.spool(&hint(3, "c")).is_err());
         // Nothing was dropped to make room: the original two remain.
         assert_eq!(log.len(), 2);
         assert_eq!(log.front().unwrap().req_id, 1);
@@ -212,7 +203,7 @@ mod tests {
         let root = tmpdir("drain");
         let mut log = HintLog::open(&root, 8).unwrap();
         for i in 1..=4u64 {
-            log.spool(i, "x").unwrap();
+            log.spool(&hint(i, "x")).unwrap();
         }
         // Partial drain: deliver two, then "crash" (drop the handle).
         log.pop_delivered().unwrap();
@@ -240,10 +231,10 @@ mod tests {
         let root = tmpdir("torn");
         {
             let mut log = HintLog::open(&root, 8).unwrap();
-            log.spool(1, "good").unwrap();
+            log.spool(&hint(1, "good")).unwrap();
         }
         // A crash mid-spool leaves half a record.
-        let rec = stride_profdb::encode_record(&WalRecord::entry(2, "half"));
+        let rec = stride_profdb::encode_record(&WalRecord::delta(&hint(2, "half"), ""));
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(root.join(stride_profdb::WAL_FILE))
@@ -253,7 +244,7 @@ mod tests {
         let mut log = HintLog::open(&root, 8).unwrap();
         assert_eq!(log.len(), 1, "torn record never acknowledged, so cut");
         // The log stays appendable after the cut.
-        log.spool(3, "after").unwrap();
+        log.spool(&hint(3, "after")).unwrap();
         drop(log);
         let log = HintLog::open(&root, 8).unwrap();
         let ids: Vec<u64> = log.pending.iter().map(|h| h.req_id).collect();

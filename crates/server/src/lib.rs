@@ -38,7 +38,7 @@ pub mod transport;
 
 pub use client::{backoff_schedule, backoff_schedule_for, Client, RetryPolicy};
 pub use detector::{FailureDetector, HealthState, ProbeOutcome};
-pub use hints::{Hint, HintLog};
+pub use hints::HintLog;
 pub use limiter::{cost_of, AimdLimiter, Completion};
 pub use proto::{
     decode_request, encode_frame, encode_request, read_frame, write_frame, ErrorKind, Request,

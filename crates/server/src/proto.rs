@@ -271,17 +271,19 @@ pub enum Request {
     /// The router's failure detector sends these on its logical-clock
     /// schedule; any daemon answers them.
     Ping,
-    /// Anti-entropy: report the store's per-`(workload, module-hash)`
-    /// content digest table (one sorted line per entry file), cheap to
-    /// diff across the replicas of a shard.
-    Digest,
-    /// Anti-entropy: export the store's retained *pre-merge* delta
-    /// window as a delta batch, so a diverged sibling can be re-sent
-    /// the exact deltas (WAL req-id dedup absorbs the duplicates). The
-    /// WAL proper holds post-merge redo states, which cannot be merged
-    /// into a sibling without double-counting — hence the separate
-    /// retention window.
-    PullDeltas,
+    /// Anti-entropy: adopt `floor` (a `# profdb context v1` text of the
+    /// dots every replica of the shard holds; empty for none), then
+    /// report the store's causal context — the dots it holds.
+    Context {
+        /// The shard-wide floor, or empty.
+        floor: String,
+    },
+    /// Anti-entropy: export the logged *pre-merge* deltas whose dots
+    /// `context` lacks, as a delta batch for the sibling that sent it.
+    PullDeltas {
+        /// The lacking sibling's causal context text.
+        context: String,
+    },
     /// Router-only: the failure detector's per-replica state table.
     /// A plain daemon rejects this verb.
     Health,
@@ -389,8 +391,8 @@ impl Request {
             Request::SyncDelta { batch_text } => format!("sync-delta\n{batch_text}"),
             Request::Gc => "gc".to_string(),
             Request::Ping => "ping".to_string(),
-            Request::Digest => "digest".to_string(),
-            Request::PullDeltas => "pull-deltas".to_string(),
+            Request::Context { floor } => format!("context\n{floor}"),
+            Request::PullDeltas { context } => format!("pull-deltas\n{context}"),
             Request::Health => "health".to_string(),
             Request::Repair => "repair".to_string(),
             Request::RouteUpdate {
@@ -452,8 +454,12 @@ impl Request {
             }),
             "gc" => Ok(Request::Gc),
             "ping" => Ok(Request::Ping),
-            "digest" => Ok(Request::Digest),
-            "pull-deltas" => Ok(Request::PullDeltas),
+            "context" => Ok(Request::Context {
+                floor: body.to_string(),
+            }),
+            "pull-deltas" => Ok(Request::PullDeltas {
+                context: body.to_string(),
+            }),
             "health" => Ok(Request::Health),
             "repair" => Ok(Request::Repair),
             "route-update" => Ok(Request::RouteUpdate {
@@ -769,8 +775,15 @@ mod tests {
             },
             Request::Gc,
             Request::Ping,
-            Request::Digest,
-            Request::PullDeltas,
+            Request::Context {
+                floor: String::new(),
+            },
+            Request::Context {
+                floor: "# profdb context v1\norigin 0000000000000001 hwm 4\n".into(),
+            },
+            Request::PullDeltas {
+                context: "# profdb context v1\n".into(),
+            },
             Request::Health,
             Request::Repair,
             Request::RouteUpdate {

@@ -8,11 +8,13 @@
 //! # Replication
 //!
 //! A `merge-profile` arriving at the router is converted into a
-//! [`stride_profdb::repl`] delta — the *pre-merge* entry plus its
-//! idempotency id — and sent as a `sync-delta` batch to **every**
-//! replica of the owning shard. (A `profile` is forwarded to one replica
-//! under a router-stamped id; the fresh-run entry it returns is then
-//! delivered to the other replicas the same way.) The merge is
+//! [`stride_profdb::repl`] delta — the *pre-merge* entry, its
+//! idempotency id, and a dot `(origin, n)` whose origin is random per
+//! router start — and sent as a `sync-delta` batch to **every** replica of
+//! the owning shard. (A `profile` is forwarded to one replica under a
+//! router-stamped id; the fresh-run entry it returns is then delivered
+//! to every replica as one dotted delta, which the replica that ran it
+//! skips by the id but records the dot of.) The merge is
 //! acknowledged once at least one replica applied it durably; replicas
 //! the delivery missed get the delta spooled to their durable hint log,
 //! drained in order before that replica's next delivery. Delivery is
@@ -38,11 +40,16 @@
 //!   refused *whole* with a typed `handoff-full` — before any replica
 //!   applies it — so an acknowledged merge can never lose a replica
 //!   silently (the old in-memory lag queue dropped its oldest entry).
-//! * **Anti-entropy repair**: replicas of a shard exchange per-key
-//!   digest tables; on divergence each live replica's retained
-//!   pre-merge delta window is cross-sent to its siblings (req-id
-//!   dedup absorbs the overlap). Runs periodically on the probe clock,
-//!   on every revival, and on the `repair` verb.
+//! * **Anti-entropy repair**: the replicas of a shard exchange causal
+//!   contexts (the dots each holds), and each replica is sent exactly
+//!   the deltas it lacks, pulled by dot from a sibling's log. Runs
+//!   periodically on the probe clock, on every revival, and on the
+//!   `repair` verb.
+//! * **Floor**: every context exchange — each repair round, and every
+//!   [`FLOOR_EVERY_DELIVERIES`]-th delivery to a shard, so it advances
+//!   with probing off too — hands each replica the shard-wide floor the
+//!   previous exchange computed (the dots every replica held), below
+//!   which compaction drops logged deltas.
 //! * **Revival**: when a dead replica answers a probe again (a crashed
 //!   daemon restarted on its old port), the router re-teaches it every
 //!   module it owns, drains its hint log, and runs a repair round —
@@ -60,7 +67,7 @@ use crate::hints::HintLog;
 use crate::proto::{ErrorKind, Request, RequestMeta, Response};
 use crate::transport::{Daemon, Handler, NetFaults, Transport};
 use crate::{detector::FailureDetector, detector::ProbeOutcome};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
 use std::net::TcpListener;
@@ -69,7 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use stride_core::{splitmix64_mix, Counter, Gauge, Registry, SPLITMIX64_GAMMA};
 use stride_profdb::{
-    decode_delta_batch, decode_digest_table, encode_delta_batch, write_atomic, DeltaRecord,
+    decode_delta_batch, encode_delta_batch, write_atomic, CausalContext, DeltaRecord, Dot,
     ProfileEntry, ShardMap, SHARD_MAP_VERSION,
 };
 
@@ -87,6 +94,11 @@ pub const PROBE_EVERY_DEFAULT: u64 = 8;
 
 /// Anti-entropy cadence: one repair round per this many probe passes.
 const REPAIR_EVERY_PASSES: u64 = 4;
+
+/// Floor cadence: one context exchange per this many deliveries to a
+/// shard, which bounds a replica's repair set near twice this many
+/// deltas while every replica of the shard answers.
+pub const FLOOR_EVERY_DELIVERIES: u64 = 64;
 
 /// Health-table snapshot file, beside the hint spool.
 const HEALTH_FILE: &str = "health.txt";
@@ -170,6 +182,16 @@ impl Replica {
     }
 }
 
+/// A shard's floor-exchange state.
+#[derive(Default)]
+struct Floor {
+    /// The shard-wide floor the last complete exchange computed, as
+    /// context text (empty for none); the next exchange hands it out.
+    text: String,
+    /// Deliveries to the shard since the last exchange.
+    deliveries: u64,
+}
+
 /// Router state shared by all worker threads.
 pub struct Router {
     map: ShardMap,
@@ -192,6 +214,12 @@ pub struct Router {
     policy: RetryPolicy,
     /// Router-generated idempotency ids for writes arriving without one.
     id_seq: AtomicU64,
+    /// The origin of this start's dots (see [`Dot::fresh_origin`]) and
+    /// the last `n` stamped.
+    origin: u64,
+    dot_seq: AtomicU64,
+    /// Per shard: the floor to hand out and the delivery count since.
+    floors: Vec<Mutex<Floor>>,
     /// Handled-request seqno: the logical clock probing runs on.
     req_seq: AtomicU64,
     /// Completed probe passes (the repair clock).
@@ -217,7 +245,7 @@ fn next_generation(hint_root: &std::path::Path) -> io::Result<u64> {
         Err(e) => return Err(fail(e.to_string())),
     };
     std::fs::create_dir_all(hint_root).map_err(|e| fail(e.to_string()))?;
-    write_atomic(&path, format!("{}\n", generation + 1).as_bytes())
+    write_atomic(&path, format!("{}\n", generation + 1).as_bytes(), &mut 0)
         .map_err(|e| fail(e.to_string()))?;
     Ok(generation)
 }
@@ -291,6 +319,9 @@ impl Router {
             id_seq: AtomicU64::new(
                 0x7007_c0de_u64.wrapping_add((generation << 40).wrapping_mul(SPLITMIX64_GAMMA)),
             ),
+            origin: Dot::fresh_origin(false),
+            dot_seq: AtomicU64::new(0),
+            floors: config.shards.iter().map(|_| Mutex::default()).collect(),
             req_seq: AtomicU64::new(0),
             probe_passes: AtomicU64::new(0),
             probing: AtomicBool::new(false),
@@ -302,6 +333,12 @@ impl Router {
 
     fn detector(&self) -> std::sync::MutexGuard<'_, FailureDetector> {
         self.detector.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn floor(&self, shard: usize) -> std::sync::MutexGuard<'_, Floor> {
+        self.floors[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn is_dead(&self, shard: usize, replica: usize) -> bool {
@@ -398,7 +435,7 @@ impl Router {
         }
         let pass = self.probe_passes.fetch_add(1, Ordering::Relaxed) + 1;
         if pass.is_multiple_of(REPAIR_EVERY_PASSES) {
-            self.repair_all();
+            self.repair_body();
         }
         self.probing.store(false, Ordering::SeqCst);
     }
@@ -423,34 +460,34 @@ impl Router {
             let _ = self.call_replica(replica, req);
         }
         self.drain_hints(replica);
-        let (_, resent) = self.repair_shard(shard);
-        self.repair_rounds.inc();
-        self.repair_resent.add(resent);
+        self.repair_shard(shard);
     }
 
-    /// Drains a replica's hint spool in order; stops on the first
-    /// transport failure (the hint stays front-of-queue). Returns true
-    /// when the spool emptied. A typed refusal is popped too: it cannot
+    /// Drains a replica's hint spool in order. Stops on the first
+    /// transport failure, or on a `busy` or `handoff-full` answer (the
+    /// replica is overloaded, not down): either way the hint stays
+    /// front-of-queue. Any other typed refusal is popped: it cannot
     /// succeed later either, and anti-entropy re-converges the key.
-    fn drain_hints(&self, replica: &Replica) -> bool {
+    fn drain_hints(&self, replica: &Replica) -> Drain {
         loop {
             let Some(hint) = replica.hints().front().cloned() else {
-                return true;
+                return Drain::Done;
             };
             let req = Request::SyncDelta {
-                batch_text: encode_delta_batch(&[DeltaRecord {
-                    req_id: hint.req_id,
-                    entry_text: hint.entry_text,
-                }]),
+                batch_text: encode_delta_batch(&[hint]),
             };
             match self.call_replica(replica, &req) {
+                Ok(Response::Err {
+                    kind: ErrorKind::Busy | ErrorKind::HandoffFull,
+                    ..
+                }) => return Drain::Overloaded,
                 Ok(_) => {
                     let mut hints = replica.hints();
                     let _ = hints.pop_delivered();
                     replica.hint_depth.set(hints.len() as u64);
                     self.hints_drained.inc();
                 }
-                Err(_) => return false,
+                Err(_) => return Drain::Failed,
             }
         }
     }
@@ -458,9 +495,9 @@ impl Router {
     /// Durably spools one delta for a replica the delivery missed.
     /// Capacity was pre-checked by the caller, so a refusal here (a
     /// race) surfaces as `handoff-full` upstream.
-    fn spool_hint(&self, replica: &Replica, req_id: u64, entry_text: &str) -> bool {
+    fn spool_hint(&self, replica: &Replica, delta: &DeltaRecord) -> bool {
         let mut hints = replica.hints();
-        match hints.spool(req_id, entry_text) {
+        match hints.spool(delta) {
             Ok(()) => {
                 replica.hint_depth.set(hints.len() as u64);
                 self.hints_spooled.inc();
@@ -492,9 +529,9 @@ impl Router {
                 ErrorKind::Malformed,
                 "sync-delta is replica-to-replica; submit merges via merge-profile",
             ),
-            Request::Digest | Request::PullDeltas => Response::err(
+            Request::Context { .. } | Request::PullDeltas { .. } => Response::err(
                 ErrorKind::Malformed,
-                "digest/pull-deltas are shard-daemon verbs; ask the router for `repair`",
+                "context/pull-deltas are shard-daemon verbs; ask the router for `repair`",
             ),
             Request::Ping => Response::Ok("pong\n".to_string()),
             Request::Health => Response::Ok(self.health_body()),
@@ -563,7 +600,12 @@ impl Router {
         if let Some(refused) = self.refuse_if_a_spool_is_full(shard) {
             return refused;
         }
-        match self.deliver(shard, self.stamp_id(meta.req_id), entry_text, None) {
+        let delta = DeltaRecord {
+            req_id: self.stamp_id(meta.req_id),
+            dot: Some(self.stamp_dot()),
+            entry_text: entry_text.to_string(),
+        };
+        match self.deliver(shard, &delta, false) {
             Ok(Some(body)) => {
                 self.forwarded.inc();
                 Response::Ok(body)
@@ -574,11 +616,12 @@ impl Router {
     }
 
     /// Forwards a `profile` to the first live replica of the owning shard
-    /// under a router-stamped id (the replica stores the run as a delta
-    /// under it), then delivers the returned fresh-run entry to the other
-    /// replicas as the same delta, so every replica holds the run. A
-    /// sibling's refusal is not the client's error: the run is already
-    /// stored, and the sibling gets the delta as a hint instead.
+    /// under a router-stamped id (the replica stores the run under it),
+    /// then delivers the returned fresh-run entry to every replica as one
+    /// dotted delta under the same id, so every replica holds the run and
+    /// its dot — the replica that ran it skips the merge by the id. A
+    /// replica's refusal is not the client's error: the run is already
+    /// stored, and the replica gets the delta as a hint instead.
     fn profile(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
         let shard = match self.shard_of_workload(workload) {
             Ok(shard) => shard,
@@ -592,9 +635,14 @@ impl Router {
             ..*meta
         };
         match self.forward(shard, workload, &stamped, req) {
-            Ok((r, Response::Ok(entry_text))) => {
-                let _ = self.deliver(shard, stamped.req_id, &entry_text, Some(r));
-                Response::Ok(entry_text)
+            Ok((_, Response::Ok(entry_text))) => {
+                let delta = DeltaRecord {
+                    req_id: stamped.req_id,
+                    dot: Some(self.stamp_dot()),
+                    entry_text,
+                };
+                let _ = self.deliver(shard, &delta, true);
+                Response::Ok(delta.entry_text)
             }
             Ok((_, resp)) | Err(resp) => resp,
         }
@@ -635,50 +683,68 @@ impl Router {
         }
     }
 
-    /// Delivers one delta as a `sync-delta` to every replica of `shard`
-    /// but `skip`. Replicas the delivery misses get it spooled to their
-    /// hint log, drained in order before their next delivery. Returns
-    /// the first replica's ack body (`None` when no replica applied it),
-    /// or a replica's typed refusal. With a `skip` (the write is already
-    /// stored on that replica and acked), a refusal does not cut the
-    /// fan-out short: the refusing replica is treated as missed.
+    /// The next dot of this router start. The origin is random, not
+    /// derived from the hint root, because replicas dedup by dot before
+    /// id: a reused dot would make a new merge look delivered.
+    fn stamp_dot(&self) -> Dot {
+        Dot {
+            origin: self.origin,
+            n: self.dot_seq.fetch_add(1, Ordering::Relaxed) + 1,
+        }
+    }
+
+    /// Delivers one delta as a `sync-delta` to every replica of `shard`.
+    /// Replicas the delivery misses get it spooled to their hint log,
+    /// drained in order before their next delivery. Returns the first
+    /// replica's ack body (`None` when no replica applied it), or a
+    /// replica's typed refusal. When the write is already `stored` (and
+    /// acked), a refusal does not cut the fan-out short: the refusing
+    /// replica is treated as missed.
     fn deliver(
         &self,
         shard: u32,
-        req_id: u64,
-        entry_text: &str,
-        skip: Option<usize>,
+        delta: &DeltaRecord,
+        stored: bool,
     ) -> Result<Option<String>, Response> {
         let req = Request::SyncDelta {
-            batch_text: encode_delta_batch(&[DeltaRecord {
-                req_id,
-                entry_text: entry_text.to_string(),
-            }]),
+            batch_text: encode_delta_batch(std::slice::from_ref(delta)),
         };
         let mut acked = None;
         for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
-            if skip == Some(r) {
-                continue;
-            }
             if self.is_dead(shard as usize, r) {
-                self.spool_hint(replica, req_id, entry_text);
+                self.spool_hint(replica, delta);
                 continue;
             }
             // Ordered delivery per replica: missed deliveries go first.
-            if !self.drain_hints(replica) {
-                self.spool_hint(replica, req_id, entry_text);
-                self.note_miss(shard as usize, r);
-                continue;
+            match self.drain_hints(replica) {
+                Drain::Done => {}
+                Drain::Overloaded => {
+                    self.spool_hint(replica, delta);
+                    continue;
+                }
+                Drain::Failed => {
+                    self.spool_hint(replica, delta);
+                    self.note_miss(shard as usize, r);
+                    continue;
+                }
             }
             match self.call_replica(replica, &req) {
                 Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
-                Ok(resp @ Response::Err { .. }) if skip.is_none() => return Err(resp),
-                Ok(Response::Err { .. }) => drop(self.spool_hint(replica, req_id, entry_text)),
+                Ok(resp @ Response::Err { .. }) if !stored => return Err(resp),
+                Ok(Response::Err { .. }) => drop(self.spool_hint(replica, delta)),
                 Err(_) => {
-                    self.spool_hint(replica, req_id, entry_text);
+                    self.spool_hint(replica, delta);
                     self.note_miss(shard as usize, r);
                 }
             }
+        }
+        let due = {
+            let mut floor = self.floor(shard as usize);
+            floor.deliveries += 1;
+            floor.deliveries >= FLOOR_EVERY_DELIVERIES
+        };
+        if due {
+            self.exchange_contexts(shard as usize);
         }
         Ok(acked)
     }
@@ -742,13 +808,11 @@ impl Router {
         out
     }
 
-    /// One explicit anti-entropy round across every shard.
+    /// One anti-entropy round across every shard, one line per shard.
     fn repair_body(&self) -> String {
         let mut out = String::new();
         for k in 0..self.shards.len() {
             let (divergent, resent) = self.repair_shard(k);
-            self.repair_rounds.inc();
-            self.repair_resent.add(resent);
             let _ = writeln!(
                 out,
                 "repair shard={k} divergent={divergent} resent={resent}"
@@ -757,59 +821,85 @@ impl Router {
         out
     }
 
-    fn repair_all(&self) {
-        for k in 0..self.shards.len() {
-            let (_, resent) = self.repair_shard(k);
-            self.repair_rounds.inc();
-            self.repair_resent.add(resent);
+    /// One replica's causal context, after it adopted `floor`; `None`
+    /// when it did not answer with one.
+    fn context_of(&self, replica: &Replica, floor: &str) -> Option<CausalContext> {
+        let req = Request::Context {
+            floor: floor.to_string(),
+        };
+        match self.call_replica(replica, &req) {
+            Ok(Response::Ok(body)) => CausalContext::from_text(&body).ok(),
+            _ => None,
         }
     }
 
-    /// One anti-entropy round for one shard: diff the live replicas'
-    /// per-key digest tables; on divergence cross-send every live
-    /// replica's retained pre-merge delta window to its siblings
-    /// (req-id dedup absorbs the overlap, CRDT merge makes the union
-    /// byte-identical). Returns `(divergent, deltas re-sent)`.
+    /// Collects the live replicas' causal contexts, handing each the
+    /// floor the previous exchange computed; when every replica answered,
+    /// their intersection — the dots all of them hold — is the floor the
+    /// next exchange hands out. Pruning thus lags one exchange, which is
+    /// safe: a floor only names dots every replica already held.
+    fn exchange_contexts(&self, shard: usize) -> Vec<(usize, CausalContext)> {
+        let replicas = &self.shards[shard];
+        let floor = {
+            let mut floor = self.floor(shard);
+            floor.deliveries = 0;
+            floor.text.clone()
+        };
+        let contexts: Vec<(usize, CausalContext)> = (0..replicas.len())
+            .filter(|&r| !self.is_dead(shard, r))
+            .filter_map(|r| Some((r, self.context_of(&replicas[r], &floor)?)))
+            .collect();
+        if contexts.len() == replicas.len() {
+            let mut held = contexts.iter().map(|(_, c)| c);
+            if let Some(first) = held.next() {
+                let next = held.fold(first.clone(), |f, c| f.intersection(c));
+                self.floor(shard).text = next.to_text();
+            }
+        }
+        contexts
+    }
+
+    /// One anti-entropy round for one shard: exchange the replicas'
+    /// causal contexts (advancing the floor); where they differ, send
+    /// each replica exactly the deltas it lacks, pulled by dot from the
+    /// siblings that logged them. Returns `(divergent, deltas shipped)`.
     fn repair_shard(&self, shard: usize) -> (bool, u64) {
         let replicas = &self.shards[shard];
-        let mut tables = Vec::new();
-        for (r, replica) in replicas.iter().enumerate() {
-            if self.is_dead(shard, r) {
-                continue;
-            }
-            if let Ok(Response::Ok(body)) = self.call_replica(replica, &Request::Digest) {
-                if let Ok(table) = decode_digest_table(&body) {
-                    tables.push((r, table));
+        let contexts = self.exchange_contexts(shard);
+        let divergent = contexts.windows(2).any(|w| w[0].1 != w[1].1);
+        let mut shipped = 0u64;
+        for (r, held) in contexts.iter().filter(|_| divergent) {
+            let pull = Request::PullDeltas {
+                context: held.to_text(),
+            };
+            let mut missing: BTreeMap<Dot, DeltaRecord> = BTreeMap::new();
+            for (h, theirs) in &contexts {
+                if h == r || theirs.intersection(held) == *theirs {
+                    continue; // nothing there that `r` lacks
                 }
-            }
-        }
-        let divergent = tables.windows(2).any(|w| w[0].1 != w[1].1);
-        if !divergent {
-            return (false, 0);
-        }
-        let mut resent = 0u64;
-        for &(r, _) in &tables {
-            let Ok(Response::Ok(batch)) = self.call_replica(&replicas[r], &Request::PullDeltas)
-            else {
-                continue;
-            };
-            let Ok(deltas) = decode_delta_batch(&batch) else {
-                continue;
-            };
-            if deltas.is_empty() {
-                continue;
-            }
-            let req = Request::SyncDelta { batch_text: batch };
-            for &(r2, _) in &tables {
-                if r2 == r {
+                let Ok(Response::Ok(batch)) = self.call_replica(&replicas[*h], &pull) else {
                     continue;
-                }
-                if let Ok(Response::Ok(_)) = self.call_replica(&replicas[r2], &req) {
-                    resent += deltas.len() as u64;
+                };
+                for delta in decode_delta_batch(&batch).unwrap_or_default() {
+                    if let Some(dot) = delta.dot {
+                        missing.entry(dot).or_insert(delta);
+                    }
                 }
             }
+            if missing.is_empty() {
+                continue;
+            }
+            let deltas: Vec<DeltaRecord> = missing.into_values().collect();
+            let req = Request::SyncDelta {
+                batch_text: encode_delta_batch(&deltas),
+            };
+            if let Ok(Response::Ok(_)) = self.call_replica(&replicas[*r], &req) {
+                shipped += deltas.len() as u64;
+            }
         }
-        (true, resent)
+        self.repair_rounds.inc();
+        self.repair_resent.add(shipped);
+        (divergent, shipped)
     }
 
     /// Fans a verb out to every replica of every shard, composing the
@@ -896,6 +986,17 @@ impl Router {
             }
         }
     }
+}
+
+/// How a hint drain ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Drain {
+    /// The spool is empty.
+    Done,
+    /// The replica answered `busy` or `handoff-full`.
+    Overloaded,
+    /// A transport failure.
+    Failed,
 }
 
 /// The header of the router's own section in a fan-out body.

@@ -15,9 +15,13 @@ use stride_core::{
 };
 use stride_ir::{module_from_string, module_to_string, Module};
 use stride_profdb::{
-    decode_delta_batch, encode_delta_batch, encode_digest_table, module_hash, DbError, DeltaRecord,
-    DiskFaults, ProfileDb, ProfileEntry,
+    decode_delta_batch, encode_delta_batch, module_hash, CausalContext, DbError, DiskFaults,
+    ProfileDb, ProfileEntry,
 };
+
+/// Entry-text bytes one `pull-deltas` answer carries at most, well
+/// inside a frame; anti-entropy ships the rest in later rounds.
+const PULL_BATCH_BYTES: usize = crate::proto::MAX_FRAME / 2;
 
 /// Converts the plan's disk fault kinds into the store's injectable
 /// [`DiskFaults`] (later clauses win for the same kind).
@@ -118,7 +122,7 @@ const VERBS: [&str; 16] = [
     "sync-delta",
     "gc",
     "ping",
-    "digest",
+    "context",
     "pull-deltas",
     "health",
     "repair",
@@ -139,8 +143,8 @@ fn verb_of(req: &Request) -> usize {
         Request::SyncDelta { .. } => 6,
         Request::Gc => 7,
         Request::Ping => 8,
-        Request::Digest => 9,
-        Request::PullDeltas => 10,
+        Request::Context { .. } => 9,
+        Request::PullDeltas { .. } => 10,
         Request::Health => 11,
         Request::Repair => 12,
         Request::RouteUpdate { .. } => 13,
@@ -326,8 +330,8 @@ impl Service {
             // Liveness probe: answer without touching the database, so a
             // probe succeeds even while the store is busy or degraded.
             Request::Ping => Response::Ok("pong\n".to_string()),
-            Request::Digest => self.digest_req(),
-            Request::PullDeltas => self.pull_deltas_req(),
+            Request::Context { floor } => self.context_req(floor),
+            Request::PullDeltas { context } => self.pull_deltas_req(context),
             Request::Health => Response::err(
                 ErrorKind::Malformed,
                 "health is a router verb; this is a shard daemon",
@@ -380,10 +384,11 @@ impl Service {
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
-    /// Profiles one run and merges it into the store. A request with an
-    /// idempotency id (the router stamps one) stores the run as a
-    /// replication delta under that id, so the run is logged, deduped,
-    /// and retained for anti-entropy like any replicated merge.
+    /// Profiles one run and merges it into the store, under the
+    /// request's idempotency id when it carries one (the router stamps
+    /// one, then delivers the run to every replica of the shard as one
+    /// dotted delta, which this store skips by the id but holds the dot
+    /// of).
     fn profile(
         &self,
         workload: &str,
@@ -413,20 +418,8 @@ impl Service {
         // bytes regardless of how many runs the database has accumulated.
         let entry_text = entry.to_text();
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        let stored = if req_id == 0 {
-            db.merge_store(&entry).map(drop)
-        } else {
-            db.apply_deltas(&[DeltaRecord {
-                req_id,
-                entry_text: entry_text.clone(),
-            }])
-            .map(|report| {
-                self.metrics.deltas_applied.add(report.applied as u64);
-                self.metrics.deltas_deduped.add(report.deduped as u64);
-            })
-        };
-        match stored {
-            Ok(()) => Response::Ok(entry_text),
+        match db.merge_store_logged(&entry, req_id) {
+            Ok(_) => Response::Ok(entry_text),
             Err(e) => db_err(&e),
         }
     }
@@ -567,20 +560,27 @@ impl Service {
         }
     }
 
-    /// Reports the per-key digest table (anti-entropy's cheap diff).
-    fn digest_req(&self) -> Response {
+    /// Adopts the shard-wide floor, if one came, and reports the
+    /// store's causal context (anti-entropy's exact diff).
+    fn context_req(&self, floor: &str) -> Response {
+        let floor = match CausalContext::from_text(floor) {
+            Ok(f) => f,
+            Err(e) => return db_err(&e),
+        };
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        match db.digest_table() {
-            Ok(table) => Response::Ok(encode_digest_table(&table)),
-            Err(e) => db_err(&e),
-        }
+        db.adopt_floor(&floor);
+        Response::Ok(db.causal_context().to_text())
     }
 
-    /// Exports the retained pre-merge delta window as a delta batch for
-    /// anti-entropy re-send to a diverged sibling.
-    fn pull_deltas_req(&self) -> Response {
+    /// Exports the logged deltas a sibling with causal context `held`
+    /// lacks, as a delta batch.
+    fn pull_deltas_req(&self, held: &str) -> Response {
+        let held = match CausalContext::from_text(held) {
+            Ok(c) => c,
+            Err(e) => return db_err(&e),
+        };
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        let deltas = db.retained_deltas();
+        let deltas = db.deltas_missing_from(&held, PULL_BATCH_BYTES);
         Response::Ok(encode_delta_batch(&deltas))
     }
 
@@ -632,6 +632,7 @@ impl Service {
         gauge("wal.live_segments", wal.live_segments);
         bridge("wal.appends", wal.appends);
         bridge("wal.syncs", wal.syncs);
+        bridge("profdb.fsyncs", db.fsyncs());
         bridge("wal.checkpoints", wal.checkpoints);
         bridge("wal.seals", wal.seals);
         bridge("wal.segments_compacted", wal.segments_compacted);
@@ -958,6 +959,8 @@ mod tests {
         // registry reports zeros rather than omitting them.
         assert!(snap.counter("wal.appends").is_some(), "{body}");
         assert!(snap.counter("wal.syncs").is_some(), "{body}");
+        // Creating the log (its file and directory), then one per merge.
+        assert_eq!(snap.counter("profdb.fsyncs"), Some(3), "{body}");
         assert_eq!(snap.counter("recovery.replayed"), Some(0), "{body}");
         // Store levels are gauges sampled for the body.
         assert_eq!(snap.gauge("server.modules"), Some(1), "{body}");

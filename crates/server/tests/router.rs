@@ -2,12 +2,14 @@
 //! shard's replicas, and graceful degradation when a whole shard dies.
 
 use std::collections::HashMap;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use stride_core::Snapshot;
-use stride_profdb::{ProfileEntry, ShardMap};
+use stride_profdb::{DeltaRecord, ProfileEntry, ShardMap};
 use stride_profiling::StrideProfile;
 use stride_server::{
-    split_sections, Client, ErrorKind, Origin, Request, Response, RetryPolicy, RouterConfig,
-    RouterServer, Server, ServerConfig, ServiceConfig,
+    decode_request, read_frame, split_sections, write_frame, Client, ErrorKind, Origin, Request,
+    Response, RetryPolicy, RouterConfig, RouterServer, Server, ServerConfig, ServiceConfig,
 };
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {
@@ -270,6 +272,7 @@ fn repair_round_heals_divergent_replicas() {
     // there (as if replica 1 missed a replication delivery).
     let batch = stride_profdb::encode_delta_batch(&[stride_profdb::DeltaRecord {
         req_id: 0xd1ff,
+        dot: None,
         entry_text: entry_text("drifted", 0x4001),
     }]);
     let mut direct = Client::connect(backends[0][0].addr()).unwrap();
@@ -313,6 +316,291 @@ fn repair_round_heals_divergent_replicas() {
             b.join();
         }
     }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// The `runs` line of a replica's entry file, and the file's bytes.
+fn stored_runs(root: &std::path::Path, workload: &str, module_hash: u64) -> (u64, Vec<u8>) {
+    let path = root.join(format!("{workload}@{module_hash:016x}.profdb"));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let text = String::from_utf8(bytes.clone()).expect("entry text");
+    let runs = text
+        .lines()
+        .find_map(|l| l.strip_prefix("runs "))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no runs line in {}", path.display()));
+    (runs, bytes)
+}
+
+/// More routed merges than a replica remembers idempotency ids for,
+/// then a divergence behind the router's back: repair ships each
+/// replica only the deltas it lacks, so no merge is applied twice.
+#[test]
+fn repair_after_more_merges_than_the_id_window_applies_each_merge_once() {
+    const MERGES: u64 = 4_200;
+    let (router, backends, roots) = boot_cluster("deep", 1, 2);
+    let mut client = Client::connect(router.addr()).unwrap();
+    let text = entry_text("deep", 0x5000);
+    // The seeded run, then the acked merges.
+    for i in 0..=MERGES {
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: text.clone(),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "merge {i}: {resp:?}");
+    }
+
+    // Diverge replica 0 behind the router's back: one more acked merge,
+    // applied only there.
+    let batch = stride_profdb::encode_delta_batch(&[DeltaRecord {
+        req_id: 0xd1ff_0001,
+        dot: None,
+        entry_text: text,
+    }]);
+    let mut direct = Client::connect(backends[0][0].addr()).unwrap();
+    let resp = direct
+        .call(&Request::SyncDelta { batch_text: batch })
+        .unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    drop(direct);
+
+    let Response::Ok(body) = client.call(&Request::Repair).unwrap() else {
+        panic!("repair failed")
+    };
+    let want = 1 + MERGES + 1;
+    let (runs0, bytes0) = stored_runs(&roots[0], "deep", 0x5000);
+    let (runs1, bytes1) = stored_runs(&roots[1], "deep", 0x5000);
+    assert_eq!(
+        (runs0, runs1),
+        (want, want),
+        "a merge was lost or applied twice"
+    );
+    assert_eq!(bytes0, bytes1, "replica entry files differ");
+    assert_eq!(body, "repair shard=0 divergent=true resent=1\n");
+
+    let resp = client.call(&Request::Shutdown).unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    router.join();
+    for row in backends {
+        for b in row {
+            b.join();
+        }
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// Replicas dedup a delta by its dot before its id, so two routers
+/// started over scratch hint roots (nothing durable tells them apart)
+/// must not stamp the same dots: the second merge would be acked yet
+/// stored nowhere.
+#[test]
+fn routers_over_scratch_hint_roots_never_reuse_dots() {
+    let (first, backends, roots) = boot_cluster("scratch", 1, 2);
+    let topology = vec![backends[0]
+        .iter()
+        .map(|b| b.addr().to_string())
+        .collect::<Vec<_>>()];
+    let merge_once = |router: &RouterServer| {
+        let mut client = Client::connect(router.addr()).unwrap();
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: entry_text("scratch", 0x7000),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    };
+    merge_once(&first);
+    first.shutdown_and_join();
+    let second = RouterServer::start(RouterConfig::loopback(topology)).expect("start router");
+    merge_once(&second);
+    for root in &roots {
+        assert_eq!(
+            stored_runs(root, "scratch", 0x7000).0,
+            2,
+            "{}",
+            root.display()
+        );
+    }
+
+    second.shutdown_and_join();
+    for row in backends {
+        for b in row {
+            b.shutdown_and_join();
+        }
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// With probing off no repair round ever runs, yet the floor still
+/// advances on the merge path: after thousands of routed merges a
+/// replica's checkpointed log carries only the few deltas above the
+/// last floor, not one per merge.
+#[test]
+fn repair_set_stays_bounded_with_probing_off() {
+    const MERGES: u64 = 3_000;
+    let roots = [tmp_root("floor-s0r0"), tmp_root("floor-s0r1")];
+    let backends: Vec<Server> = roots
+        .iter()
+        .map(|root| {
+            Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+                .expect("start backend")
+        })
+        .collect();
+    let router = RouterServer::start(RouterConfig {
+        probe_every: 0,
+        ..RouterConfig::loopback(vec![backends
+            .iter()
+            .map(|b| b.addr().to_string())
+            .collect()])
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.addr()).unwrap();
+    for i in 0..MERGES {
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: entry_text("floor", 0x8000),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "merge {i}: {resp:?}");
+    }
+    drop(client);
+    router.shutdown_and_join();
+    // A graceful shutdown checkpoints: the fresh log carries the
+    // unpruned deltas as `D` records.
+    for b in backends {
+        b.shutdown_and_join();
+    }
+    let bound = 2 * stride_server::router::FLOOR_EVERY_DELIVERIES as usize;
+    for root in &roots {
+        assert_eq!(stored_runs(root, "floor", 0x8000).0, MERGES);
+        let scan = stride_profdb::scan_wal(root, &stride_profdb::DiskFaults::default()).unwrap();
+        assert!(scan.clean_footer, "{}", root.display());
+        let carried = scan
+            .items
+            .iter()
+            .filter(|item| {
+                matches!(item, stride_profdb::ScanItem::Record { record, .. }
+                    if record.kind == stride_profdb::RecordKind::Delta)
+            })
+            .count();
+        assert!(
+            carried <= bound,
+            "{}: {carried} deltas carried past the checkpoint, want at most {bound}",
+            root.display()
+        );
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// What a [`flaky_proxy`] does with one `sync-delta` frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fault {
+    /// Forward it to the backend and relay the answer.
+    Pass,
+    /// Hang up without answering (a transport failure).
+    Hangup,
+    /// Answer `busy` without forwarding it.
+    Busy,
+}
+
+/// A replica address that relays frames to `backend`, except that the
+/// n-th `sync-delta` it sees gets `script[n]` (default [`Fault::Pass`]).
+fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr").to_string();
+    let script = Arc::new(Mutex::new(script.into_iter()));
+    std::thread::spawn(move || {
+        for mut client in listener.incoming().map_while(Result::ok) {
+            let mut upstream = TcpStream::connect(&backend).expect("connect backend");
+            let script = Arc::clone(&script);
+            std::thread::spawn(move || {
+                while let Ok(Some(frame)) = read_frame(&mut client) {
+                    let fault = match decode_request(&frame) {
+                        Ok((_, Request::SyncDelta { .. })) => {
+                            script.lock().unwrap().next().unwrap_or(Fault::Pass)
+                        }
+                        _ => Fault::Pass,
+                    };
+                    match fault {
+                        Fault::Hangup => return,
+                        Fault::Busy => {
+                            let busy = Response::busy("proxy says busy", 1);
+                            write_frame(&mut client, &busy.to_bytes()).unwrap();
+                        }
+                        Fault::Pass => {
+                            write_frame(&mut upstream, &frame).unwrap();
+                            let answer = read_frame(&mut upstream).unwrap().unwrap();
+                            write_frame(&mut client, &answer).unwrap();
+                        }
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A replica that answers `busy` while the router drains its hints is
+/// overloaded, not gone: the hint stays queued (the delivery behind it
+/// is spooled after it, in order) and the drain resumes on the next
+/// delivery, so the replica ends with every merge.
+#[test]
+fn busy_replica_keeps_its_hints_queued() {
+    let roots = [tmp_root("busy-s0r0"), tmp_root("busy-s0r1")];
+    let steady = Server::start(ServerConfig::loopback(ServiceConfig::new(roots[0].clone())))
+        .expect("start replica 0");
+    let flaky = Server::start(ServerConfig::loopback(ServiceConfig::new(roots[1].clone())))
+        .expect("start replica 1");
+    // Merge 2's delivery to replica 1 hangs up (spooling a hint); the
+    // drain before merge 3 is answered busy once.
+    let proxy = flaky_proxy(
+        flaky.addr().to_string(),
+        vec![Fault::Pass, Fault::Hangup, Fault::Busy],
+    );
+    let router = RouterServer::start(RouterConfig {
+        probe_every: 0,
+        backend_retry: RetryPolicy::no_retries(),
+        ..RouterConfig::loopback(vec![vec![steady.addr().to_string(), proxy]])
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.addr()).unwrap();
+    for _ in 0..4 {
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: entry_text("busy", 0x6000),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    }
+    let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
+        panic!("stats failed")
+    };
+    let (router_stats, _) = stats_sections(&body);
+    assert_eq!(hint_depth(&router_stats, 0, 1), 0, "{body}");
+    assert_eq!(
+        router_stats.gauges["router.hint_depth.s0r1"].max, 2,
+        "merge 3 queued behind the hint the busy answer kept: {body}"
+    );
+    assert_eq!(router_stats.counter("router.hints_drained"), Some(2));
+    assert_eq!(stored_runs(&roots[0], "busy", 0x6000).0, 4);
+    assert_eq!(
+        stored_runs(&roots[1], "busy", 0x6000),
+        stored_runs(&roots[0], "busy", 0x6000)
+    );
+
+    drop(client);
+    router.shutdown_and_join();
+    steady.shutdown_and_join();
+    flaky.shutdown_and_join();
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
     }
