@@ -69,9 +69,12 @@ cargo run --release -q -p stride-bench --bin repro -- \
 cmp "$m1" "$m8" || { echo "metrics snapshot differs between --jobs 1 and 8" >&2; exit 1; }
 rm -f "$m1" "$m8"
 
-echo "== smoke: seeded fault campaign (faultsim, test scale) =="
-cargo run --release -q -p stride-bench --bin faultsim -- \
-    --scale test --seed 42 --jobs 2
+echo "== fault campaign (faultsim, paper scale) vs its committed report =="
+fs_out=$(mktemp)
+cargo run --release -q -p stride-bench --bin faultsim -- --seed 42 --jobs 2 > "$fs_out"
+diff faultsim_output.txt "$fs_out" \
+    || { echo "fault campaign report differs from faultsim_output.txt" >&2; exit 1; }
+rm -f "$fs_out"
 
 echo "== smoke: repro partial results under injected failure =="
 inject_out=$(mktemp)
@@ -196,6 +199,8 @@ cargo run --release -q -p stride-bench --bin faultsim -- --service --seed 7 --jo
 cargo run --release -q -p stride-bench --bin faultsim -- --service --seed 42 --jobs 4 > "$svc_b"
 diff "$svc_a" "$svc_b" \
     || { echo "service campaign report differs across --jobs" >&2; exit 1; }
+diff faultsim_service_output.txt "$svc_a" \
+    || { echo "service campaign report differs from faultsim_service_output.txt" >&2; exit 1; }
 rm -f "$svc_a" "$svc_b"
 
 echo "== smoke: sharded cluster — routing, typed shedding, recovery, convergence =="
@@ -415,6 +420,8 @@ cargo run --release -q -p stride-bench --bin faultsim -- --cluster --seed 7 --jo
 cargo run --release -q -p stride-bench --bin faultsim -- --cluster --seed 42 --jobs 4 > "$cl_b"
 diff "$cl_a" "$cl_b" \
     || { echo "cluster campaign report differs across --jobs" >&2; exit 1; }
+diff faultsim_cluster_output.txt "$cl_a" \
+    || { echo "cluster campaign report differs from faultsim_cluster_output.txt" >&2; exit 1; }
 rm -f "$cl_a" "$cl_b"
 
 echo "== smoke: generator determinism (two seeds x two --jobs, byte-identical) =="

@@ -1,75 +1,64 @@
-//! Seeded fault-injection campaign against the reproduction pipeline.
+//! Seeded fault-injection campaigns against the reproduction pipeline
+//! and the profile service.
 //!
 //! ```text
-//! faultsim [--scale test|paper] [--jobs N] [--seed N] [--plan SPEC]
+//! faultsim [--jobs N] [--seed N] [--plan SPEC]
 //! faultsim --service [--jobs N] [--seed N]
 //! faultsim --cluster [--jobs N] [--seed N]
 //! ```
 //!
-//! Runs every scenario of a fault campaign (the built-in 14-scenario
-//! campaign by default, or a single `--plan` spec) against its workload,
-//! with each scenario panic-isolated, and checks the degradation
-//! invariant for each: under injected profile loss the classifier may
-//! only move loads *out of* SSST/PMST/WSST toward no-prefetch — the
-//! faulted prefetch set must be a subset of the clean one. The campaign
-//! report is byte-identical at every `--jobs` level and for every rerun
-//! of the same seed.
+//! Every campaign runs its scenarios panic-isolated on `--jobs` workers
+//! and prints one line per scenario plus a summary; the report is
+//! byte-identical at every `--jobs` level and for every rerun of the
+//! same seed. Exit status: 0 when every scenario held its invariants (or
+//! degraded to a structured diagnostic); 1 when any scenario panicked or
+//! violated an invariant; 2 when the campaign could not start.
 //!
-//! `--service` switches to the crash-recovery campaign: each scenario
-//! boots a real `strided` daemon on its own database directory, streams
-//! profile merges at it, SIGKILLs the process mid-merge at a seeded
-//! point, restarts it, and holds recovery to two invariants — no
-//! acknowledged merge is ever lost, and once the interrupted merges are
-//! resent the database is byte-identical to an uninterrupted run. Some
-//! scenarios additionally run the first daemon with injected wire faults
-//! (truncated and reset response frames) so the client's retry and
-//! request-id dedup paths are exercised under crash pressure.
+//! The default campaign (the built-in 14 fault plans at paper scale, or
+//! one `--plan` spec) checks the degradation invariant: under injected
+//! profile loss the classifier may only move loads *out of*
+//! SSST/PMST/WSST toward no-prefetch, so the faulted prefetch set must
+//! be a subset of the clean one. A scenario whose clean run prefetches
+//! nothing counts as a violation, since its subset check cannot fail.
 //!
-//! `--cluster` escalates to the sharded-service chaos campaign: each
-//! scenario boots a real `strided-router` over 3 shards × 2 replica
-//! `strided` daemons, drives seeded merge traffic through the router,
-//! SIGKILLs a seeded victim (one replica or a whole shard) mid-traffic,
-//! and plays adversarial replication weather — delta batches dropped,
-//! duplicated, and reordered straight at the replicas. Invariants: a
-//! fully dead shard sheds only its own key range with a typed
-//! `unavailable shard=K` error while every other range keeps serving;
-//! after restart + `route-update` the replication lag drains; and every
-//! replica store ends byte-identical to an uninterrupted single-store
-//! reference applying the same deltas — so no acknowledged merge can be
-//! lost and no duplicate can double-count. Merges carry power-of-two
-//! edge-counter scaling, so any lost or double-applied delta produces a
-//! unique byte difference.
+//! `--service` is the crash-recovery campaign: each scenario boots a
+//! real `strided` on its own database directory, streams merges at it,
+//! SIGKILLs it mid-merge at a seeded point, restarts it, and requires
+//! that no acknowledged merge is lost and that, once the interrupted
+//! merges are resent, the database is byte-identical to an
+//! uninterrupted run. Two scenarios also corrupt the killed daemon's
+//! response frames, exercising the client's retry and id dedup.
 //!
-//! Five of the cluster scenarios exercise the self-healing loop with
-//! **zero operator verbs**: a killed replica restarted with
-//! `--announce` re-registers itself and is revived by the router's
-//! probe clock (hints drained, modules re-taught, repair run);
-//! divergent deltas injected behind the router's back are reconverged
-//! by traffic-driven anti-entropy rounds alone; a `--hint-cap 2`
-//! router overflows its spool under a replica outage and must refuse
-//! the overflow whole with typed `handoff-full` until self-announce
-//! revival drains it; 8 concurrent writers push ~2x the AIMD
-//! admission floor, where every shed must be a typed `busy` with a
-//! retry hint and every acked merge must survive byte-identically; and
-//! the divergence scenario again after 4,200 more merges on one shard
-//! than its replicas remember idempotency ids for, where repair must
-//! ship only the missing deltas.
-//!
-//! Exit status: 0 when every scenario either completed with the
-//! invariant held or degraded to a structured diagnostic; 1 when any
-//! scenario panicked or violated the invariant.
+//! `--cluster` is the sharded chaos campaign: each scenario boots a real
+//! `strided-router` over 3 shards × 2 replicas and drives seeded merge
+//! traffic through it. Each scenario is one row of data: which victim
+//! dies and when, whether delta batches are dropped, duplicated and
+//! reordered straight at the replicas ("weather"), whether deltas are
+//! injected behind the router's back, how a restarted victim rejoins
+//! (operator `route-update` or self-`--announce`), how many writers
+//! run, and which typed refusal the victim's key range must answer.
+//! Every replica store must end byte-identical to an uninterrupted
+//! reference applying the acknowledged deltas once, so no acked merge
+//! can be lost and no duplicate can double-count; merges carry
+//! power-of-two edge-counter scaling, so any lost or double-applied
+//! delta leaves a unique byte difference.
 
 use stride_bench::{default_jobs, parallel_map_isolated, parse_jobs, RunCache};
 use stride_core::{
     degradation_violations, run_profiling, splitmix64_mix, FaultInjector, FaultPlan, FaultRng,
     PipelineConfig, ProfilingVariant, Snapshot, SPLITMIX64_GAMMA,
 };
-use stride_ir::module_to_string;
+use stride_ir::{module_to_string, Module};
 use stride_profdb::{
     encode_delta_batch, module_hash, DeltaRecord, ProfileDb, ProfileEntry, ShardMap,
 };
-use stride_server::{split_sections, Client, ErrorKind, Origin, Request, Response, RetryPolicy};
+use stride_server::{
+    split_sections, Client, ErrorKind, IdStream, Origin, Request, Response, RetryPolicy,
+};
 use stride_workloads::{workload_by_name, Scale, Workload};
+
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The built-in campaign: every fault kind at least once, single and
 /// compound, spread over the three headline benchmarks.
@@ -90,31 +79,101 @@ const CAMPAIGN: &[(&str, &str)] = &[
     ("truncate=1;drop-updates=50;clamp-freq=1000", "gap"),
 ];
 
-/// One scenario's deterministic report line(s).
-struct ScenarioReport {
+/// One scenario's report line and how it counts in the summary.
+struct Verdict {
     line: String,
     violations: usize,
+    degraded: bool,
 }
 
-fn run_scenario(
+impl Verdict {
+    fn ok(line: String) -> Verdict {
+        Verdict {
+            line,
+            violations: 0,
+            degraded: false,
+        }
+    }
+
+    fn degraded(line: String) -> Verdict {
+        Verdict {
+            degraded: true,
+            ..Verdict::ok(line)
+        }
+    }
+}
+
+/// Runs every scenario panic-isolated on `jobs` workers and prints the
+/// report: `== header ==`, one `label line` row per scenario in input
+/// order (an `Err` is a `FAILED` invariant violation), and the summary,
+/// which counts scenarios that degraded to diagnostics when the campaign
+/// `degrades`. Returns the exit code.
+fn run_campaign<S: Sync>(
+    header: &str,
+    degrades: bool,
+    scenarios: &[S],
+    jobs: usize,
+    label: impl Fn(&S) -> String,
+    run: impl Fn(&S) -> Result<Verdict, String> + Sync,
+) -> i32 {
+    println!("== {header} ==");
+    let results = parallel_map_isolated(scenarios, jobs, |_, sc| run(sc));
+    let (mut degraded, mut panics, mut violations) = (0usize, 0usize, 0usize);
+    for (sc, result) in scenarios.iter().zip(results) {
+        let line = match result {
+            Ok(Ok(verdict)) => {
+                degraded += usize::from(verdict.degraded);
+                violations += verdict.violations;
+                verdict.line
+            }
+            Ok(Err(msg)) => {
+                violations += 1;
+                format!("FAILED: {msg}")
+            }
+            Err(tf) => {
+                panics += 1;
+                format!("PANIC: {}", tf.message)
+            }
+        };
+        println!("  {} {line}", label(sc));
+    }
+    let degraded = if degrades {
+        format!("{degraded} degraded to diagnostics, ")
+    } else {
+        String::new()
+    };
+    println!(
+        "campaign: {} scenario(s), {degraded}{panics} panic(s), {violations} invariant violation(s)",
+        scenarios.len()
+    );
+    i32::from(panics > 0 || violations > 0)
+}
+
+/// One pipeline scenario: the clean and the faulted run of `workload`,
+/// held to the degradation invariant.
+fn pipeline_scenario(
     cache: &RunCache,
     workload: &Workload,
     config: &PipelineConfig,
     seed: u64,
     spec: &str,
-) -> Result<ScenarioReport, String> {
-    let plan = FaultPlan::parse(&format!("seed={seed};{spec}")).map_err(|e| e.to_string())?;
+) -> Verdict {
+    let plan = match FaultPlan::parse(&format!("seed={seed};{spec}")) {
+        Ok(plan) => plan,
+        Err(e) => return Verdict::degraded(format!("unusable: {e}")),
+    };
     let injector = FaultInjector::new(plan);
     let variant = ProfilingVariant::EdgeCheck;
-    let clean = cache
-        .speedup(
-            &workload.module,
-            &workload.train_args,
-            &workload.ref_args,
-            variant,
-            config,
-        )
-        .map_err(|e| format!("clean pipeline failed: {e}"))?;
+    let clean = match cache.speedup(
+        &workload.module,
+        &workload.train_args,
+        &workload.ref_args,
+        variant,
+        config,
+    ) {
+        Ok(clean) => clean,
+        Err(e) => return Verdict::degraded(format!("unusable: clean pipeline failed: {e}")),
+    };
     match cache.speedup_faulted(
         &workload.module,
         workload.name,
@@ -125,13 +184,17 @@ fn run_scenario(
         &injector,
     ) {
         Ok(faulted) => {
-            let violations = degradation_violations(&clean.classification, &faulted.classification);
+            let mut violations =
+                degradation_violations(&clean.classification, &faulted.classification);
+            if clean.classification.loads.is_empty() {
+                violations.push("clean run prefetches nothing, so no fault can fail".to_string());
+            }
             let verdict = if violations.is_empty() {
                 "invariant held".to_string()
             } else {
                 format!("INVARIANT VIOLATED: {}", violations.join("; "))
             };
-            Ok(ScenarioReport {
+            Verdict {
                 line: format!(
                     "ok: prefetch sites {} -> {}, speedup {:.3} -> {:.3}, {}",
                     clean.classification.loads.len(),
@@ -141,41 +204,50 @@ fn run_scenario(
                     verdict
                 ),
                 violations: violations.len(),
-            })
+                degraded: false,
+            }
         }
-        Err(e) => {
-            // The pipeline degraded to a structured error: no prefetch set
-            // at all, so the invariant holds trivially. Indent multi-line
-            // diagnostics (the malformed-ir renderer shows the offending
-            // source line with a caret).
-            let detail = e.to_string().replace('\n', "\n        ");
-            Ok(ScenarioReport {
-                line: format!("degraded: {detail}"),
-                violations: 0,
-            })
-        }
+        // The pipeline degraded to a structured error: no prefetch set at
+        // all, so the invariant holds trivially. Indent multi-line
+        // diagnostics (the malformed-ir renderer shows the offending
+        // source line with a caret).
+        Err(e) => Verdict::degraded(format!(
+            "degraded: {}",
+            e.to_string().replace('\n', "\n        ")
+        )),
     }
 }
 
-/// splitmix64 step: the campaign's only randomness primitive. The
-/// mixer is the one the client's idempotency-id stream uses, so the
-/// cluster campaign can predict the req-id each merge's delta carries.
+/// The default campaign, at paper scale: there every scenario's clean
+/// run prefetches at least one site, so every subset check can fail.
+fn pipeline_main(jobs: usize, seed: u64, single_plan: Option<String>) -> i32 {
+    let config = PipelineConfig::default();
+    let cache = RunCache::new();
+    let scenarios: Vec<(String, &str)> = match single_plan {
+        Some(spec) => vec![(spec, "mcf")],
+        None => CAMPAIGN
+            .iter()
+            .map(|&(spec, w)| (spec.to_string(), w))
+            .collect(),
+    };
+    let n = scenarios.len();
+    run_campaign(
+        &format!("fault campaign: seed {seed}, {n} scenario(s), scale paper"),
+        true,
+        &scenarios,
+        jobs,
+        |(spec, w)| format!("{:<46}", format!("{spec}@{w}")),
+        |(spec, wname)| {
+            let workload = workload_by_name(wname, Scale::Paper)
+                .unwrap_or_else(|| panic!("unknown campaign workload {wname}"));
+            Ok(pipeline_scenario(&cache, &workload, &config, seed, spec))
+        },
+    )
+}
+
+/// splitmix64 step: the campaigns' seed mixer.
 fn mix64(x: u64) -> u64 {
     splitmix64_mix(x.wrapping_add(SPLITMIX64_GAMMA))
-}
-
-/// The client's idempotency-id stream from `set_id_state(state)`: the
-/// req-ids its next `n` merge calls will carry.
-fn id_stream(mut state: u64, n: usize) -> Vec<u64> {
-    let mut ids = Vec::with_capacity(n);
-    while ids.len() < n {
-        state = state.wrapping_add(SPLITMIX64_GAMMA);
-        let id = splitmix64_mix(state);
-        if id != 0 {
-            ids.push(id);
-        }
-    }
-    ids
 }
 
 /// Seeded Fisher-Yates shuffle for the chaos schedules.
@@ -186,13 +258,164 @@ fn shuffle<T>(rng: &mut FaultRng, v: &mut [T]) {
     }
 }
 
+/// Locates a workspace binary: `$NAME_BIN` (`STRIDED_BIN`,
+/// `STRIDED_ROUTER_BIN`), else the file of that name beside this
+/// executable, where cargo puts every workspace binary.
+fn sibling_bin(name: &str) -> Result<PathBuf, String> {
+    let var = format!("{}_BIN", name.to_uppercase().replace('-', "_"));
+    if let Ok(p) = std::env::var(&var) {
+        return Ok(PathBuf::from(p));
+    }
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let cand = exe.with_file_name(name);
+    if cand.exists() {
+        Ok(cand)
+    } else {
+        Err(format!(
+            "{name} binary not found at {} (set {var})",
+            cand.display()
+        ))
+    }
+}
+
+/// A spawned daemon, its bound address, and the thread draining its
+/// stdout; SIGKILLed on drop, so an early error return never leaks a
+/// process.
+struct Daemon {
+    child: std::process::Child,
+    addr: String,
+    stdout: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Daemon {
+    /// A fail-fast client of this daemon.
+    fn connect(&self) -> Result<Client, String> {
+        Client::connect_with(self.addr.as_str(), RetryPolicy::no_retries())
+            .map_err(|e| format!("connect to {}: {e}", self.addr))
+    }
+
+    /// SIGKILL (not a shutdown request): the crash under test.
+    fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+
+    /// Asks for a graceful shutdown (a no-op when the daemon is already
+    /// stopping) and waits for it to exit cleanly on its own.
+    ///
+    /// # Errors
+    ///
+    /// The daemon is still running ten seconds later (it is then
+    /// SIGKILLed), or it exited with a failure status.
+    fn shutdown(&mut self) -> Result<(), String> {
+        if let Ok(mut c) = self.connect() {
+            let _ = c.call(&Request::Shutdown);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            match self.child.try_wait() {
+                Ok(Some(status)) if status.success() => return Ok(()),
+                Ok(Some(status)) => return Err(format!("daemon {} exited {status}", self.addr)),
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+        self.kill();
+        Err(format!(
+            "daemon {} did not exit within 10s of its shutdown",
+            self.addr
+        ))
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.kill();
+        // The reaped child's stdout is closed, so the drain ends.
+        if let Some(reader) = self.stdout.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// Spawns `bin serve` on an ephemeral port with two workers, followed by
+/// `args` (a repeated flag overrides: the last one wins), and waits for
+/// its `listening on ADDR` stdout line.
+fn spawn_daemon(bin: &Path, args: &[String]) -> Result<Daemon, String> {
+    let what = bin.display();
+    let mut child = std::process::Command::new(bin)
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .map_err(|e| format!("spawn {what}: {e}"))?;
+    let stdout = child.stdout.take().expect("stdout is piped");
+    // Drain stdout to EOF: a daemon printing into a closed pipe would
+    // die of it at shutdown.
+    let (tx, rx) = std::sync::mpsc::channel::<String>();
+    let reader = std::thread::spawn(move || {
+        use std::io::BufRead;
+        for line in std::io::BufReader::new(stdout)
+            .lines()
+            .map_while(Result::ok)
+        {
+            let _ = tx.send(line);
+        }
+    });
+    let mut daemon = Daemon {
+        child,
+        addr: String::new(),
+        stdout: Some(reader),
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while let Ok(line) = rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            daemon.addr = addr.to_string();
+            return Ok(daemon);
+        }
+    }
+    Err(format!("{what} reported no `listening on` within 10s"))
+}
+
+/// `strided` flags serving the store at `db`.
+fn db_args(db: &Path) -> Vec<String> {
+    vec!["--db".to_string(), db.display().to_string()]
+}
+
+/// One clean edge-check profiling run of `module` on `args`, as a
+/// one-run entry named `name`: a payload the service campaigns merge.
+fn profiled_entry(name: &str, module: &Module, args: &[i64]) -> Result<ProfileEntry, String> {
+    let out = run_profiling(
+        module,
+        args,
+        ProfilingVariant::EdgeCheck,
+        &PipelineConfig::default(),
+    )
+    .map_err(|e| format!("{name} profiling run failed: {e}"))?;
+    Ok(ProfileEntry::from_run(
+        name,
+        module_hash(module),
+        &out.edge,
+        &out.stride,
+    ))
+}
+
+/// The built-in mcf workload at test scale and its measured base entry,
+/// profiled once so the service scenarios only exercise the service.
+fn mcf_base() -> Result<(Workload, ProfileEntry), String> {
+    let w = workload_by_name("mcf", Scale::Test).ok_or("built-in workload mcf missing")?;
+    let base = profiled_entry("base", &w.module, &w.train_args)?;
+    Ok((w, base))
+}
+
+/// Merges per `--service` scenario in an uninterrupted run.
+const SERVICE_MERGES: usize = 6;
+
 /// One kill/restart scenario of the `--service` campaign.
 struct ServiceScenario {
     index: usize,
     /// Merges acknowledged before the SIGKILL.
     kill_after: usize,
-    /// Total merges the uninterrupted run would apply.
-    total: usize,
     /// Per-scenario salt folded into the seed for the kill delay.
     salt: u64,
     /// Optional fault plan for the first (killed) daemon instance.
@@ -204,216 +427,28 @@ struct ServiceScenario {
 /// timing, plus two runs where the killed daemon also corrupts its own
 /// response frames.
 fn service_campaign() -> Vec<ServiceScenario> {
-    let mut scenarios: Vec<ServiceScenario> = (0..12)
-        .map(|i| ServiceScenario {
-            index: i,
-            kill_after: i % 6,
-            total: 6,
-            salt: (i / 6) as u64 + 1,
-            inject: None,
+    let plain = (0..12).map(|i| (i % 6, (i / 6) as u64 + 1, None));
+    let faulted = [(2, 3, Some("net-trunc=2")), (3, 4, Some("net-reset=4"))];
+    plain
+        .chain(faulted)
+        .enumerate()
+        .map(|(index, (kill_after, salt, inject))| ServiceScenario {
+            index,
+            kill_after,
+            salt,
+            inject,
         })
-        .collect();
-    scenarios.push(ServiceScenario {
-        index: 12,
-        kill_after: 2,
-        total: 6,
-        salt: 3,
-        inject: Some("net-trunc=2"),
-    });
-    scenarios.push(ServiceScenario {
-        index: 13,
-        kill_after: 3,
-        total: 6,
-        salt: 4,
-        inject: Some("net-reset=4"),
-    });
-    scenarios
+        .collect()
 }
 
-/// Locates the `strided` binary: `$STRIDED_BIN`, else a sibling of this
-/// executable (both are workspace bins, so cargo puts them side by side).
-fn strided_bin() -> Result<std::path::PathBuf, String> {
-    if let Ok(p) = std::env::var("STRIDED_BIN") {
-        return Ok(std::path::PathBuf::from(p));
-    }
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let dir = exe.parent().ok_or("executable has no parent directory")?;
-    let cand = dir.join("strided");
-    if cand.exists() {
-        Ok(cand)
-    } else {
-        Err(format!(
-            "strided binary not found at {} (set STRIDED_BIN)",
-            cand.display()
-        ))
-    }
-}
-
-/// Locates the `strided-router` binary the same way.
-fn router_bin() -> Result<std::path::PathBuf, String> {
-    if let Ok(p) = std::env::var("STRIDED_ROUTER_BIN") {
-        return Ok(std::path::PathBuf::from(p));
-    }
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let dir = exe.parent().ok_or("executable has no parent directory")?;
-    let cand = dir.join("strided-router");
-    if cand.exists() {
-        Ok(cand)
-    } else {
-        Err(format!(
-            "strided-router binary not found at {} (set STRIDED_ROUTER_BIN)",
-            cand.display()
-        ))
-    }
-}
-
-/// A spawned `strided` child plus its stdout line stream.
-struct Daemon {
-    child: std::process::Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// SIGKILL (not a shutdown request): the crash under test.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    /// Asks for a graceful shutdown and reaps the child, killing it if
-    /// it does not exit within ten seconds.
-    fn shutdown(&mut self) {
-        if let Ok(mut c) = Client::connect_with(self.addr.as_str(), RetryPolicy::no_retries()) {
-            let _ = c.call(&Request::Shutdown);
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                _ => {
-                    self.kill();
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Spawns `strided serve` on an ephemeral port and waits for its
-/// `listening on ADDR` line.
-fn spawn_daemon(
-    bin: &std::path::Path,
-    db: &std::path::Path,
-    inject: Option<&str>,
-) -> Result<Daemon, String> {
-    spawn_daemon_with(bin, db, inject, &[])
-}
-
-/// [`spawn_daemon`] with extra CLI flags (e.g. `--announce` for a
-/// self-registering restart).
-fn spawn_daemon_with(
-    bin: &std::path::Path,
-    db: &std::path::Path,
-    inject: Option<&str>,
-    extra: &[String],
-) -> Result<Daemon, String> {
-    let mut cmd = std::process::Command::new(bin);
-    cmd.arg("serve")
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--db")
-        .arg(db)
-        .arg("--workers")
-        .arg("2")
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null());
-    if let Some(spec) = inject {
-        cmd.arg("--inject").arg(spec);
-    }
-    cmd.args(extra);
-    wait_listening(cmd, "strided")
-}
-
-/// Spawns `strided-router serve` over the given shard topology (one
-/// comma-joined `--shard` flag per shard) and waits for its bind line.
-/// Extra CLI flags are appended last, so a repeated flag (e.g.
-/// `--workers`) overrides the base value.
-fn spawn_router_with(
-    bin: &std::path::Path,
-    shards: &[Vec<String>],
-    extra: &[String],
-) -> Result<Daemon, String> {
-    let mut cmd = std::process::Command::new(bin);
-    cmd.arg("serve")
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--workers")
-        .arg("2")
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null());
-    for row in shards {
-        cmd.arg("--shard").arg(row.join(","));
-    }
-    cmd.args(extra);
-    wait_listening(cmd, "strided-router")
-}
-
-/// Spawns the command and waits for its `listening on ADDR` stdout line.
-fn wait_listening(mut cmd: std::process::Command, what: &str) -> Result<Daemon, String> {
-    let mut child = cmd.spawn().map_err(|e| format!("spawn {what}: {e}"))?;
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| format!("{what} stdout not captured"))?;
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    std::thread::spawn(move || {
-        use std::io::BufRead;
-        for line in std::io::BufReader::new(stdout)
-            .lines()
-            .map_while(Result::ok)
-        {
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(format!("{what} did not report `listening on` within 10s"));
-        }
-        match rx.recv_timeout(remaining) {
-            Ok(line) => {
-                if let Some(addr) = line.strip_prefix("listening on ") {
-                    return Ok(Daemon {
-                        child,
-                        addr: addr.to_string(),
-                    });
-                }
-            }
-            Err(_) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(format!("{what} exited before binding its socket"));
-            }
-        }
-    }
-}
-
-/// The i-th merge payload: the measured base entry, renamed to the
-/// scenario's workload and with every edge counter scaled by a seeded
-/// factor so each merge is distinguishable in the accumulated state.
-fn scenario_entry(base: &ProfileEntry, workload: &str, i: usize) -> ProfileEntry {
+/// A merge payload: the measured base entry as one run of key
+/// `(workload, hash)`, with every edge counter scaled by `factor` so
+/// each merge is distinguishable in the accumulated state.
+fn scaled_entry(base: &ProfileEntry, workload: &str, hash: u64, factor: u64) -> ProfileEntry {
     let mut e = base.clone();
     e.workload = workload.to_string();
+    e.module_hash = hash;
     e.runs = 1;
-    let factor = 1 + (i as u64 % 3);
     for table in &mut e.edge_tables {
         for v in table.iter_mut() {
             *v = v.saturating_mul(factor);
@@ -450,12 +485,12 @@ fn merge_ok(client: &mut Client, text: &str, what: &str) -> Result<(), String> {
 /// Runs one kill/restart scenario; returns its deterministic verdict
 /// line (no ports, timings, or replay counts — those vary run to run).
 fn run_service_scenario(
-    bin: &std::path::Path,
+    bin: &Path,
     base: &ProfileEntry,
     module_text: &str,
     sc: &ServiceScenario,
     seed: u64,
-) -> Result<String, String> {
+) -> Result<Verdict, String> {
     let workload = format!("chaos{}", sc.index);
     let db = std::env::temp_dir().join(format!(
         "faultsim-service-{}-{}",
@@ -464,20 +499,24 @@ fn run_service_scenario(
     ));
     let _ = std::fs::remove_dir_all(&db);
 
-    let entries: Vec<ProfileEntry> = (0..sc.total)
-        .map(|i| scenario_entry(base, &workload, i))
+    let entries: Vec<ProfileEntry> = (0..SERVICE_MERGES)
+        .map(|i| scaled_entry(base, &workload, base.module_hash, 1 + i as u64 % 3))
         .collect();
     let texts: Vec<String> = entries.iter().map(ProfileEntry::to_text).collect();
 
     // Phase 1: stream merges, then SIGKILL with one merge in flight.
-    let mut daemon = spawn_daemon(bin, &db, sc.inject)?;
+    let mut args = db_args(&db);
+    if let Some(spec) = sc.inject {
+        args.extend(["--inject".to_string(), spec.to_string()]);
+    }
+    let mut daemon = spawn_daemon(bin, &args)?;
     let mut client = Client::connect(daemon.addr.as_str())
         .map_err(|e| format!("connect to killed-phase daemon: {e}"))?;
     for (i, text) in texts.iter().enumerate().take(sc.kill_after) {
         merge_ok(&mut client, text, &format!("merge {i}"))?;
     }
     let mut inflight_acked = false;
-    if sc.kill_after < sc.total {
+    if sc.kill_after < SERVICE_MERGES {
         let addr = daemon.addr.clone();
         let text = texts[sc.kill_after].clone();
         let inflight = std::thread::spawn(move || {
@@ -490,7 +529,7 @@ fn run_service_scenario(
             )
         });
         let delay_us = mix64(seed ^ sc.salt.wrapping_mul(0x5bd1) ^ sc.index as u64) % 2_500;
-        std::thread::sleep(std::time::Duration::from_micros(delay_us));
+        std::thread::sleep(Duration::from_micros(delay_us));
         daemon.kill();
         inflight_acked = inflight.join().unwrap_or(false);
     } else {
@@ -501,7 +540,7 @@ fn run_service_scenario(
     // Phase 2: restart on the same directory; startup recovery runs
     // before the socket binds, so a successful connect means recovery
     // completed without panicking.
-    let mut daemon = spawn_daemon(bin, &db, None)?;
+    let mut daemon = spawn_daemon(bin, &db_args(&db))?;
     let mut client = Client::connect(daemon.addr.as_str())
         .map_err(|e| format!("connect to recovered daemon: {e}"))?;
     // The module registry is in-memory, so re-register the module to
@@ -511,10 +550,7 @@ fn run_service_scenario(
         text: module_text.to_string(),
     }) {
         Ok(Response::Ok(_)) => {}
-        other => {
-            daemon.shutdown();
-            return Err(format!("re-submit after restart failed: {other:?}"));
-        }
+        other => return Err(format!("re-submit after restart failed: {other:?}")),
     }
     let recovered: Option<String> = match client.call(&Request::GetProfile {
         workload: workload.clone(),
@@ -524,10 +560,7 @@ fn run_service_scenario(
             kind: ErrorKind::NotFound,
             ..
         }) => None,
-        other => {
-            daemon.shutdown();
-            return Err(format!("get-profile after restart failed: {other:?}"));
-        }
+        other => return Err(format!("get-profile after restart failed: {other:?}")),
     };
 
     // Invariant 1 — no acknowledged merge is lost: the recovered state
@@ -537,7 +570,7 @@ fn run_service_scenario(
     // resend cannot mask a lost ack.
     let mut matched_j = None;
     for j in [acked, acked + 1] {
-        if j == acked + 1 && (inflight_acked || sc.kill_after >= sc.total) {
+        if j == acked + 1 && (inflight_acked || sc.kill_after >= SERVICE_MERGES) {
             continue;
         }
         if recovered == mirror_text(&entries, j)? {
@@ -546,7 +579,6 @@ fn run_service_scenario(
         }
     }
     let Some(applied) = matched_j else {
-        daemon.shutdown();
         return Err(format!(
             "ACKED MERGE LOST OR STATE MIXED: {acked} merge(s) acknowledged, \
              recovered entry is {}",
@@ -558,104 +590,60 @@ fn run_service_scenario(
     };
 
     // Phase 3: resend everything the crash swallowed and require byte
-    // identity with the uninterrupted run.
+    // identity with the uninterrupted run. The client stays connected
+    // through the shutdown, which must not wait for it.
     for (i, text) in texts.iter().enumerate().skip(applied) {
         merge_ok(&mut client, text, &format!("resent merge {i}"))?;
     }
     let final_text = match client.call(&Request::GetProfile { workload }) {
         Ok(Response::Ok(text)) => text,
-        other => {
-            daemon.shutdown();
-            return Err(format!("final get-profile failed: {other:?}"));
-        }
+        other => return Err(format!("final get-profile failed: {other:?}")),
     };
-    daemon.shutdown();
+    daemon.shutdown()?;
     let _ = std::fs::remove_dir_all(&db);
-    if Some(final_text) != mirror_text(&entries, sc.total)? {
+    if Some(final_text) != mirror_text(&entries, SERVICE_MERGES)? {
         return Err(
             "RECOVERED RUN DIVERGED: completed database differs from uninterrupted run".to_string(),
         );
     }
-    Ok("ok: no acked merge lost, recovered db byte-identical to uninterrupted run".to_string())
+    Ok(Verdict::ok(
+        "ok: no acked merge lost, recovered db byte-identical to uninterrupted run".to_string(),
+    ))
 }
 
-/// The `--service` campaign driver; returns the process exit code.
-fn service_main(jobs: usize, seed: u64) -> i32 {
-    let bin = match strided_bin() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("faultsim: {e}");
-            return 2;
-        }
-    };
-    // One real profiling run supplies the base entry every scenario
-    // merges; measured once so scenarios only exercise the service.
-    let w = match workload_by_name("mcf", Scale::Test) {
-        Some(w) => w,
-        None => {
-            eprintln!("faultsim: built-in workload mcf missing");
-            return 2;
-        }
-    };
-    let config = PipelineConfig::default();
-    let out = match run_profiling(
-        &w.module,
-        &w.train_args,
-        ProfilingVariant::EdgeCheck,
-        &config,
-    ) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("faultsim: base profiling run failed: {e}");
-            return 2;
-        }
-    };
-    let base = ProfileEntry::from_run("base", module_hash(&w.module), &out.edge, &out.stride);
+/// The `--service` campaign.
+fn service_main(jobs: usize, seed: u64) -> Result<i32, String> {
+    let bin = sibling_bin("strided")?;
+    let (w, base) = mcf_base()?;
     let module_text = module_to_string(&w.module);
-
     let scenarios = service_campaign();
-    println!(
-        "== service crash-recovery campaign: seed {seed}, {} scenario(s) ==",
-        scenarios.len()
-    );
-    let results = parallel_map_isolated(&scenarios, jobs, |_, sc| {
-        run_service_scenario(&bin, &base, &module_text, sc, seed)
-    });
-
-    let mut panics = 0usize;
-    let mut violations = 0usize;
-    for (sc, result) in scenarios.iter().zip(results) {
-        let label = format!(
-            "kill-after={}{}",
-            sc.kill_after,
-            sc.inject.map(|i| format!("+{i}")).unwrap_or_default()
-        );
-        match result {
-            Ok(Ok(line)) => println!("  #{:<3} {label:<28} {line}", sc.index),
-            Ok(Err(msg)) => {
-                violations += 1;
-                println!("  #{:<3} {label:<28} FAILED: {msg}", sc.index);
-            }
-            Err(tf) => {
-                panics += 1;
-                println!("  #{:<3} {label:<28} PANIC: {}", sc.index, tf.message);
-            }
-        }
-    }
-    println!(
-        "campaign: {} scenario(s), {} panic(s), {} invariant violation(s)",
-        scenarios.len(),
-        panics,
-        violations
-    );
-    i32::from(panics > 0 || violations > 0)
+    let n = scenarios.len();
+    Ok(run_campaign(
+        &format!("service crash-recovery campaign: seed {seed}, {n} scenario(s)"),
+        false,
+        &scenarios,
+        jobs,
+        |sc| {
+            let label = format!(
+                "kill-after={}{}",
+                sc.kill_after,
+                sc.inject.map(|i| format!("+{i}")).unwrap_or_default()
+            );
+            format!("#{:<3} {label:<28}", sc.index)
+        },
+        |sc| run_service_scenario(&bin, &base, &module_text, sc, seed),
+    ))
 }
 
 /// Cluster topology the `--cluster` campaign boots per scenario.
 const CLUSTER_SHARDS: usize = 3;
 const CLUSTER_REPLICAS: usize = 2;
-/// Distinct `(workload, module-hash)` keys per scenario.
+/// Replica stores per cluster, each held to byte identity.
+const STORES: usize = CLUSTER_SHARDS * CLUSTER_REPLICAS;
+/// Distinct `(workload, module-hash)` keys a lone writer merges into.
 const CLUSTER_KEYS: usize = 8;
+/// Keys each of several concurrent writers merges into.
+const KEYS_PER_WRITER: usize = 4;
 /// Merges per key; each round scales edge counters by `1 << round`, so
 /// every applied-delta subset has a unique counter sum.
 const CLUSTER_ROUNDS: usize = 4;
@@ -664,127 +652,234 @@ const CLUSTER_ROUNDS: usize = 4;
 /// 4,096 idempotency ids a replica remembers.
 const DEEP_MERGES: usize = 4_200;
 
-/// How a cluster scenario heals after its fault.
+/// When a scenario's victim dies.
 #[derive(Clone, Copy, PartialEq)]
-enum Heal {
-    /// Legacy flow: the driver issues an operator `route-update` after
-    /// restarting the victims.
-    Operator,
-    /// Self-healing flow: the restarted victim is given `--announce` and
-    /// registers itself with the router — zero operator verbs.
+enum Kill {
+    /// Before the first merge, so its range meets the outage at once.
+    BeforeTraffic,
+    /// Before a seeded merge in the second quarter of the traffic.
+    MidTraffic,
+}
+
+/// How a restarted victim gets back into the router's topology.
+#[derive(Clone, Copy, PartialEq)]
+enum Rejoin {
+    /// The operator issues `route-update` for its fresh address.
+    RouteUpdate,
+    /// It restarts with `--announce` and registers itself: zero operator
+    /// verbs.
     Announce,
-    /// No kill: divergent deltas are injected behind the router's back
-    /// and only traffic-driven anti-entropy repair rounds reconverge.
-    AntiEntropy,
-    /// Tiny hint spool (`--hint-cap 2`): a replica outage overflows it,
-    /// merges are refused whole with typed `handoff-full`, revival
-    /// drains the spool, and resends land cleanly.
-    HintPressure,
-    /// 2x-capacity concurrent merge pressure against the router's AIMD
-    /// admission limiter: sheds must be typed, acked merges durable.
-    Overload,
-    /// [`Heal::AntiEntropy`] after more merges on one shard than a
-    /// replica remembers idempotency ids for: repair must ship exactly
-    /// the missing deltas, never re-apply old ones.
-    DeepRepair,
+}
+
+/// The replica(s) a scenario SIGKILLs and restarts on a fresh port
+/// (startup recovery replays their WAL).
+#[derive(Clone, Copy)]
+struct Victim {
+    shard: usize,
+    /// Both replicas die; otherwise only replica 0.
+    whole_shard: bool,
+    kill: Kill,
+    rejoin: Rejoin,
+}
+
+impl Victim {
+    fn replicas(&self) -> std::ops::Range<usize> {
+        let n = if self.whole_shard {
+            CLUSTER_REPLICAS
+        } else {
+            1
+        };
+        0..n
+    }
+}
+
+/// Which typed refusals a scenario's merges may, or must, draw.
+#[derive(Clone, Copy)]
+enum Refusal {
+    /// Every merge must ack.
+    None,
+    /// The victim's range answers `kind`, naming the victim's shard with
+    /// a retry hint, for every merge after the kill but the first
+    /// `grace` (which ack and spool as hints); every other merge acks.
+    Victim { kind: ErrorKind, grace: usize },
+    /// Any merge may be shed `busy` with a retry hint; which ones depends
+    /// on load timing, so the report names none.
+    Shed,
 }
 
 /// One scenario of the `--cluster` chaos campaign.
 struct ClusterScenario {
     index: usize,
-    /// `(shard, kill both replicas?)` — `None` is the pure
-    /// drop/dup/reorder weather scenario.
-    kill: Option<(usize, bool)>,
-    /// Per-scenario salt folded into the seed.
+    /// Per-scenario salt folded into the seed: picks the kill point, the
+    /// weather schedule, the divergence targets and the id streams.
     salt: u64,
-    /// Healing mechanism under test.
-    heal: Heal,
+    label: &'static str,
+    /// Extra `strided-router` flags.
+    router_flags: &'static [&'static str],
+    victim: Option<Victim>,
+    /// Replication weather at the live replicas after the traffic.
+    weather: bool,
+    /// After this many more merges on the first key's shard, one
+    /// divergent delta per key injected behind the router's back into
+    /// one replica, for anti-entropy repair alone to reconverge.
+    diverge: Option<usize>,
+    /// Concurrent writers; only a lone writer can have a victim.
+    writers: usize,
+    refusal: Refusal,
+    /// The report line of a scenario that held.
+    report: fn(&Tally) -> String,
 }
 
-/// The built-in cluster campaign: the four legacy operator-driven
-/// scenarios (whole-shard outage, single-replica outage, pure
-/// replication weather, second whole-shard outage), then the four
-/// self-healing scenarios (announce-based unattended failover,
-/// anti-entropy repair of divergent replicas, hint-spool overflow
-/// pressure, and 2x-capacity AIMD overload).
+/// What one cluster scenario's traffic came to.
+struct Tally {
+    writers: usize,
+    merges: usize,
+    acked: usize,
+    refused: usize,
+    /// The first key's shard (where deep merges go).
+    deep_shard: usize,
+}
+
+/// The built-in cluster campaign. #1–#3 were retired: a single-replica
+/// outage and weather on a healthy cluster are covered by #0 and #4, and
+/// a second whole-shard outage repeated #0 on another shard.
 fn cluster_campaign() -> Vec<ClusterScenario> {
+    let mid_kill = |whole_shard, rejoin| Victim {
+        shard: 1,
+        whole_shard,
+        kill: Kill::MidTraffic,
+        rejoin,
+    };
+    let quiet = ClusterScenario {
+        index: 0,
+        salt: 0,
+        label: "",
+        router_flags: &[],
+        victim: None,
+        weather: false,
+        diverge: None,
+        writers: 1,
+        refusal: Refusal::None,
+        report: |_| String::new(),
+    };
     vec![
         ClusterScenario {
             index: 0,
-            kill: Some((1, true)),
             salt: 1,
-            heal: Heal::Operator,
-        },
-        ClusterScenario {
-            index: 1,
-            kill: Some((2, false)),
-            salt: 2,
-            heal: Heal::Operator,
-        },
-        ClusterScenario {
-            index: 2,
-            kill: None,
-            salt: 3,
-            heal: Heal::Operator,
-        },
-        ClusterScenario {
-            index: 3,
-            kill: Some((0, true)),
-            salt: 4,
-            heal: Heal::Operator,
+            label: "kill-shard=1+chaos",
+            victim: Some(mid_kill(true, Rejoin::RouteUpdate)),
+            weather: true,
+            refusal: Refusal::Victim {
+                kind: ErrorKind::Unavailable,
+                grace: 0,
+            },
+            report: |t| {
+                format!(
+                    "ok: {} merges ({} acked, {} shed typed-unavailable), drop/dup/reorder \
+                     absorbed, {STORES} replica stores byte-identical to reference",
+                    t.merges, t.acked, t.refused
+                )
+            },
+            ..quiet
         },
         ClusterScenario {
             index: 4,
-            kill: Some((1, false)),
             salt: 5,
-            heal: Heal::Announce,
+            label: "self-announce=1.0",
+            victim: Some(mid_kill(false, Rejoin::Announce)),
+            weather: true,
+            report: |t| {
+                format!(
+                    "ok: {} merges all acked through replica kill, restart self-announced \
+                     (zero operator verbs), hints drained, {STORES} stores byte-identical to \
+                     reference",
+                    t.merges
+                )
+            },
+            ..quiet
         },
         ClusterScenario {
             index: 5,
-            kill: None,
             salt: 6,
-            heal: Heal::AntiEntropy,
+            label: "anti-entropy",
+            diverge: Some(0),
+            report: |t| {
+                format!(
+                    "ok: {} merges + {CLUSTER_KEYS} divergent deltas behind the router, \
+                     anti-entropy reconverged (zero operator verbs), {STORES} stores \
+                     byte-identical",
+                    t.merges
+                )
+            },
+            ..quiet
         },
         ClusterScenario {
             index: 6,
-            kill: None,
             salt: 7,
-            heal: Heal::HintPressure,
+            label: "hint-overflow",
+            router_flags: &["--hint-cap", "2"],
+            victim: Some(Victim {
+                shard: 0,
+                whole_shard: false,
+                kill: Kill::BeforeTraffic,
+                rejoin: Rejoin::Announce,
+            }),
+            refusal: Refusal::Victim {
+                kind: ErrorKind::HandoffFull,
+                grace: 2,
+            },
+            report: |t| {
+                format!(
+                    "ok: {} merges ({} acked, {} refused typed handoff-full applied-nowhere), \
+                     self-announce drained the spool, resends acked, {STORES} stores \
+                     byte-identical",
+                    t.merges, t.acked, t.refused
+                )
+            },
+            ..quiet
         },
+        // 8 writers push about twice the AIMD admission floor, with a
+        // widened worker pool so the limiter, not the socket queue, caps
+        // concurrency.
         ClusterScenario {
             index: 7,
-            kill: None,
             salt: 8,
-            heal: Heal::Overload,
+            label: "overload-2x",
+            router_flags: &["--workers", "16"],
+            writers: 8,
+            refusal: Refusal::Shed,
+            report: |t| {
+                format!(
+                    "ok: overload 2x admission floor ({} writers x {} merges), every shed \
+                     typed busy with retry hint, zero acked-merge loss, {STORES} stores \
+                     byte-identical to acked-set reference",
+                    t.writers,
+                    t.merges / t.writers
+                )
+            },
+            ..quiet
         },
         ClusterScenario {
             index: 8,
-            kill: None,
             salt: 9,
-            heal: Heal::DeepRepair,
+            label: "deep-repair",
+            diverge: Some(DEEP_MERGES),
+            report: |t| {
+                format!(
+                    "ok: {} merges ({DEEP_MERGES} more on shard {}, past its replicas' id \
+                     window) + {CLUSTER_KEYS} divergent deltas behind the router, exact \
+                     repair reconverged (zero operator verbs), {STORES} stores byte-identical",
+                    t.merges, t.deep_shard
+                )
+            },
+            ..quiet
         },
     ]
 }
 
-/// The i-th merge of a key: the base entry renamed to the key with every
-/// edge counter scaled by `1 << round`.
-fn cluster_entry(base: &ProfileEntry, workload: &str, hash: u64, round: usize) -> ProfileEntry {
-    let mut e = base.clone();
-    e.workload = workload.to_string();
-    e.module_hash = hash;
-    e.runs = 1;
-    let factor = 1u64 << round;
-    for table in &mut e.edge_tables {
-        for v in table.iter_mut() {
-            *v = v.saturating_mul(factor);
-        }
-    }
-    e
-}
-
 /// Sorted `(name, bytes)` of a store's entry files — the converged state
 /// a replica must share byte-for-byte with the reference.
-fn entry_files(dir: &std::path::Path) -> Result<Vec<(String, Vec<u8>)>, String> {
+fn entry_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
     let mut files = Vec::new();
     let rd = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for de in rd {
@@ -800,139 +895,145 @@ fn entry_files(dir: &std::path::Path) -> Result<Vec<(String, Vec<u8>)>, String> 
     Ok(files)
 }
 
-/// The scenario's processes; SIGKILLed on drop so an early error return
-/// never leaks daemons.
-struct Cluster {
-    router: Option<Daemon>,
-    backends: Vec<Vec<Option<Daemon>>>,
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for d in self.router.iter_mut() {
-            d.kill();
-        }
-        for d in self.backends.iter_mut().flatten().flatten() {
-            d.kill();
-        }
-    }
-}
-
-/// Deterministic per-scenario traffic: the keys, their owning shards,
-/// every merge's wire text, and the exact delta record the router will
-/// fan out for it (req-ids predicted from the client id stream — only
-/// merges consume ids, so stats/health polls never shift the stream).
-struct TrafficPlan {
-    keys: Vec<(String, u64)>,
-    owner: Vec<usize>,
-    texts: Vec<String>,
-    records: Vec<DeltaRecord>,
+/// One writer's deterministic traffic: its keys, every merge's wire
+/// text, and for each merge its owning shard and the exact delta the
+/// router fans out for it. Req-ids come from the client's id stream;
+/// only merges consume ids, so stats polls never shift it.
+struct WriterPlan {
     id0: u64,
+    keys: Vec<(String, u64)>,
+    texts: Vec<String>,
+    records: Vec<(usize, DeltaRecord)>,
 }
 
-fn plan_traffic(
+fn plan_writers(
     bases: &[ProfileEntry],
     sc: &ClusterScenario,
     seed: u64,
-) -> Result<TrafficPlan, String> {
+) -> Result<Vec<WriterPlan>, String> {
     let map = ShardMap::new(CLUSTER_SHARDS as u32);
-    let keys: Vec<(String, u64)> = (0..CLUSTER_KEYS)
-        .map(|i| (format!("c{}k{i}", sc.index), 0x4100 + i as u64))
-        .collect();
-    let owner: Vec<usize> = keys
-        .iter()
-        .map(|(w, h)| map.shard_of(w, *h) as usize)
-        .collect();
-    for k in 0..CLUSTER_SHARDS {
-        if !owner.contains(&k) {
-            return Err(format!(
-                "scenario key set covers no key on shard {k}; widen CLUSTER_KEYS"
-            ));
+    let owner = |(w, h): &(String, u64)| map.shard_of(w, *h) as usize;
+    let mut covered = [false; CLUSTER_SHARDS];
+    let mut plans = Vec::with_capacity(sc.writers);
+    for t in 0..sc.writers {
+        let (prefix, n_keys, hash0) = if sc.writers == 1 {
+            (format!("c{}", sc.index), CLUSTER_KEYS, 0x4100)
+        } else {
+            let first = t * KEYS_PER_WRITER;
+            (format!("o{t}"), KEYS_PER_WRITER, 0x4800 + first as u64)
+        };
+        let keys: Vec<(String, u64)> = (0..n_keys)
+            .map(|j| (format!("{prefix}k{j}"), hash0 + j as u64))
+            .collect();
+        for key in &keys {
+            covered[owner(key)] = true;
         }
+        // (key, round) of every merge: each key once per round, then the
+        // deep merges, spread over the keys of the first key's shard.
+        let mut merges: Vec<(usize, usize)> = (0..n_keys * CLUSTER_ROUNDS)
+            .map(|i| (i % n_keys, i / n_keys))
+            .collect();
+        let deep_keys: Vec<usize> = (0..n_keys)
+            .filter(|&j| owner(&keys[j]) == owner(&keys[0]))
+            .collect();
+        let deep = sc.diverge.unwrap_or(0);
+        merges.extend((0..deep).map(|j| (deep_keys[j % deep_keys.len()], j % CLUSTER_ROUNDS)));
+        let id0 = mix64(seed ^ sc.salt.wrapping_mul(0xc2b2_ae3d) ^ (t as u64 * 0x9e37_79b9));
+        let texts: Vec<String> = merges
+            .iter()
+            .map(|&(key, round)| {
+                let (w, h) = &keys[key];
+                scaled_entry(&bases[(t + key) % bases.len()], w, *h, 1 << round).to_text()
+            })
+            .collect();
+        let records = IdStream::new(id0)
+            .zip(merges.iter().zip(&texts))
+            .map(|(req_id, (&(key, _), text))| {
+                let rec = DeltaRecord {
+                    req_id,
+                    dot: None,
+                    entry_text: text.clone(),
+                };
+                (owner(&keys[key]), rec)
+            })
+            .collect();
+        plans.push(WriterPlan {
+            id0,
+            keys,
+            texts,
+            records,
+        });
     }
-    let total = CLUSTER_KEYS * CLUSTER_ROUNDS;
-    let texts: Vec<String> = (0..total)
-        .map(|i| {
-            let key = i % CLUSTER_KEYS;
-            let (w, h) = &keys[key];
-            cluster_entry(&bases[key % bases.len()], w, *h, i / CLUSTER_KEYS).to_text()
-        })
-        .collect();
-    let id0 = mix64(seed ^ sc.salt.wrapping_mul(0xc2b2_ae3d));
-    let records: Vec<DeltaRecord> = id_stream(id0, total)
-        .into_iter()
-        .zip(&texts)
-        .map(|(req_id, t)| DeltaRecord {
-            req_id,
-            dot: None,
-            entry_text: t.clone(),
-        })
-        .collect();
-    Ok(TrafficPlan {
-        keys,
-        owner,
-        texts,
-        records,
-        id0,
-    })
+    if let Some(k) = covered.iter().position(|&c| !c) {
+        return Err(format!("scenario key set covers no key on shard {k}"));
+    }
+    Ok(plans)
+}
+
+/// A scenario's processes: the router and `backends[shard][replica]`
+/// (`None` while killed).
+struct Cluster {
+    router: Daemon,
+    backends: Vec<Vec<Option<Daemon>>>,
+}
+
+impl Cluster {
+    /// Boots 3 shards × 2 replicas under `root` plus a router over them.
+    fn boot(bins: &Bins, root: &Path, router_flags: &[&str]) -> Result<Cluster, String> {
+        let _ = std::fs::remove_dir_all(root);
+        let mut backends = Vec::new();
+        let mut args = Vec::new();
+        for k in 0..CLUSTER_SHARDS {
+            let row = (0..CLUSTER_REPLICAS)
+                .map(|r| spawn_daemon(&bins.strided, &db_args(&replica_dir(root, k, r))))
+                .collect::<Result<Vec<Daemon>, String>>()?;
+            let addrs: Vec<&str> = row.iter().map(|d| d.addr.as_str()).collect();
+            args.extend(["--shard".to_string(), addrs.join(",")]);
+            backends.push(row.into_iter().map(Some).collect());
+        }
+        args.extend(router_flags.iter().map(|f| f.to_string()));
+        let router = spawn_daemon(&bins.router, &args)?;
+        Ok(Cluster { router, backends })
+    }
+
+    fn replica(&self, k: usize, r: usize) -> Result<&Daemon, String> {
+        self.backends[k][r]
+            .as_ref()
+            .ok_or_else(|| format!("replica s{k}r{r} is down"))
+    }
+}
+
+fn replica_dir(root: &Path, k: usize, r: usize) -> PathBuf {
+    root.join(format!("s{k}r{r}"))
+}
+
+/// The two daemon binaries a cluster scenario runs.
+struct Bins {
+    strided: PathBuf,
+    router: PathBuf,
 }
 
 /// Per-scenario scratch root for database directories.
-fn cluster_root(index: usize) -> std::path::PathBuf {
+fn cluster_root(index: usize) -> PathBuf {
     std::env::temp_dir().join(format!("faultsim-cluster-{}-{index}", std::process::id()))
 }
 
-/// Boots 3 shards × 2 replicas plus a router over them (extra router
-/// flags let self-healing scenarios shrink the hint cap or widen the
-/// worker pool); returns the process set and the router's address.
-fn boot_cluster_3x2(
-    strided: &std::path::Path,
-    router: &std::path::Path,
-    root: &std::path::Path,
-    router_extra: &[String],
-) -> Result<(Cluster, String), String> {
-    let _ = std::fs::remove_dir_all(root);
-    let mut cluster = Cluster {
-        router: None,
-        backends: Vec::new(),
-    };
-    let mut topology = Vec::new();
-    for k in 0..CLUSTER_SHARDS {
-        let mut row = Vec::new();
-        let mut addrs = Vec::new();
-        for r in 0..CLUSTER_REPLICAS {
-            let d = spawn_daemon(strided, &root.join(format!("s{k}r{r}")), None)?;
-            addrs.push(d.addr.clone());
-            row.push(Some(d));
-        }
-        cluster.backends.push(row);
-        topology.push(addrs);
-    }
-    cluster.router = Some(spawn_router_with(router, &topology, router_extra)?);
-    let addr = match &cluster.router {
-        Some(d) => d.addr.clone(),
-        None => return Err("router vanished".to_string()),
-    };
-    Ok((cluster, addr))
-}
-
-/// Replication weather: each shard's deltas delivered straight at its
-/// live replicas with seeded drops, duplicates, and a full shuffle — an
-/// adversarial at-least-once network. Request-id dedup plus the
+/// Replication weather: each shard's acked deltas delivered straight at
+/// its live replicas with seeded drops, duplicates, and a full shuffle —
+/// an adversarial at-least-once network. Request-id dedup plus the
 /// commutative merge must absorb all of it.
 fn chaos_weather(
     cluster: &Cluster,
-    owner: &[usize],
-    records: &[DeltaRecord],
+    acked: &[(usize, DeltaRecord)],
     seed: u64,
     salt: u64,
 ) -> Result<(), String> {
-    let total = records.len();
     let mut rng = FaultRng::new(mix64(seed ^ 0x51ab ^ salt));
     for k in 0..CLUSTER_SHARDS {
-        let owned: Vec<&DeltaRecord> = (0..total)
-            .filter(|i| owner[i % CLUSTER_KEYS] == k)
-            .map(|i| &records[i])
+        let owned: Vec<&DeltaRecord> = acked
+            .iter()
+            .filter(|(own, _)| *own == k)
+            .map(|(_, rec)| rec)
             .collect();
         for r in 0..CLUSTER_REPLICAS {
             let Some(d) = &cluster.backends[k][r] else {
@@ -948,20 +1049,60 @@ fn chaos_weather(
                 }
             }
             shuffle(&mut rng, &mut sched);
-            let mut c = Client::connect_with(d.addr.as_str(), RetryPolicy::no_retries())
-                .map_err(|e| format!("chaos connect s{k}r{r}: {e}"))?;
+            let mut c = d.connect()?;
             for chunk in sched.chunks(3) {
                 let batch: Vec<DeltaRecord> = chunk.iter().map(|r| (*r).clone()).collect();
-                match c.call(&Request::SyncDelta {
-                    batch_text: encode_delta_batch(&batch),
-                }) {
-                    Ok(Response::Ok(_)) => {}
-                    other => return Err(format!("chaos sync-delta to s{k}r{r}: {other:?}")),
-                }
+                sync_delta(&mut c, &batch, &format!("chaos to s{k}r{r}"))?;
             }
         }
     }
     Ok(())
+}
+
+/// Delivers `batch` as one `sync-delta`, straight at a replica.
+fn sync_delta(client: &mut Client, batch: &[DeltaRecord], what: &str) -> Result<(), String> {
+    match client.call(&Request::SyncDelta {
+        batch_text: encode_delta_batch(batch),
+    }) {
+        Ok(Response::Ok(_)) => Ok(()),
+        other => Err(format!("sync-delta {what}: {other:?}")),
+    }
+}
+
+/// Injects one fresh delta per key of `plan` into one seeded replica of
+/// its owning shard, behind the router's back — a stand-in for a healed
+/// partition that left replicas divergent. Entry counts stay equal
+/// across replicas (every key already exists), so only the causal
+/// contexts, and the final byte-compare, can expose the drift. Returns
+/// the injected deltas.
+fn inject_divergence(
+    cluster: &Cluster,
+    bases: &[ProfileEntry],
+    plan: &WriterPlan,
+    seed: u64,
+    salt: u64,
+) -> Result<Vec<(usize, DeltaRecord)>, String> {
+    let map = ShardMap::new(CLUSTER_SHARDS as u32);
+    let mut rng = FaultRng::new(mix64(seed ^ salt ^ 0x9a97));
+    let ids = IdStream::new(mix64(plan.id0 ^ 0x0d1f));
+    let mut extras = Vec::new();
+    for ((i, (w, h)), req_id) in plan.keys.iter().enumerate().zip(ids) {
+        let rec = DeltaRecord {
+            req_id,
+            dot: None,
+            entry_text: scaled_entry(&bases[i % bases.len()], w, *h, 1 << CLUSTER_ROUNDS).to_text(),
+        };
+        let k = map.shard_of(w, *h) as usize;
+        let r = rng.below(CLUSTER_REPLICAS as u64) as usize;
+        let mut c = cluster.replica(k, r)?.connect()?;
+        sync_delta(
+            &mut c,
+            std::slice::from_ref(&rec),
+            &format!("divergence to s{k}r{r}"),
+        )?;
+        extras.push((k, rec));
+    }
+    Ok(extras)
 }
 
 /// What one router `stats` body says about the cluster: whether every
@@ -993,7 +1134,7 @@ fn cluster_view(body: &str) -> ClusterView {
                     .iter()
                     .filter(|(name, _)| name.starts_with(prefix));
                 let levels: Vec<u64> = gauges.map(|(_, g)| g.value).collect();
-                levels.len() == CLUSTER_SHARDS * CLUSTER_REPLICAS && levels.iter().all(|&v| v == 0)
+                levels.len() == STORES && levels.iter().all(|&v| v == 0)
             };
             view.drained = all_zero("router.hint_depth.");
             view.alive = all_zero("router.health.");
@@ -1003,14 +1144,13 @@ fn cluster_view(body: &str) -> ClusterView {
     view
 }
 
-/// Polls router stats until the cluster looks self-healed: every hint
-/// spool drained, every replica alive, and the replicas of each shard
-/// agreeing on entry count — then keeps polling until `extra_repair`
-/// more anti-entropy rounds have run on top of that quiet state. Every
-/// poll ticks the router's logical probe clock, so polling *drives*
-/// probing, revival, and repair; no operator verb is ever issued.
-fn settle_selfhealed(client: &mut Client, extra_repair: u64) -> Result<(), String> {
-    let want = CLUSTER_SHARDS * CLUSTER_REPLICAS;
+/// Polls router stats until the cluster looks healed: every hint spool
+/// drained, every replica alive, and the replicas of each shard agreeing
+/// on entry count — then keeps polling until `extra_repair` more
+/// anti-entropy rounds have run on top of that quiet state. Every poll
+/// ticks the router's logical probe clock, so polling *drives* probing,
+/// revival, and repair.
+fn settle(client: &mut Client, extra_repair: u64) -> Result<(), String> {
     let mut quiet_rounds: Option<u64> = None;
     for _ in 0..800 {
         let body = match client.call(&Request::Stats) {
@@ -1019,7 +1159,7 @@ fn settle_selfhealed(client: &mut Client, extra_repair: u64) -> Result<(), Strin
         };
         let view = cluster_view(&body);
         let counts = &view.entries;
-        let agree = counts.len() == want
+        let agree = counts.len() == STORES
             && (0..CLUSTER_SHARDS).all(|k| {
                 let per: Vec<u64> = counts
                     .iter()
@@ -1037,20 +1177,20 @@ fn settle_selfhealed(client: &mut Client, extra_repair: u64) -> Result<(), Strin
         } else {
             quiet_rounds = None;
         }
-        std::thread::sleep(std::time::Duration::from_millis(15));
+        std::thread::sleep(Duration::from_millis(15));
     }
-    Err("cluster did not self-heal within the settle budget".to_string())
+    Err("cluster did not heal within the settle budget".to_string())
 }
 
 /// Stops the whole cluster (router shutdown fans out), then holds every
 /// replica store byte-identical to an uninterrupted reference applying
-/// `reference[k]` once per shard. `allow_empty` permits a shard that
+/// `deltas` once, each on its shard. `allow_empty` permits a shard that
 /// legitimately ended with no applied merges (overload shedding).
 fn stop_and_compare(
     client: &mut Client,
-    cluster: &mut Cluster,
-    root: &std::path::Path,
-    reference: &[Vec<DeltaRecord>],
+    mut cluster: Cluster,
+    root: &Path,
+    deltas: &[(usize, DeltaRecord)],
     allow_empty: bool,
 ) -> Result<(), String> {
     match client.call(&Request::Shutdown) {
@@ -1058,22 +1198,25 @@ fn stop_and_compare(
         other => return Err(format!("cluster shutdown: {other:?}")),
     }
     for d in cluster.backends.iter_mut().flatten().flatten() {
-        d.shutdown();
+        d.shutdown()?;
     }
-    if let Some(mut d) = cluster.router.take() {
-        d.shutdown();
-    }
-    for (k, recs) in reference.iter().enumerate() {
+    cluster.router.shutdown()?;
+    for k in 0..CLUSTER_SHARDS {
         let ref_dir = root.join(format!("ref{k}"));
         let db = ProfileDb::open(&ref_dir).map_err(|e| format!("reference db: {e}"))?;
-        db.apply_deltas(recs)
+        let recs: Vec<DeltaRecord> = deltas
+            .iter()
+            .filter(|(own, _)| *own == k)
+            .map(|(_, rec)| rec.clone())
+            .collect();
+        db.apply_deltas(&recs)
             .map_err(|e| format!("reference apply shard {k}: {e}"))?;
         let want = entry_files(&ref_dir)?;
         if want.is_empty() && !allow_empty {
             return Err(format!("reference store for shard {k} is empty"));
         }
         for r in 0..CLUSTER_REPLICAS {
-            let got = entry_files(&root.join(format!("s{k}r{r}")))?;
+            let got = entry_files(&replica_dir(root, k, r))?;
             if got != want {
                 return Err(format!(
                     "DIVERGED: shard {k} replica {r} store differs from the uninterrupted \
@@ -1088,755 +1231,242 @@ fn stop_and_compare(
     Ok(())
 }
 
-/// Runs one cluster chaos scenario; returns its deterministic verdict
-/// line. The kill point, victim, and chaos schedules are all functions
-/// of `(seed, salt)`, so the line is identical at any `--jobs` level.
+/// Sends a writer's merges in order, running `before(i)` ahead of merge
+/// `i` (the kill hook); returns every response.
+fn drive(
+    client: &mut Client,
+    texts: &[String],
+    mut before: impl FnMut(usize),
+) -> Result<Vec<Response>, String> {
+    let mut responses = Vec::with_capacity(texts.len());
+    for (i, entry_text) in texts.iter().cloned().enumerate() {
+        before(i);
+        let resp = client.call(&Request::MergeProfile { entry_text });
+        responses.push(resp.map_err(|e| format!("merge {i} transport: {e}"))?);
+    }
+    Ok(responses)
+}
+
+/// Runs one cluster scenario row: plan the traffic, boot, merge (killing
+/// the victim at its point), check every answer against the expected
+/// refusals, restart and rejoin the victim, play the weather, inject
+/// divergence, settle, resend what was refused, and compare every store
+/// with the reference. The kill point, victim, and schedules are all
+/// functions of `(seed, salt)`, so the line is identical at any
+/// `--jobs` level.
 fn run_cluster_scenario(
-    strided: &std::path::Path,
-    router: &std::path::Path,
+    bins: &Bins,
     bases: &[ProfileEntry],
     sc: &ClusterScenario,
     seed: u64,
-) -> Result<String, String> {
-    let plan = plan_traffic(bases, sc, seed)?;
-    let (owner, texts, records) = (&plan.owner, &plan.texts, &plan.records);
-    let total = texts.len();
-
-    // Boot 3 shards × 2 replicas plus the router over them.
+) -> Result<Verdict, String> {
+    let plans = plan_writers(bases, sc, seed)?;
+    let merges: usize = plans.iter().map(|p| p.texts.len()).sum();
     let root = cluster_root(sc.index);
-    let db_dir = |k: usize, r: usize| root.join(format!("s{k}r{r}"));
-    let (mut cluster, router_addr) = boot_cluster_3x2(strided, router, &root, &[])?;
-    let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
-        .map_err(|e| format!("connect to router: {e}"))?;
-    client.set_id_state(plan.id0);
+    let mut cluster = Cluster::boot(bins, &root, sc.router_flags)?;
+    let mut clients = Vec::with_capacity(plans.len());
+    for plan in &plans {
+        let mut client = cluster.router.connect()?;
+        client.set_id_state(plan.id0);
+        clients.push(client);
+    }
 
-    // Phase 1: merge traffic with a seeded mid-stream SIGKILL. A fully
-    // dead shard must shed exactly its own key range with a typed
-    // `unavailable shard=K`; every other key must keep being served.
-    let kill_at = sc
-        .kill
-        .map(|_| CLUSTER_KEYS + (mix64(seed ^ sc.salt) % (total as u64 / 2)) as usize);
-    let mut dead_shard = None;
-    let mut acked = 0usize;
-    let mut shed = 0usize;
-    for i in 0..total {
-        if Some(i) == kill_at {
-            if let Some((k, both)) = sc.kill {
-                for r in 0..CLUSTER_REPLICAS {
-                    if both || r == 0 {
-                        if let Some(mut d) = cluster.backends[k][r].take() {
-                            d.kill();
-                        }
-                    }
-                }
-                if both {
-                    dead_shard = Some(k);
+    // Phase 1: the traffic. A lone writer may lose a victim on the way;
+    // several writers run concurrently.
+    let kill_at = sc.victim.map(|v| match v.kill {
+        Kill::BeforeTraffic => 0,
+        Kill::MidTraffic => CLUSTER_KEYS + (mix64(seed ^ sc.salt) % (merges as u64 / 2)) as usize,
+    });
+    let responses: Vec<Vec<Response>> = match (&plans[..], &mut clients[..]) {
+        ([plan], [client]) => vec![drive(client, &plan.texts, |i| {
+            if let (Some(v), true) = (sc.victim, Some(i) == kill_at) {
+                for r in v.replicas() {
+                    cluster.backends[v.shard][r] = None;
                 }
             }
-        }
-        let resp = client
-            .call(&Request::MergeProfile {
-                entry_text: texts[i].clone(),
-            })
-            .map_err(|e| format!("merge {i} transport: {e}"))?;
-        let own = owner[i % CLUSTER_KEYS];
-        if dead_shard == Some(own) {
-            match resp {
-                Response::Err {
-                    kind: ErrorKind::Unavailable,
-                    shard,
-                    retry_after_ms,
-                    ..
-                } => {
-                    if shard != Some(own as u32) {
-                        return Err(format!(
-                            "merge {i}: unavailable did not name dead shard {own}: {shard:?}"
-                        ));
+        })?],
+        (plans, clients) => std::thread::scope(|scope| {
+            let handles: Vec<_> = plans
+                .iter()
+                .zip(clients.iter_mut())
+                .map(|(plan, client)| scope.spawn(move || drive(client, &plan.texts, |_| {})))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err("writer thread panicked".to_string()))
+                })
+                .collect::<Result<_, String>>()
+        })?,
+    };
+
+    // Every answer is an ack or the expected typed refusal. `reference`
+    // collects the deltas the replicas must end up holding: the acked
+    // ones, and the `unavailable` ones, which the router spooled for the
+    // dead replicas and delivers when they rejoin. A `handoff-full`
+    // write was refused whole, applied nowhere, so it is resent later.
+    let mut reference: Vec<(usize, DeltaRecord)> = Vec::new();
+    let (mut acked, mut refused, mut resend) = (0usize, Vec::new(), Vec::new());
+    for (plan, resps) in plans.iter().zip(responses) {
+        for (i, resp) in resps.into_iter().enumerate() {
+            let (own, rec) = &plan.records[i];
+            let victim_range =
+                sc.victim.is_some_and(|v| v.shard == *own) && kill_at.is_some_and(|k| i >= k);
+            match (resp, sc.refusal) {
+                (Response::Ok(_), _) => acked += 1,
+                (
+                    Response::Err {
+                        kind,
+                        shard,
+                        retry_after_ms: Some(_),
+                        ..
+                    },
+                    Refusal::Victim { kind: want, .. },
+                ) if kind == want && victim_range && shard == Some(*own as u32) => {
+                    refused.push(i);
+                    if kind == ErrorKind::HandoffFull {
+                        resend.push(i);
+                        continue;
                     }
-                    if retry_after_ms.is_none() {
-                        return Err(format!("merge {i}: unavailable without retry-after hint"));
-                    }
-                    shed += 1;
                 }
-                other => {
+                (
+                    Response::Err {
+                        kind: ErrorKind::Busy,
+                        retry_after_ms: Some(_),
+                        ..
+                    },
+                    Refusal::Shed,
+                ) => continue,
+                (other, _) => {
                     return Err(format!(
-                        "merge {i} for dead shard {own} answered {other:?} \
-                         (expected typed unavailable)"
+                        "merge {i} on shard {own} answered {other:?} — neither an ack nor \
+                         the scenario's typed refusal"
                     ))
                 }
             }
-        } else {
-            match resp {
-                Response::Ok(_) => acked += 1,
-                other => {
-                    return Err(format!(
-                        "merge {i} on live shard {own} failed: {other:?} — \
-                         unaffected key ranges must keep serving"
-                    ))
-                }
+            reference.push((*own, rec.clone()));
+        }
+    }
+    if let (Some(v), Refusal::Victim { grace, .. }) = (sc.victim, sc.refusal) {
+        let want: Vec<usize> = (kill_at.unwrap_or(0)..merges)
+            .filter(|&i| plans[0].records[i].0 == v.shard)
+            .skip(grace)
+            .collect();
+        if refused != want {
+            return Err(format!(
+                "refusal schedule diverged: got {refused:?}, want {want:?} — the victim's \
+                 range must refuse exactly these merges"
+            ));
+        }
+    }
+
+    // Phase 2: restart the victim, play the weather, and rejoin it.
+    if let Some(v) = sc.victim {
+        for r in v.replicas() {
+            let mut args = db_args(&replica_dir(&root, v.shard, r));
+            if v.rejoin == Rejoin::Announce {
+                let at = format!("{}/{}/{r}", cluster.router.addr, v.shard);
+                args.extend(["--announce".to_string(), at]);
+            }
+            cluster.backends[v.shard][r] = Some(spawn_daemon(&bins.strided, &args)?);
+        }
+    }
+    if sc.weather {
+        chaos_weather(&cluster, &reference, seed, sc.salt)?;
+    }
+    let control = &mut clients[0];
+    if let Some(v) = sc.victim.filter(|v| v.rejoin == Rejoin::RouteUpdate) {
+        for r in v.replicas() {
+            let addr = cluster.replica(v.shard, r)?.addr.clone();
+            match control.call(&Request::RouteUpdate {
+                shard: v.shard as u32,
+                replica: r as u32,
+                addr,
+            }) {
+                Ok(Response::Ok(_)) => {}
+                other => return Err(format!("route-update s{}r{r}: {other:?}", v.shard)),
             }
         }
     }
 
-    // Phase 2: restart the victims on fresh ports (startup recovery
-    // replays their WAL), but do not re-point the router yet.
-    if let Some((k, both)) = sc.kill {
-        for r in 0..CLUSTER_REPLICAS {
-            if both || r == 0 {
-                cluster.backends[k][r] = Some(spawn_daemon(strided, &db_dir(k, r), None)?);
-            }
-        }
+    // Phase 3: divergence behind the router's back, then settle. Two
+    // full anti-entropy passes per shard after divergence: the first
+    // ships each replica the deltas it lacks, the second verifies.
+    if sc.diverge.is_some() {
+        reference.extend(inject_divergence(
+            &cluster, bases, &plans[0], seed, sc.salt,
+        )?);
     }
+    let passes = if sc.diverge.is_some() { 2 } else { 1 };
+    settle(control, passes * CLUSTER_SHARDS as u64)?;
 
-    // Phase 3: replication weather — the adversarial at-least-once
-    // network the dedup + commutative merge must absorb.
-    chaos_weather(&cluster, owner, records, seed, sc.salt)?;
-
-    // Phase 4: re-point the router at the restarted replicas; the lag
-    // queues drain every delivery the outage deferred.
-    if let Some((k, both)) = sc.kill {
-        for r in 0..CLUSTER_REPLICAS {
-            if both || r == 0 {
-                let addr = match &cluster.backends[k][r] {
-                    Some(d) => d.addr.clone(),
-                    None => return Err(format!("restarted s{k}r{r} vanished")),
-                };
-                match client.call(&Request::RouteUpdate {
-                    shard: k as u32,
-                    replica: r as u32,
-                    addr,
-                }) {
-                    Ok(Response::Ok(_)) => {}
-                    other => return Err(format!("route-update s{k}r{r}: {other:?}")),
-                }
-            }
-        }
-    }
-    let mut settled = false;
-    for _ in 0..200 {
-        let body = match client.call(&Request::Stats) {
-            Ok(Response::Ok(b)) => b,
-            other => return Err(format!("settle stats: {other:?}")),
-        };
-        if cluster_view(&body).drained {
-            settled = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    if !settled {
-        return Err("replication lag did not settle within 10s".to_string());
-    }
-
-    // Phase 5: stop the whole cluster (router shutdown fans out), then
-    // hold every replica store to byte identity with an uninterrupted
-    // reference applying the same deltas once, in submission order.
-    let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
-        .map(|k| {
-            (0..total)
-                .filter(|i| owner[i % CLUSTER_KEYS] == k)
-                .map(|i| records[i].clone())
-                .collect()
-        })
-        .collect();
-    stop_and_compare(&mut client, &mut cluster, &root, &reference, false)?;
-    let _ = std::fs::remove_dir_all(&root);
-    Ok(format!(
-        "ok: {total} merges ({acked} acked, {shed} shed typed-unavailable), \
-         drop/dup/reorder absorbed, {} replica stores byte-identical to reference",
-        CLUSTER_SHARDS * CLUSTER_REPLICAS
-    ))
-}
-
-/// Self-healing scenario #4: kill one replica mid-traffic, restart it
-/// with `--announce` on a fresh port, and let the router's probe loop
-/// plus revival routine (module re-teach, hint drain, anti-entropy)
-/// converge the cluster with zero operator verbs.
-fn run_announce_scenario(
-    strided: &std::path::Path,
-    router: &std::path::Path,
-    bases: &[ProfileEntry],
-    sc: &ClusterScenario,
-    seed: u64,
-) -> Result<String, String> {
-    let plan = plan_traffic(bases, sc, seed)?;
-    let total = plan.texts.len();
-    let (k_victim, _) = sc.kill.ok_or("announce scenario needs a victim")?;
-    let root = cluster_root(sc.index);
-    let (mut cluster, router_addr) = boot_cluster_3x2(strided, router, &root, &[])?;
-    let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
-        .map_err(|e| format!("connect to router: {e}"))?;
-    client.set_id_state(plan.id0);
-
-    // Merge traffic with a seeded mid-stream SIGKILL of one replica.
-    // The sibling keeps acking every merge; the victim's share spools
-    // as durable hints.
-    let kill_at = CLUSTER_KEYS + (mix64(seed ^ sc.salt) % (total as u64 / 2)) as usize;
-    for i in 0..total {
-        if i == kill_at {
-            if let Some(mut d) = cluster.backends[k_victim][0].take() {
-                d.kill();
-            }
-        }
-        match client.call(&Request::MergeProfile {
-            entry_text: plan.texts[i].clone(),
-        }) {
-            Ok(Response::Ok(_)) => {}
-            other => {
-                return Err(format!(
-                    "merge {i}: sibling must keep acking through a \
-                     single-replica outage: {other:?}"
-                ))
-            }
-        }
-    }
-
-    // Weather at the live replicas while the victim is still down.
-    chaos_weather(&cluster, &plan.owner, &plan.records, seed, sc.salt)?;
-
-    // Unattended failover: the replacement announces itself on a fresh
-    // port; nobody calls route-update.
-    cluster.backends[k_victim][0] = Some(spawn_daemon_with(
-        strided,
-        &root.join(format!("s{k_victim}r0")),
-        None,
-        &[
-            "--announce".to_string(),
-            format!("{router_addr}/{k_victim}/0"),
-        ],
-    )?);
-    settle_selfhealed(&mut client, CLUSTER_SHARDS as u64)?;
-
-    let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
-        .map(|k| {
-            (0..total)
-                .filter(|i| plan.owner[i % CLUSTER_KEYS] == k)
-                .map(|i| plan.records[i].clone())
-                .collect()
-        })
-        .collect();
-    stop_and_compare(&mut client, &mut cluster, &root, &reference, false)?;
-    let _ = std::fs::remove_dir_all(&root);
-    Ok(format!(
-        "ok: {total} merges all acked through replica kill, restart self-announced \
-         (zero operator verbs), hints drained, {} stores byte-identical to reference",
-        CLUSTER_SHARDS * CLUSTER_REPLICAS
-    ))
-}
-
-/// Self-healing scenarios #5 and #8: a healthy run — for #8 followed by
-/// `deep` more merges on the shard owning the first key, more than a
-/// replica remembers idempotency ids for — then one fresh delta per key
-/// injected behind the router's back into exactly one (seeded) replica
-/// of its owning shard — a stand-in for a healed partition that left
-/// replicas divergent. Only traffic-driven anti-entropy rounds may
-/// reconverge them; no kill, no restart, no operator verbs.
-fn run_antientropy_scenario(
-    strided: &std::path::Path,
-    router: &std::path::Path,
-    bases: &[ProfileEntry],
-    sc: &ClusterScenario,
-    seed: u64,
-    deep: usize,
-) -> Result<String, String> {
-    let plan = plan_traffic(bases, sc, seed)?;
-    let deep_shard = plan.owner[0];
-    let deep_keys: Vec<usize> = (0..CLUSTER_KEYS)
-        .filter(|&i| plan.owner[i] == deep_shard)
-        .collect();
-    // Every merge's owning shard and delta, in submission order.
-    let mut traffic: Vec<(usize, DeltaRecord)> = (0..plan.texts.len())
-        .map(|i| (plan.owner[i % CLUSTER_KEYS], plan.records[i].clone()))
-        .collect();
-    let ids = id_stream(plan.id0, traffic.len() + deep);
-    for (j, &req_id) in ids[traffic.len()..].iter().enumerate() {
-        let key = deep_keys[j % deep_keys.len()];
-        let (w, h) = &plan.keys[key];
-        let entry = cluster_entry(&bases[key % bases.len()], w, *h, j % CLUSTER_ROUNDS);
+    // Phase 4: `handoff-full` invites a clean retry, so resend every such
+    // merge on the same client: the resends take the next ids of its
+    // stream.
+    let plan = &plans[0];
+    let ids = IdStream::new(plan.id0).skip(plan.texts.len());
+    for (&i, req_id) in resend.iter().zip(ids) {
+        merge_ok(
+            control,
+            &plan.texts[i],
+            &format!("resend of refused merge {i}"),
+        )?;
         let rec = DeltaRecord {
             req_id,
             dot: None,
-            entry_text: entry.to_text(),
-        };
-        traffic.push((deep_shard, rec));
-    }
-    let total = traffic.len();
-    let root = cluster_root(sc.index);
-    let (mut cluster, router_addr) = boot_cluster_3x2(strided, router, &root, &[])?;
-    let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
-        .map_err(|e| format!("connect to router: {e}"))?;
-    client.set_id_state(plan.id0);
-    for (i, (_, rec)) in traffic.iter().enumerate() {
-        match client.call(&Request::MergeProfile {
-            entry_text: rec.entry_text.clone(),
-        }) {
-            Ok(Response::Ok(_)) => {}
-            other => return Err(format!("merge {i} on healthy cluster: {other:?}")),
-        }
-    }
-
-    // Divergence injection: entry counts stay equal across replicas
-    // (every key already exists), so only the per-key digests — and the
-    // final byte-compare — can expose the drift.
-    let extra_ids = id_stream(mix64(plan.id0 ^ 0x0d1f), CLUSTER_KEYS);
-    let mut rng = FaultRng::new(mix64(seed ^ sc.salt ^ 0x9a97));
-    let mut extras: Vec<(usize, DeltaRecord)> = Vec::new();
-    for (i, (w, h)) in plan.keys.iter().enumerate() {
-        let rec = DeltaRecord {
-            req_id: extra_ids[i],
-            dot: None,
-            entry_text: cluster_entry(&bases[i % bases.len()], w, *h, CLUSTER_ROUNDS).to_text(),
-        };
-        let k = plan.owner[i];
-        let r = rng.below(CLUSTER_REPLICAS as u64) as usize;
-        let Some(d) = &cluster.backends[k][r] else {
-            return Err(format!("replica s{k}r{r} missing for divergence injection"));
-        };
-        let mut c = Client::connect_with(d.addr.as_str(), RetryPolicy::no_retries())
-            .map_err(|e| format!("divergence connect s{k}r{r}: {e}"))?;
-        match c.call(&Request::SyncDelta {
-            batch_text: encode_delta_batch(std::slice::from_ref(&rec)),
-        }) {
-            Ok(Response::Ok(_)) => {}
-            other => return Err(format!("divergence inject s{k}r{r}: {other:?}")),
-        }
-        extras.push((k, rec));
-    }
-
-    // Demand two full anti-entropy passes after the cluster looks quiet:
-    // the first finds the replicas' causal contexts differ and ships each
-    // the deltas it lacks, the second verifies convergence.
-    settle_selfhealed(&mut client, 2 * CLUSTER_SHARDS as u64)?;
-
-    let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
-        .map(|k| {
-            traffic
-                .iter()
-                .chain(&extras)
-                .filter(|(owner, _)| *owner == k)
-                .map(|(_, r)| r.clone())
-                .collect()
-        })
-        .collect();
-    stop_and_compare(&mut client, &mut cluster, &root, &reference, false)?;
-    let _ = std::fs::remove_dir_all(&root);
-    let stores = CLUSTER_SHARDS * CLUSTER_REPLICAS;
-    Ok(if deep == 0 {
-        format!(
-            "ok: {total} merges + {CLUSTER_KEYS} divergent deltas behind the router, \
-             anti-entropy reconverged (zero operator verbs), {stores} stores byte-identical"
-        )
-    } else {
-        format!(
-            "ok: {total} merges ({deep} more on shard {deep_shard}, past its replicas' \
-             id window) + {CLUSTER_KEYS} divergent deltas behind the router, exact repair \
-             reconverged (zero operator verbs), {stores} stores byte-identical"
-        )
-    })
-}
-
-/// Self-healing scenario #6: a replica dies before traffic and the
-/// router runs with `--hint-cap 2`, so its spool overflows. The first
-/// two merges for the victim's shard ack (sibling applies, hint
-/// spools); every later one must be refused whole — typed
-/// `handoff-full`, applied nowhere. Revival via `--announce` drains the
-/// spool, and resending the refused merges on the same client lands
-/// them cleanly.
-fn run_hint_pressure_scenario(
-    strided: &std::path::Path,
-    router: &std::path::Path,
-    bases: &[ProfileEntry],
-    sc: &ClusterScenario,
-    seed: u64,
-) -> Result<String, String> {
-    let plan = plan_traffic(bases, sc, seed)?;
-    let total = plan.texts.len();
-    let root = cluster_root(sc.index);
-    let (mut cluster, router_addr) = boot_cluster_3x2(
-        strided,
-        router,
-        &root,
-        &["--hint-cap".to_string(), "2".to_string()],
-    )?;
-    // Victim: replica 0 of the first key's shard, killed before any
-    // traffic so its spool fills while its sibling keeps acking.
-    let k_victim = plan.owner[0];
-    if let Some(mut d) = cluster.backends[k_victim][0].take() {
-        d.kill();
-    }
-    let owned: Vec<usize> = (0..total)
-        .filter(|i| plan.owner[i % CLUSTER_KEYS] == k_victim)
-        .collect();
-    let refused_expect: Vec<usize> = owned[2.min(owned.len())..].to_vec();
-
-    let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
-        .map_err(|e| format!("connect to router: {e}"))?;
-    client.set_id_state(plan.id0);
-    let mut acked: Vec<usize> = Vec::new();
-    let mut refused: Vec<usize> = Vec::new();
-    for i in 0..total {
-        let resp = client
-            .call(&Request::MergeProfile {
-                entry_text: plan.texts[i].clone(),
-            })
-            .map_err(|e| format!("merge {i} transport: {e}"))?;
-        match resp {
-            Response::Ok(_) => acked.push(i),
-            Response::Err {
-                kind: ErrorKind::HandoffFull,
-                shard,
-                retry_after_ms,
-                ..
-            } => {
-                if shard != Some(k_victim as u32) {
-                    return Err(format!(
-                        "merge {i}: handoff-full named shard {shard:?}, victim is {k_victim}"
-                    ));
-                }
-                if retry_after_ms.is_none() {
-                    return Err(format!("merge {i}: handoff-full without retry-after hint"));
-                }
-                refused.push(i);
-            }
-            other => {
-                return Err(format!(
-                    "merge {i}: {other:?} (expected ok or typed handoff-full)"
-                ))
-            }
-        }
-    }
-    if refused != refused_expect {
-        return Err(format!(
-            "refusal schedule diverged: got {refused:?}, want {refused_expect:?} — \
-             the overflowing spool must refuse exactly the overflow, applied nowhere"
-        ));
-    }
-
-    // Revive via self-announce; the router drains the two spooled hints.
-    cluster.backends[k_victim][0] = Some(spawn_daemon_with(
-        strided,
-        &root.join(format!("s{k_victim}r0")),
-        None,
-        &[
-            "--announce".to_string(),
-            format!("{router_addr}/{k_victim}/0"),
-        ],
-    )?);
-    settle_selfhealed(&mut client, CLUSTER_SHARDS as u64)?;
-
-    // The typed refusal invites a clean retry: resend every refused
-    // merge on the same client. Only merges consume req-ids, so the
-    // resends take exactly the next `refused.len()` ids of the stream.
-    let resend_ids = {
-        let all = id_stream(plan.id0, total + refused.len());
-        all[total..].to_vec()
-    };
-    let mut resent: Vec<DeltaRecord> = Vec::new();
-    for (j, &i) in refused.iter().enumerate() {
-        match client.call(&Request::MergeProfile {
             entry_text: plan.texts[i].clone(),
-        }) {
-            Ok(Response::Ok(_)) => {}
-            other => return Err(format!("resend of refused merge {i}: {other:?}")),
-        }
-        resent.push(DeltaRecord {
-            req_id: resend_ids[j],
-            dot: None,
-            entry_text: plan.texts[i].clone(),
-        });
+        };
+        reference.push((plan.records[i].0, rec));
     }
-    settle_selfhealed(&mut client, 0)?;
+    if !resend.is_empty() {
+        settle(control, 0)?;
+    }
 
-    let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
-        .map(|k| {
-            let mut v: Vec<DeltaRecord> = acked
-                .iter()
-                .filter(|&&i| plan.owner[i % CLUSTER_KEYS] == k)
-                .map(|&i| plan.records[i].clone())
-                .collect();
-            if k == k_victim {
-                v.extend(resent.iter().cloned());
-            }
-            v
-        })
-        .collect();
-    let n_acked = acked.len();
-    let n_refused = refused.len();
-    stop_and_compare(&mut client, &mut cluster, &root, &reference, false)?;
+    let tally = Tally {
+        writers: plans.len(),
+        merges,
+        acked,
+        refused: refused.len(),
+        deep_shard: plans[0].records[0].0,
+    };
+    let allow_empty = matches!(sc.refusal, Refusal::Shed);
+    stop_and_compare(control, cluster, &root, &reference, allow_empty)?;
     let _ = std::fs::remove_dir_all(&root);
-    Ok(format!(
-        "ok: {total} merges ({n_acked} acked, {n_refused} refused typed handoff-full \
-         applied-nowhere), self-announce drained the spool, resends acked, \
-         {} stores byte-identical",
-        CLUSTER_SHARDS * CLUSTER_REPLICAS
-    ))
+    Ok(Verdict::ok((sc.report)(&tally)))
 }
 
-/// Self-healing scenario #7: 8 writers hammer the router with heavy
-/// merges concurrently — about twice the AIMD admission floor — with a
-/// widened worker pool so concurrency is limited by the limiter, not
-/// the socket queue. Sheds must be typed `busy` with a retry hint, and
-/// every acked merge must survive to all replicas byte-identically.
-/// The ack/shed split is load-timing dependent (AIMD is explicitly
-/// outside the determinism contract), so the verdict reports only the
-/// deterministic facts.
-fn run_overload_scenario(
-    strided: &std::path::Path,
-    router: &std::path::Path,
-    bases: &[ProfileEntry],
-    sc: &ClusterScenario,
-    seed: u64,
-) -> Result<String, String> {
-    const WRITERS: usize = 8;
-    const MERGES_PER_WRITER: usize = 16;
-    const KEYS_PER_WRITER: usize = 4;
-    let root = cluster_root(sc.index);
-    let (mut cluster, router_addr) = boot_cluster_3x2(
-        strided,
-        router,
-        &root,
-        &["--workers".to_string(), "16".to_string()],
-    )?;
-
-    // Fully precompute each writer's keys, texts, and predicted delta
-    // records so its acked set maps to exact reference records.
-    struct WriterPlan {
-        texts: Vec<String>,
-        records: Vec<(usize, DeltaRecord)>,
-        id0: u64,
-    }
-    let map = ShardMap::new(CLUSTER_SHARDS as u32);
-    let plans: Vec<WriterPlan> = (0..WRITERS)
-        .map(|t| {
-            let keys: Vec<(String, u64)> = (0..KEYS_PER_WRITER)
-                .map(|j| {
-                    (
-                        format!("o{t}k{j}"),
-                        0x4800 + (t * KEYS_PER_WRITER + j) as u64,
-                    )
-                })
-                .collect();
-            let texts: Vec<String> = (0..MERGES_PER_WRITER)
-                .map(|i| {
-                    let (w, h) = &keys[i % KEYS_PER_WRITER];
-                    cluster_entry(&bases[(t + i) % bases.len()], w, *h, i / KEYS_PER_WRITER)
-                        .to_text()
-                })
-                .collect();
-            let id0 = mix64(seed ^ sc.salt ^ (t as u64).wrapping_mul(0x9e37_79b9));
-            let records = id_stream(id0, MERGES_PER_WRITER)
-                .into_iter()
-                .zip(&texts)
-                .enumerate()
-                .map(|(i, (req_id, txt))| {
-                    let (w, h) = &keys[i % KEYS_PER_WRITER];
-                    (
-                        map.shard_of(w, *h) as usize,
-                        DeltaRecord {
-                            req_id,
-                            dot: None,
-                            entry_text: txt.clone(),
-                        },
-                    )
-                })
-                .collect();
-            WriterPlan {
-                texts,
-                records,
-                id0,
-            }
-        })
-        .collect();
-
-    // Per writer: (acked shard-tagged records, shed count) or violation.
-    type WriterOutcome = Result<(Vec<(usize, DeltaRecord)>, usize), String>;
-    let results: Vec<WriterOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|p| {
-                let addr = router_addr.clone();
-                scope.spawn(move || {
-                    let mut c = Client::connect_with(addr.as_str(), RetryPolicy::no_retries())
-                        .map_err(|e| format!("writer connect: {e}"))?;
-                    c.set_id_state(p.id0);
-                    let mut acked = Vec::new();
-                    let mut shed = 0usize;
-                    for i in 0..MERGES_PER_WRITER {
-                        let resp = c
-                            .call(&Request::MergeProfile {
-                                entry_text: p.texts[i].clone(),
-                            })
-                            .map_err(|e| format!("writer merge {i} transport: {e}"))?;
-                        match resp {
-                            Response::Ok(_) => acked.push(p.records[i].clone()),
-                            Response::Err {
-                                kind: ErrorKind::Busy,
-                                retry_after_ms: Some(_),
-                                ..
-                            } => shed += 1,
-                            other => {
-                                return Err(format!(
-                                    "writer merge {i}: untyped shed under overload: {other:?}"
-                                ))
-                            }
-                        }
-                    }
-                    Ok((acked, shed))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("writer thread panicked".to_string()))
-            })
-            .collect()
-    });
-    let mut acked_all: Vec<(usize, DeltaRecord)> = Vec::new();
-    let mut shed_any = false;
-    for r in results {
-        let (a, s) = r?;
-        shed_any |= s > 0;
-        acked_all.extend(a);
-    }
-    let _ = shed_any; // informational only: light load may admit everything
-
-    let mut client = Client::connect_with(router_addr.as_str(), RetryPolicy::no_retries())
-        .map_err(|e| format!("connect to router: {e}"))?;
-    settle_selfhealed(&mut client, CLUSTER_SHARDS as u64)?;
-
-    let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)
-        .map(|k| {
-            acked_all
-                .iter()
-                .filter(|(rk, _)| *rk == k)
-                .map(|(_, r)| r.clone())
-                .collect()
-        })
-        .collect();
-    stop_and_compare(&mut client, &mut cluster, &root, &reference, true)?;
-    let _ = std::fs::remove_dir_all(&root);
-    Ok(format!(
-        "ok: overload 2x admission floor ({WRITERS} writers x {MERGES_PER_WRITER} merges), \
-         every shed typed busy with retry hint, zero acked-merge loss, \
-         {} stores byte-identical to acked-set reference",
-        CLUSTER_SHARDS * CLUSTER_REPLICAS
-    ))
-}
-
-/// The `--cluster` campaign driver; returns the process exit code.
-fn cluster_main(jobs: usize, seed: u64) -> i32 {
-    let (strided, router) = match (strided_bin(), router_bin()) {
-        (Ok(s), Ok(r)) => (s, r),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("faultsim: {e}");
-            return 2;
-        }
+/// The `--cluster` campaign.
+fn cluster_main(jobs: usize, seed: u64) -> Result<i32, String> {
+    let bins = Bins {
+        strided: sibling_bin("strided")?,
+        router: sibling_bin("strided-router")?,
     };
-    let w = match workload_by_name("mcf", Scale::Test) {
-        Some(w) => w,
-        None => {
-            eprintln!("faultsim: built-in workload mcf missing");
-            return 2;
-        }
-    };
-    let out = match run_profiling(
-        &w.module,
-        &w.train_args,
-        ProfilingVariant::EdgeCheck,
-        &PipelineConfig::default(),
-    ) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("faultsim: base profiling run failed: {e}");
-            return 2;
-        }
-    };
-    let base = ProfileEntry::from_run("base", module_hash(&w.module), &out.edge, &out.stride);
-
+    let (_, base) = mcf_base()?;
     // Second base profile from the generated-workload subsystem: half the
     // chaos keys carry a seed-dependent genuine profile shape instead of
     // the one fixed hand-built benchmark. Generation and profiling happen
     // once, before the scenario fan-out, so reports stay jobs-invariant.
     let gspec = stride_genwork::generate(seed, 0, &stride_genwork::GenConfig::campaign());
     let gbuilt = stride_genwork::build(&gspec);
-    let gout = match run_profiling(
-        &gbuilt.module,
-        &[0],
-        ProfilingVariant::EdgeCheck,
-        &PipelineConfig::default(),
-    ) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("faultsim: generated base profiling run failed: {e}");
-            return 2;
-        }
-    };
-    let gbase = ProfileEntry::from_run(
-        "genbase",
-        module_hash(&gbuilt.module),
-        &gout.edge,
-        &gout.stride,
-    );
+    let gbase = profiled_entry("genbase", &gbuilt.module, &[0])?;
     let bases = [base, gbase];
-
     let scenarios = cluster_campaign();
-    println!(
-        "== cluster chaos campaign: seed {seed}, {} scenario(s), {}x{} topology ==",
-        scenarios.len(),
-        CLUSTER_SHARDS,
-        CLUSTER_REPLICAS
-    );
-    let results = parallel_map_isolated(&scenarios, jobs, |_, sc| match sc.heal {
-        Heal::Operator => run_cluster_scenario(&strided, &router, &bases, sc, seed),
-        Heal::Announce => run_announce_scenario(&strided, &router, &bases, sc, seed),
-        Heal::AntiEntropy => run_antientropy_scenario(&strided, &router, &bases, sc, seed, 0),
-        Heal::DeepRepair => {
-            run_antientropy_scenario(&strided, &router, &bases, sc, seed, DEEP_MERGES)
-        }
-        Heal::HintPressure => run_hint_pressure_scenario(&strided, &router, &bases, sc, seed),
-        Heal::Overload => run_overload_scenario(&strided, &router, &bases, sc, seed),
-    });
-
-    let mut panics = 0usize;
-    let mut violations = 0usize;
-    for (sc, result) in scenarios.iter().zip(results) {
-        let label = match (sc.heal, sc.kill) {
-            (Heal::Operator, Some((k, true))) => format!("kill-shard={k}+chaos"),
-            (Heal::Operator, Some((k, false))) => format!("kill-replica={k}.0+chaos"),
-            (Heal::Operator, None) => "no-kill+chaos".to_string(),
-            (Heal::Announce, Some((k, _))) => format!("self-announce={k}.0"),
-            (Heal::Announce, None) => "self-announce".to_string(),
-            (Heal::AntiEntropy, _) => "anti-entropy".to_string(),
-            (Heal::HintPressure, _) => "hint-overflow".to_string(),
-            (Heal::Overload, _) => "overload-2x".to_string(),
-            (Heal::DeepRepair, _) => "deep-repair".to_string(),
-        };
-        match result {
-            Ok(Ok(line)) => println!("  #{:<3} {label:<24} {line}", sc.index),
-            Ok(Err(msg)) => {
-                violations += 1;
-                println!("  #{:<3} {label:<24} FAILED: {msg}", sc.index);
-            }
-            Err(tf) => {
-                panics += 1;
-                println!("  #{:<3} {label:<24} PANIC: {}", sc.index, tf.message);
-            }
-        }
-    }
-    println!(
-        "campaign: {} scenario(s), {} panic(s), {} invariant violation(s)",
-        scenarios.len(),
-        panics,
-        violations
-    );
-    i32::from(panics > 0 || violations > 0)
+    let (n, shards, replicas) = (scenarios.len(), CLUSTER_SHARDS, CLUSTER_REPLICAS);
+    Ok(run_campaign(
+        &format!(
+            "cluster chaos campaign: seed {seed}, {n} scenario(s), {shards}x{replicas} topology"
+        ),
+        false,
+        &scenarios,
+        jobs,
+        |sc| format!("#{:<3} {:<24}", sc.index, sc.label),
+        |sc| run_cluster_scenario(&bins, &bases, sc, seed),
+    ))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::Test;
     let mut jobs = default_jobs();
     let mut seed = 42u64;
     let mut service = false;
@@ -1845,14 +1475,6 @@ fn main() {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                };
-            }
             "--jobs" => {
                 i += 1;
                 jobs = match parse_jobs(args.get(i).map(String::as_str)) {
@@ -1881,89 +1503,36 @@ fn main() {
         i += 1;
     }
 
-    if cluster {
-        std::process::exit(cluster_main(jobs, seed));
-    }
-    if service {
-        std::process::exit(service_main(jobs, seed));
-    }
-
-    let config = PipelineConfig::default();
-    let cache = RunCache::new();
-    let scenarios: Vec<(String, &str)> = match &single_plan {
-        Some(spec) => vec![(spec.clone(), "mcf")],
-        None => CAMPAIGN
-            .iter()
-            .map(|&(spec, w)| (spec.to_string(), w))
-            .collect(),
+    let code = if cluster {
+        cluster_main(jobs, seed)
+    } else if service {
+        service_main(jobs, seed)
+    } else {
+        Ok(pipeline_main(jobs, seed, single_plan))
     };
-    println!(
-        "== fault campaign: seed {seed}, {} scenario(s), scale {} ==",
-        scenarios.len(),
-        match scale {
-            Scale::Test => "test",
-            Scale::Paper => "paper",
-        }
-    );
-
-    let results = parallel_map_isolated(&scenarios, jobs, |_, (spec, wname)| {
-        let workload = workload_by_name(wname, scale)
-            .unwrap_or_else(|| panic!("unknown campaign workload {wname}"));
-        run_scenario(&cache, &workload, &config, seed, spec)
-    });
-
-    let mut panics = 0usize;
-    let mut violations = 0usize;
-    let mut degraded = 0usize;
-    for ((spec, wname), result) in scenarios.iter().zip(results) {
-        let label = format!("{spec}@{wname}");
-        match result {
-            Ok(Ok(report)) => {
-                if report.line.starts_with("degraded:") {
-                    degraded += 1;
-                }
-                violations += report.violations;
-                println!("  {label:<46} {}", report.line);
-            }
-            Ok(Err(msg)) => {
-                degraded += 1;
-                println!("  {label:<46} unusable: {msg}");
-            }
-            Err(tf) => {
-                panics += 1;
-                println!("  {label:<46} PANIC: {}", tf.message);
-            }
-        }
-    }
-    println!(
-        "campaign: {} scenario(s), {} degraded to diagnostics, {} panic(s), {} invariant violation(s)",
-        scenarios.len(),
-        degraded,
-        panics,
-        violations
-    );
-    if panics > 0 || violations > 0 {
-        std::process::exit(1);
-    }
+    std::process::exit(code.unwrap_or_else(|e| {
+        eprintln!("faultsim: {e}");
+        2
+    }));
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: faultsim [--scale test|paper] [--jobs N] [--seed N] [--plan SPEC]\n\
+        "usage: faultsim [--jobs N] [--seed N] [--plan SPEC]\n\
          \x20      faultsim --service [--jobs N] [--seed N]\n\
          \x20      faultsim --cluster [--jobs N] [--seed N]\n\
          \n\
-         \x20 --scale test|paper workload scale (default: test)\n\
          \x20 --jobs N           worker threads (default: available parallelism)\n\
          \x20 --seed N           campaign seed (default: 42)\n\
-         \x20 --plan SPEC        run one fault plan instead of the built-in campaign,\n\
-         \x20                    e.g. 'truncate=2;fuel=20000' (see repro --inject)\n\
+         \x20 --plan SPEC        run one fault plan (on mcf, paper scale) instead of the\n\
+         \x20                    built-in campaign, e.g. 'truncate=2;fuel=20000'\n\
+         \x20                    (see repro --inject)\n\
          \x20 --service          crash-recovery campaign: SIGKILL and restart a real\n\
          \x20                    strided daemon mid-merge; no acked merge may be lost\n\
          \x20 --cluster          sharded chaos campaign: router + 3x2 strided cluster,\n\
-         \x20                    shard kills, delta drop/dup/reorder, plus self-healing\n\
-         \x20                    scenarios (announce-based failover, anti-entropy\n\
-         \x20                    repair, hint-spool overflow, AIMD overload); replicas\n\
+         \x20                    replica and shard kills healed by route-update or\n\
+         \x20                    --announce, delta drop/dup/reorder, anti-entropy\n\
+         \x20                    repair, hint-spool overflow, AIMD overload; replicas\n\
          \x20                    must converge byte-identically, typed shedding only"
     );
     std::process::exit(2);

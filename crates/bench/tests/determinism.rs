@@ -42,7 +42,7 @@ fn single_figure_output_is_identical_across_jobs() {
 fn fault_campaign_report_is_identical_across_jobs_and_reruns() {
     let run = |jobs: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_faultsim"))
-            .args(["--scale", "test", "--seed", "9", "--jobs", jobs])
+            .args(["--seed", "9", "--jobs", jobs])
             .output()
             .expect("run faultsim");
         assert!(

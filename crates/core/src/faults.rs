@@ -33,12 +33,9 @@
 
 use crate::classify::Classification;
 use crate::error::PipelineError;
-use crate::pipeline::{
-    prefetch_with_profiles, run_profiling, run_uninstrumented, PipelineConfig, ProfilingVariant,
-    SpeedupOutcome,
-};
+use crate::pipeline::{PipelineConfig, ProfileOutcome};
 use std::collections::BTreeSet;
-use stride_ir::{InstrId, Module};
+use stride_ir::{InstrId, Module, ParseError};
 use stride_profiling::{EdgeProfile, StrideProfile};
 use stride_vm::VmConfig;
 
@@ -530,53 +527,39 @@ pub fn corrupt_ir_text(seed: u64, text: &str) -> String {
     out
 }
 
-/// Fault-aware variant of [`crate::measure_speedup`]: profiles under the
-/// plan's VM overrides, mutates the collected profiles, then measures
-/// baseline and prefetching binaries under the *clean* config.
+/// The profiling step of a run under a fault plan, shared by every
+/// fault-aware caller. For a `malformed-ir` scenario it fails with the
+/// injected corruption's parse error, mapped by `malformed` (which also
+/// gets the corrupted text to render the error against). Otherwise it
+/// runs `profile` under the plan's VM overrides and perturbs the
+/// collected profiles as the plan says.
 ///
 /// # Errors
 ///
-/// Propagates profiling-run VM failures (the injected fuel/address
-/// faults) and, for a `malformed-ir` scenario, the parser's located
-/// error — each as a [`PipelineError`] the caller can report while other
-/// workloads continue.
-pub fn measure_speedup_faulted(
-    module: &Module,
-    train_args: &[i64],
-    ref_args: &[i64],
-    variant: ProfilingVariant,
-    config: &PipelineConfig,
+/// `malformed`'s error for a `malformed-ir` scenario; otherwise
+/// `profile`'s (the injected fuel and address-limit faults among them).
+pub fn faulted_profiling(
     injector: &FaultInjector,
     workload: &str,
-) -> Result<SpeedupOutcome, PipelineError> {
+    module: &Module,
+    config: &PipelineConfig,
+    malformed: impl FnOnce(ParseError, &str) -> PipelineError,
+    profile: impl FnOnce(&PipelineConfig) -> Result<ProfileOutcome, PipelineError>,
+) -> Result<ProfileOutcome, PipelineError> {
     if injector.wants_malformed_ir(workload) {
         let text = corrupt_ir_text(injector.plan().seed, &stride_ir::module_to_string(module));
-        // The corruption targets an instruction, so this parse fails and
-        // surfaces the located error; tolerate the (never observed) case
-        // of the corruption parsing anyway by falling through.
-        stride_ir::module_from_string(&text)?;
+        // The corruption targets an instruction, so this parse fails;
+        // tolerate the (never observed) case of it parsing anyway by
+        // falling through.
+        if let Err(e) = stride_ir::module_from_string(&text) {
+            return Err(malformed(e, &text));
+        }
     }
     let mut profiling_config = *config;
     profiling_config.vm = injector.vm_overrides(workload, profiling_config.vm);
-    let outcome = run_profiling(module, train_args, variant, &profiling_config)?;
-    let (mut edge, mut stride) = (outcome.edge, outcome.stride);
-    injector.apply_to_profiles(workload, &mut edge, &mut stride);
-    let (transformed, classification, report) =
-        prefetch_with_profiles(module, &edge, outcome.source, &stride, config);
-    let (base, base_mem) = run_uninstrumented(module, ref_args, config)?;
-    let (pf, pf_mem) = run_uninstrumented(&transformed, ref_args, config)?;
-    Ok(SpeedupOutcome {
-        baseline_cycles: base.cycles,
-        prefetch_cycles: pf.cycles,
-        speedup: base.cycles as f64 / pf.cycles.max(1) as f64,
-        classification,
-        report,
-        baseline_mem: base_mem,
-        prefetch_mem: pf_mem,
-        vm_fused_dispatch: base.fused_dispatch + pf.fused_dispatch,
-        vm_fastpath_load_hits: base.fastpath_load_hits + pf.fastpath_load_hits,
-        vm_selfprof_overhead_cycles: base.selfprof_overhead_cycles + pf.selfprof_overhead_cycles,
-    })
+    let mut outcome = profile(&profiling_config)?;
+    injector.apply_to_profiles(workload, &mut outcome.edge, &mut outcome.stride);
+    Ok(outcome)
 }
 
 /// Checks the degradation invariant: every load the faulted

@@ -75,8 +75,8 @@ pub use dependent::apply_dependent_prefetching;
 pub use error::PipelineError;
 pub use exec::{default_jobs, parallel_map, parallel_map_isolated, parse_jobs, TaskFailure};
 pub use faults::{
-    corrupt_ir_text, degradation_violations, measure_speedup_faulted, splitmix64_mix,
-    FaultInjector, FaultKind, FaultPlan, FaultRng, FaultScenario, SPLITMIX64_GAMMA,
+    corrupt_ir_text, degradation_violations, faulted_profiling, splitmix64_mix, FaultInjector,
+    FaultKind, FaultPlan, FaultRng, FaultScenario, SPLITMIX64_GAMMA,
 };
 pub use instrument::{
     instrument, instrument_edges_only, instrument_two_pass, profiling_instr_count, select_two_pass,

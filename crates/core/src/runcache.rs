@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::classify::{classify, Classification};
 use crate::error::PipelineError;
-use crate::faults::{corrupt_ir_text, FaultInjector};
+use crate::faults::{faulted_profiling, FaultInjector};
 use crate::pipeline::{
     prefetch_with_profiles, run_edge_only, run_profiling, run_uninstrumented, OverheadOutcome,
     PipelineConfig, ProfileOutcome, ProfilingVariant, SpeedupOutcome,
@@ -329,28 +329,7 @@ impl RunCache {
         // its inner edge-only run is not shared here, but the profiling
         // outcome as a whole still memoizes.
         let outcome = self.profiling(module, variant, train_args, config)?;
-        let (transformed, classification, report) = prefetch_with_profiles(
-            module,
-            &outcome.edge,
-            outcome.source,
-            &outcome.stride,
-            config,
-        );
-        let base = self.plain_run(module, ref_args, config)?;
-        let pf = self.plain_run(&transformed, ref_args, config)?;
-        Ok(SpeedupOutcome {
-            baseline_cycles: base.0.cycles,
-            prefetch_cycles: pf.0.cycles,
-            speedup: base.0.cycles as f64 / pf.0.cycles.max(1) as f64,
-            classification,
-            report,
-            baseline_mem: base.1,
-            prefetch_mem: pf.1,
-            vm_fused_dispatch: base.0.fused_dispatch + pf.0.fused_dispatch,
-            vm_fastpath_load_hits: base.0.fastpath_load_hits + pf.0.fastpath_load_hits,
-            vm_selfprof_overhead_cycles: base.0.selfprof_overhead_cycles
-                + pf.0.selfprof_overhead_cycles,
-        })
+        self.speedup_from(module, &outcome, ref_args, config)
     }
 
     /// [`RunCache::speedup`] under a fault plan: the profiling run uses
@@ -378,26 +357,41 @@ impl RunCache {
         if !injector.affects(workload) {
             return self.speedup(module, train_args, ref_args, variant, config);
         }
-        if injector.wants_malformed_ir(workload) {
-            let text = corrupt_ir_text(injector.plan().seed, &stride_ir::module_to_string(module));
-            if let Err(e) = stride_ir::module_from_string(&text) {
-                // Render the offending source line (with a caret) into the
-                // diagnostic so the campaign report shows exactly what the
-                // parser rejected.
-                return Err(PipelineError::Malformed(format!(
-                    "injected IR corruption: {}",
-                    e.render(&text)
-                )));
-            }
-        }
-        let mut profiling_config = *config;
-        profiling_config.vm = injector.vm_overrides(workload, profiling_config.vm);
-        let outcome = self.profiling(module, variant, train_args, &profiling_config)?;
-        let mut edge = outcome.edge.clone();
-        let mut stride = outcome.stride.clone();
-        injector.apply_to_profiles(workload, &mut edge, &mut stride);
-        let (transformed, classification, report) =
-            prefetch_with_profiles(module, &edge, outcome.source, &stride, config);
+        let outcome = faulted_profiling(
+            injector,
+            workload,
+            module,
+            config,
+            // Render the offending source line (with a caret) into the
+            // diagnostic so the campaign report shows exactly what the
+            // parser rejected.
+            |e, text| {
+                PipelineError::Malformed(format!("injected IR corruption: {}", e.render(text)))
+            },
+            |c| {
+                self.profiling(module, variant, train_args, c)
+                    .map(|o| (*o).clone())
+            },
+        )?;
+        self.speedup_from(module, &outcome, ref_args, config)
+    }
+
+    /// Prefetches `module` from `outcome`'s profiles and measures the
+    /// baseline and transformed binaries on `ref_args` (both cached).
+    fn speedup_from(
+        &self,
+        module: &Module,
+        outcome: &ProfileOutcome,
+        ref_args: &[i64],
+        config: &PipelineConfig,
+    ) -> Result<SpeedupOutcome, PipelineError> {
+        let (transformed, classification, report) = prefetch_with_profiles(
+            module,
+            &outcome.edge,
+            outcome.source,
+            &outcome.stride,
+            config,
+        );
         let base = self.plain_run(module, ref_args, config)?;
         let pf = self.plain_run(&transformed, ref_args, config)?;
         Ok(SpeedupOutcome {

@@ -81,6 +81,34 @@ pub fn backoff_schedule_for(policy: &RetryPolicy, req_id: u64) -> Vec<u64> {
         .collect()
 }
 
+/// The idempotency ids a client stamps on its merges, in order: a
+/// splitmix64 stream from a state (see [`Client::set_id_state`]), with
+/// 0 skipped because it means "no id". Exposed so a caller that pins a
+/// client's state can predict the id each of its merges carries.
+#[derive(Clone, Copy, Debug)]
+pub struct IdStream(u64);
+
+impl IdStream {
+    /// The stream a client whose id state is `state` stamps next.
+    pub fn new(state: u64) -> IdStream {
+        IdStream(state)
+    }
+}
+
+impl Iterator for IdStream {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        loop {
+            self.0 = self.0.wrapping_add(SPLITMIX64_GAMMA);
+            let id = splitmix64_mix(self.0);
+            if id != 0 {
+                return Some(id);
+            }
+        }
+    }
+}
+
 /// One connection to a running daemon. Requests are pipelinable in
 /// principle, but [`Client::call`] keeps the simple lockstep discipline:
 /// send one frame, read one frame (retrying per the policy).
@@ -90,8 +118,8 @@ pub struct Client {
     policy: RetryPolicy,
     /// Deadline (fuel budget) attached to every request's meta.
     deadline_fuel: Option<u64>,
-    /// Idempotency-id stream state.
-    id_state: u64,
+    /// Idempotency ids for merges.
+    ids: IdStream,
     /// Calls made (drives the id stream and the dup-request fault).
     calls: u64,
     /// Injected fault: duplicate the request frame of the `nth` call.
@@ -144,7 +172,9 @@ impl Client {
             stream: Some(stream),
             policy,
             deadline_fuel: None,
-            id_state: splitmix64_mix(policy.jitter_seed ^ (local << 17) ^ 0x1d_c0de),
+            ids: IdStream::new(splitmix64_mix(
+                policy.jitter_seed ^ (local << 17) ^ 0x1d_c0de,
+            )),
             calls: 0,
             dup_request_nth: None,
             trace: Vec::new(),
@@ -159,7 +189,7 @@ impl Client {
 
     /// Overrides the idempotency-id stream (tests pin ids this way).
     pub fn set_id_state(&mut self, state: u64) {
-        self.id_state = state;
+        self.ids = IdStream::new(state);
     }
 
     /// Injected fault: send the `nth` (1-based) call's request frame
@@ -181,17 +211,6 @@ impl Client {
         self.retry_counter = counter;
     }
 
-    fn next_req_id(&mut self) -> u64 {
-        // splitmix64 stream; 0 is reserved for "no id".
-        loop {
-            self.id_state = self.id_state.wrapping_add(SPLITMIX64_GAMMA);
-            let id = splitmix64_mix(self.id_state);
-            if id != 0 {
-                return id;
-            }
-        }
-    }
-
     /// Sends `req` and waits for the daemon's response, retrying
     /// transport failures and `busy` shedding per the policy (with
     /// reconnect between attempts). A `merge-profile` request carries an
@@ -210,7 +229,7 @@ impl Client {
         // double-count. (An id on every request would cost WAL traffic
         // for no dedup value.)
         let req_id = match req {
-            Request::MergeProfile { .. } => self.next_req_id(),
+            Request::MergeProfile { .. } => self.ids.next().unwrap_or(0),
             _ => 0,
         };
         self.call_with_id(req, req_id)

@@ -36,7 +36,7 @@ pub mod server;
 pub mod service;
 pub mod transport;
 
-pub use client::{backoff_schedule, backoff_schedule_for, Client, RetryPolicy};
+pub use client::{backoff_schedule, backoff_schedule_for, Client, IdStream, RetryPolicy};
 pub use detector::{FailureDetector, HealthState, ProbeOutcome};
 pub use hints::HintLog;
 pub use limiter::{cost_of, AimdLimiter, Completion};

@@ -76,8 +76,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use stride_core::{splitmix64_mix, Counter, Gauge, Registry, SPLITMIX64_GAMMA};
 use stride_profdb::{
-    decode_delta_batch, encode_delta_batch, write_atomic, CausalContext, DeltaRecord, Dot,
-    ProfileEntry, ShardMap, SHARD_MAP_VERSION,
+    decode_delta_batch, encode_delta_batch, CausalContext, DeltaRecord, Dot, ProfileEntry,
+    ShardMap, SHARD_MAP_VERSION,
 };
 
 /// Retry-after hint on `unavailable` responses, in milliseconds.
@@ -102,10 +102,6 @@ pub const FLOOR_EVERY_DELIVERIES: u64 = 64;
 
 /// Health-table snapshot file, beside the hint spool.
 const HEALTH_FILE: &str = "health.txt";
-
-/// Router start count over a hint root, beside the hint spool; it
-/// picks the start of the router-id stream (see [`Router::stamp_id`]).
-const GENERATION_FILE: &str = "generation.txt";
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -231,25 +227,6 @@ pub struct Router {
     health_path: PathBuf,
 }
 
-/// Counts one more router start over `hint_root` (replaced atomically);
-/// returns the number of earlier starts, 0 for a fresh root.
-fn next_generation(hint_root: &std::path::Path) -> io::Result<u64> {
-    let path = hint_root.join(GENERATION_FILE);
-    let fail = |why: String| io::Error::other(format!("{}: {why}", path.display()));
-    let generation = match std::fs::read_to_string(&path) {
-        Ok(text) => text
-            .trim()
-            .parse()
-            .map_err(|_| fail(format!("bad count `{text}`")))?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(fail(e.to_string())),
-    };
-    std::fs::create_dir_all(hint_root).map_err(|e| fail(e.to_string()))?;
-    write_atomic(&path, format!("{}\n", generation + 1).as_bytes(), &mut 0)
-        .map_err(|e| fail(e.to_string()))?;
-    Ok(generation)
-}
-
 /// Distinct per-process hint roots for routers started without one
 /// (multiple in-process routers in one test binary must not collide).
 fn scratch_hint_root() -> PathBuf {
@@ -288,7 +265,6 @@ impl Router {
             }
             shards.push(row);
         }
-        let generation = next_generation(&hint_root)?;
         let health_path = hint_root.join(HEALTH_FILE);
         // Resume mid-suspicion from the persisted health table; a
         // missing or unparsable snapshot starts everyone alive.
@@ -316,9 +292,8 @@ impl Router {
             repair_resent: obs.counter("router.repair_resent"),
             obs,
             policy: config.backend_retry,
-            id_seq: AtomicU64::new(
-                0x7007_c0de_u64.wrapping_add((generation << 40).wrapping_mul(SPLITMIX64_GAMMA)),
-            ),
+            // Any fresh random word: the dot origin's source serves.
+            id_seq: AtomicU64::new(Dot::fresh_origin(false)),
             origin: Dot::fresh_origin(false),
             dot_seq: AtomicU64::new(0),
             floors: config.shards.iter().map(|_| Mutex::default()).collect(),
@@ -667,10 +642,9 @@ impl Router {
     /// The client's idempotency id, or for an id-less client a fresh
     /// router id, so replica dedup sees one identity for the write
     /// across all replicas. Replicas remember applied ids across
-    /// restarts, so router ids must not repeat over one hint root: the
-    /// `g`-th start over a root begins the splitmix stream `g·2⁴⁰` steps
-    /// in (no start stamps 2⁴⁰ ids), and a fresh root's start `g = 0`
-    /// keeps seeded replays stamping the same ids.
+    /// restarts, so router ids must not repeat from one router start to
+    /// the next, whatever its hint root: each start seeds its splitmix
+    /// stream from fresh randomness, as it does its dot origin.
     fn stamp_id(&self, req_id: u64) -> u64 {
         if req_id != 0 {
             return req_id;

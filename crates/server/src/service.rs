@@ -9,11 +9,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use stride_core::{
-    classify, corrupt_ir_text, run_profiling, Classification, Counter, FaultInjector, FaultKind,
+    classify, faulted_profiling, run_profiling, Classification, Counter, FaultInjector, FaultKind,
     Histogram, PipelineConfig, PipelineError, ProfileOutcome, ProfilingVariant, Registry, RunCache,
     SpeedupOutcome, TraceEvent,
 };
-use stride_ir::{module_from_string, module_to_string, Module};
+use stride_ir::{module_from_string, Module};
 use stride_profdb::{
     decode_delta_batch, encode_delta_batch, module_hash, CausalContext, DbError, DiskFaults,
     ProfileDb, ProfileEntry,
@@ -243,15 +243,14 @@ impl Service {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<ProfileOutcome, PipelineError> {
-        if injector.wants_malformed_ir(workload) {
-            let text = corrupt_ir_text(injector.plan().seed, &module_to_string(module));
-            module_from_string(&text)?;
-        }
-        let mut config = *config;
-        config.vm = injector.vm_overrides(workload, config.vm);
-        let mut outcome = run_profiling(module, args, variant, &config)?;
-        injector.apply_to_profiles(workload, &mut outcome.edge, &mut outcome.stride);
-        Ok(outcome)
+        faulted_profiling(
+            injector,
+            workload,
+            module,
+            config,
+            |e, _| e.into(),
+            |c| run_profiling(module, args, variant, c),
+        )
     }
 
     /// Handles one request with no metadata (server-default deadline, no
@@ -692,7 +691,7 @@ pub fn render_speedup(o: &SpeedupOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stride_ir::{ModuleBuilder, Operand};
+    use stride_ir::{module_to_string, ModuleBuilder, Operand};
     use stride_profiling::StrideProfile;
 
     fn tmp_service(tag: &str) -> Service {

@@ -2,7 +2,8 @@
 //! feeding a bounded connection queue, a pool of workers that each serve
 //! one connection to EOF, AIMD admission per request, panic isolation
 //! around the handler, network-fault injection on responses, and the
-//! graceful drain-then-stop shutdown.
+//! graceful shutdown: a request already taken in is answered, while idle
+//! and queued connections are closed.
 //!
 //! What a request *means* is the [`Handler`]'s business: `strided` plugs
 //! in a [`crate::Service`] ([`crate::Server`]), `strided-router` a
@@ -17,11 +18,12 @@ use crate::proto::{
     Response,
 };
 use crate::queue::BoundedQueue;
+use std::collections::HashMap;
 use std::io;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use stride_core::{parallel_map_isolated, Counter, FaultInjector, FaultKind, Gauge, Registry};
 
@@ -101,6 +103,10 @@ struct Shared<H> {
     addr: SocketAddr,
     queue: BoundedQueue<TcpStream>,
     shutdown: AtomicBool,
+    /// A handle on every served connection that is waiting for its next
+    /// request, by connection id, so a shutdown can close it.
+    idle: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
     net_faults: NetFaults,
     /// Responses sent across all connections (drives nth-response net
     /// faults).
@@ -155,6 +161,8 @@ impl<H: Handler + 'static> Daemon<H> {
             addr,
             queue: BoundedQueue::new(queue_cap.max(1)),
             shutdown: AtomicBool::new(false),
+            idle: Mutex::default(),
+            next_conn: AtomicU64::new(0),
             net_faults,
             responses: AtomicU64::new(0),
         });
@@ -182,9 +190,9 @@ impl<H: Handler> Daemon<H> {
         &self.shared.handler
     }
 
-    /// Stops accepting, lets the workers drain queued connections, then
-    /// stops them. Unlike a wire `shutdown`, this does not run
-    /// [`Handler::on_shutdown`].
+    /// Stops accepting and closes idle and queued connections; a request
+    /// already taken in still gets its response. Unlike a wire
+    /// `shutdown`, this does not run [`Handler::on_shutdown`].
     pub fn shutdown(&self) {
         trigger_shutdown(&self.shared);
     }
@@ -209,10 +217,19 @@ fn trigger_shutdown<H>(shared: &Shared<H>) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return; // already shutting down
     }
-    // Close the queue: workers drain the backlog and stop. Wake the
-    // acceptor (blocked in accept) with a throwaway connection.
+    // Close the queue: workers close the backlog's connections and stop.
+    // Hang up every idle connection, so no worker stays blocked reading
+    // from a client that never speaks again. Wake the acceptor (blocked
+    // in accept) with a throwaway connection.
     shared.queue.close();
+    for (_, stream) in idle_conns(shared).drain() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
     let _ = TcpStream::connect(shared.addr);
+}
+
+fn idle_conns<H>(shared: &Shared<H>) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+    shared.idle.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn accept_loop<H>(listener: &TcpListener, shared: &Shared<H>) {
@@ -247,10 +264,29 @@ fn worker_loop<H: Handler>(shared: &Shared<H>) {
     }
 }
 
-/// Serves one connection to EOF (or protocol breakdown).
+/// Serves one connection to EOF (or protocol breakdown, or shutdown).
 fn serve_connection<H: Handler>(mut stream: TcpStream, shared: &Shared<H>) {
+    let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    let Ok(mut handle) = stream.try_clone() else {
+        return;
+    };
     loop {
-        let payload = match read_frame(&mut stream) {
+        // Park a handle while waiting for the next request. The flag is
+        // read under the lock a shutdown sweeps, so a connection either
+        // sees the flag here or is closed by the sweep.
+        {
+            let mut idle = idle_conns(shared);
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            idle.insert(id, handle);
+        }
+        let read = read_frame(&mut stream);
+        handle = match idle_conns(shared).remove(&id) {
+            Some(h) => h,
+            None => return, // closed by a shutdown while idle
+        };
+        let payload = match read {
             Ok(Some(p)) => p,
             Ok(None) => return, // client done
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -453,11 +489,36 @@ mod tests {
         assert_kind(&read_response(&mut refused), ErrorKind::Busy);
         assert_eq!(daemon.handler().obs.counter("fake.shed").get(), 1);
         assert!(daemon.handler().obs.gauge("fake.queue_depth").max_seen() >= 1);
-        // Close both held connections before joining: a worker that pops
-        // one during the drain would otherwise block on it forever.
-        drop(hold);
-        drop(fill);
+        // Neither the served nor the queued connection holds up the stop.
         daemon.shutdown_and_join();
+        drop((hold, fill));
+    }
+
+    #[test]
+    fn shutdown_hangs_up_idle_connections_instead_of_waiting_for_them() {
+        let daemon = start(2, 4);
+        // Served once, then silent: a worker waits on it for a request.
+        let mut idle = TcpStream::connect(daemon.addr()).unwrap();
+        write_frame(&mut idle, &Request::Ping.to_bytes()).unwrap();
+        read_response(&mut idle);
+        let mut client = Client::connect(daemon.addr()).unwrap();
+        assert_eq!(
+            client.call(&Request::Shutdown).unwrap(),
+            Response::Ok("shutting down\n".to_string())
+        );
+        let (joined, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            daemon.join();
+            let _ = joined.send(());
+        });
+        assert!(
+            done.recv_timeout(std::time::Duration::from_secs(5)).is_ok(),
+            "join waited on a connection that stayed open and idle"
+        );
+        assert!(
+            read_frame(&mut idle).map_or(true, |frame| frame.is_none()),
+            "the daemon must hang up an idle connection at shutdown"
+        );
     }
 
     #[test]

@@ -723,38 +723,41 @@ fn profile_through_the_router_is_stored_on_every_replica() {
     }
 }
 
-/// Replicas remember applied ids across restarts, so a router restarted
-/// over the same hint root must not stamp an id its predecessor used:
-/// the second profile would be deduped on every replica yet acked.
+/// Replicas remember applied ids across restarts, so a restarted router
+/// must not stamp an id its predecessor used, whether it keeps its hint
+/// root or starts on a fresh scratch one: the second profile would be
+/// deduped on every replica yet acked.
 #[test]
 fn restarted_router_does_not_reuse_stamped_ids() {
-    let (first, backends, roots) = boot_cluster("restart", 1, 2);
-    first.shutdown_and_join();
-    let hint_root = tmp_root("restart-hints");
-    let config = RouterConfig {
-        hint_root: Some(hint_root.clone()),
-        ..RouterConfig::loopback(vec![backends[0]
-            .iter()
-            .map(|b| b.addr().to_string())
-            .collect()])
-    };
-    for runs in 1..=2 {
-        let router = RouterServer::start(config.clone()).expect("start router");
-        let mut client = Client::connect(router.addr()).unwrap();
-        submit_sweep(&mut client);
-        profile_sweep(&mut client);
-        assert_sweep_runs(&backends[0], runs);
-        drop(client);
-        router.shutdown_and_join();
-    }
-
-    for row in backends {
-        for b in row {
-            b.shutdown_and_join();
+    for (tag, durable) in [("restart", true), ("restart-scratch", false)] {
+        let (first, backends, roots) = boot_cluster(tag, 1, 2);
+        first.shutdown_and_join();
+        let hint_root = durable.then(|| tmp_root(&format!("{tag}-hints")));
+        let config = RouterConfig {
+            hint_root: hint_root.clone(),
+            ..RouterConfig::loopback(vec![backends[0]
+                .iter()
+                .map(|b| b.addr().to_string())
+                .collect()])
+        };
+        for runs in 1..=2 {
+            let router = RouterServer::start(config.clone()).expect("start router");
+            let mut client = Client::connect(router.addr()).unwrap();
+            submit_sweep(&mut client);
+            profile_sweep(&mut client);
+            assert_sweep_runs(&backends[0], runs);
+            drop(client);
+            router.shutdown_and_join();
         }
-    }
-    for root in roots.into_iter().chain([hint_root]) {
-        let _ = std::fs::remove_dir_all(root);
+
+        for row in backends {
+            for b in row {
+                b.shutdown_and_join();
+            }
+        }
+        for root in roots.into_iter().chain(hint_root) {
+            let _ = std::fs::remove_dir_all(root);
+        }
     }
 }
 
