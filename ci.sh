@@ -38,7 +38,7 @@ echo "== smoke: repro --figure 16 --jobs 2 (test scale) =="
 cargo run --release -q -p stride-bench --bin repro -- \
     --figure 16 --scale test --jobs 2
 
-echo "== smoke: fused vs unfused figure output byte-identical =="
+echo "== smoke: fused vs unfused lowering, figure output byte-identical =="
 fz=$(mktemp)
 nf=$(mktemp)
 cargo run --release -q -p stride-bench --bin repro -- \
@@ -46,6 +46,16 @@ cargo run --release -q -p stride-bench --bin repro -- \
 cargo run --release -q -p stride-bench --bin repro -- \
     --scale test --jobs 2 --no-fuse > "$nf"
 cmp "$fz" "$nf" || { echo "figure output differs between fused and --no-fuse" >&2; exit 1; }
+
+echo "== smoke: figure output byte-identical at --jobs 1, 2 and 3 =="
+# The figure generators run their units in a contention-free order (not
+# row order); an odd worker count checks that rows still assemble in row
+# order.
+for jobs in 1 3; do
+    cargo run --release -q -p stride-bench --bin repro -- \
+        --scale test --jobs "$jobs" > "$nf"
+    cmp "$fz" "$nf" || { echo "figure output differs between --jobs 2 and $jobs" >&2; exit 1; }
+done
 rm -f "$fz" "$nf"
 
 echo "== benchmark correctness: serve-read bytes vs an in-process Service =="

@@ -307,7 +307,7 @@ fn usage() -> ! {
          \x20                    counters/histograms/trace; byte-identical at any --jobs)\n\
          \x20 --inject PLAN      deterministic fault plan, e.g. 'seed=42;fuel=1000@181.mcf'\n\
          \x20                    (failed rows degrade to !! diagnostics; others complete)\n\
-         \x20 --no-fuse          disable superinstruction fusion in the interpreter\n\
+         \x20 --no-fuse          lower modules without superinstructions\n\
          \x20                    (A/B baseline; figure output is byte-identical)"
     );
     std::process::exit(2);

@@ -1,7 +1,8 @@
 //! Self-applied profiling driver: runs the SPEC workload suite under the
 //! interpreter's own dispatch profiler and prints the opcode, digram and
 //! hot-load-site ranking that motivates the dispatch ordering, the
-//! superinstruction fusion pass, and the load fast path.
+//! superinstructions the VM forms when it lowers a module, and the load
+//! fast path.
 //!
 //! ```text
 //! selfprof [--scale test|paper] [--fused]

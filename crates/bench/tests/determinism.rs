@@ -38,11 +38,25 @@ fn single_figure_output_is_identical_across_jobs() {
     }
 }
 
+/// The committed `faultsim_output.txt` is an earlier seed-42 run, so
+/// matching it byte for byte at `--jobs 1` and `--jobs 4` checks both
+/// jobs-invariance and rerun reproducibility with two runs of the
+/// paper-scale campaign.
 #[test]
 fn fault_campaign_report_is_identical_across_jobs_and_reruns() {
-    let run = |jobs: &str| {
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../faultsim_output.txt"
+    ))
+    .expect("read faultsim_output.txt");
+    let report = String::from_utf8_lossy(&golden);
+    assert!(
+        report.contains("0 panic(s), 0 invariant violation(s)"),
+        "the golden campaign must complete without panics or violations:\n{report}"
+    );
+    for jobs in ["1", "4"] {
         let out = Command::new(env!("CARGO_BIN_EXE_faultsim"))
-            .args(["--seed", "9", "--jobs", jobs])
+            .args(["--seed", "42", "--jobs", jobs])
             .output()
             .expect("run faultsim");
         assert!(
@@ -50,24 +64,11 @@ fn fault_campaign_report_is_identical_across_jobs_and_reruns() {
             "faultsim --jobs {jobs} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        out.stdout
-    };
-    let serial = run("1");
-    assert!(!serial.is_empty(), "faultsim printed nothing");
-    let report = String::from_utf8_lossy(&serial).into_owned();
-    assert!(
-        report.contains("0 panic(s), 0 invariant violation(s)"),
-        "campaign must complete without panics or violations, got:\n{report}"
-    );
-    for jobs in ["4", "8"] {
-        assert_eq!(
-            run(jobs),
-            serial,
-            "campaign report differs at --jobs {jobs}"
+        assert!(
+            out.stdout == golden,
+            "campaign report at --jobs {jobs} differs from faultsim_output.txt"
         );
     }
-    // Rerunning the same seed reproduces the report byte for byte.
-    assert_eq!(run("1"), serial, "same seed must reproduce the report");
 }
 
 #[test]

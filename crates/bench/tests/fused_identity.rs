@@ -1,8 +1,9 @@
 //! Byte-identity contract of the self-applied-PGO work: superinstruction
-//! fusion and the load fast path are interpreter-only optimizations, so
-//! every logical output — cycles, instruction counts, memory events,
-//! per-site load counts, figures — must match the plain interpreter
-//! exactly on every workload. Only wall-clock and the `vm.*`
+//! fusion (an option of the VM's lowering) and the load fast path are
+//! interpreter-only optimizations, so the fused and unfused lowerings,
+//! run through the one interpreter, must agree on every logical output —
+//! cycles, instruction counts, memory events, per-site load counts,
+//! figures — on every workload. Only wall-clock and the `vm.*`
 //! meta-counters may differ.
 
 use std::process::Command;

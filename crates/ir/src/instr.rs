@@ -101,6 +101,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Evaluates the operator on two values with total, wrapping semantics.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
             BinOp::Add => a.wrapping_add(b),
@@ -168,6 +169,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluates the comparison, returning 1 for true and 0 for false.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         let r = match self {
             CmpOp::Eq => a == b,
@@ -283,42 +285,6 @@ pub enum Op {
         offset: i64,
         slot: u32,
     },
-    /// Superinstruction: `bin_dst = lhs <op> rhs; load_dst = mem[bin_dst +
-    /// offset]` — an address computation immediately feeding a load, fused
-    /// by [`crate::fuse_module`]. Execution-only: the VM's decode step
-    /// creates these from adjacent `Bin`+`Load` pairs; they are never
-    /// serialized, parsed, or produced by instrumentation.
-    ///
-    /// `site` is the original `Load`'s [`InstrId`], preserved so dynamic
-    /// per-site load counts attribute to the unfused program.
-    FusedBinLoad {
-        bin_dst: Reg,
-        op: BinOp,
-        lhs: Operand,
-        rhs: Operand,
-        load_dst: Reg,
-        offset: i64,
-        site: InstrId,
-    },
-    /// Superinstruction: `a_dst = a_lhs <a_op> a_rhs; b_dst = b_lhs <b_op>
-    /// b_rhs` — two adjacent arithmetic operations (the hottest dynamic
-    /// digram of the dispatch profile), fused by [`crate::fuse_module`].
-    /// Execution-only, like [`Op::FusedBinLoad`]; the second half executes
-    /// after the first, so `b_lhs`/`b_rhs` may read `a_dst`.
-    ///
-    /// `b_id` is the consumed second `Bin`'s [`InstrId`], owned by the
-    /// superinstruction (checked by the verifier like `FusedBinLoad::site`).
-    FusedBinBin {
-        a_dst: Reg,
-        a_op: BinOp,
-        a_lhs: Operand,
-        a_rhs: Operand,
-        b_dst: Reg,
-        b_op: BinOp,
-        b_lhs: Operand,
-        b_rhs: Operand,
-        b_id: InstrId,
-    },
 }
 
 impl Op {
@@ -334,10 +300,6 @@ impl Op {
             | Op::Alloc { dst, .. }
             | Op::GlobalAddr { dst, .. }
             | Op::TripCountCheck { dst, .. } => Some(*dst),
-            // The second half's destination: the first half's is also
-            // written, which [`crate::verify_function`] checks separately.
-            Op::FusedBinLoad { load_dst, .. } => Some(*load_dst),
-            Op::FusedBinBin { b_dst, .. } => Some(*b_dst),
             Op::Call { dst, .. } => *dst,
             Op::Store { .. }
             | Op::Prefetch { .. }
@@ -355,23 +317,9 @@ impl Op {
             | Op::ProfileEdge { .. }
             | Op::TripCountCheck { .. } => {}
             Op::Mov { src, .. } => f(*src),
-            Op::Bin { lhs, rhs, .. }
-            | Op::Cmp { lhs, rhs, .. }
-            | Op::FusedBinLoad { lhs, rhs, .. } => {
+            Op::Bin { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => {
                 f(*lhs);
                 f(*rhs);
-            }
-            Op::FusedBinBin {
-                a_lhs,
-                a_rhs,
-                b_lhs,
-                b_rhs,
-                ..
-            } => {
-                f(*a_lhs);
-                f(*a_rhs);
-                f(*b_lhs);
-                f(*b_rhs);
             }
             Op::Select {
                 cond,
@@ -443,21 +391,6 @@ pub enum Terminator {
     },
     /// Return from the function with an optional value.
     Ret { value: Option<Operand> },
-    /// Superinstruction: `dst = (lhs <op> rhs) ? 1 : 0`, then branch on the
-    /// result — a compare feeding a conditional branch, fused by
-    /// [`crate::fuse_module`] from a block-final `Cmp` and its `CondBr`.
-    /// Execution-only, like [`Op::FusedBinLoad`]. `dst` is still written so
-    /// later reads of the predicate register observe the compare result.
-    /// `id` is the original `Cmp`'s [`InstrId`].
-    FusedCmpBr {
-        id: InstrId,
-        dst: Reg,
-        op: CmpOp,
-        lhs: Operand,
-        rhs: Operand,
-        then_: BlockId,
-        else_: BlockId,
-    },
 }
 
 impl Terminator {
@@ -465,8 +398,7 @@ impl Terminator {
     pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
         let pair: [Option<BlockId>; 2] = match self {
             Terminator::Br { target } => [Some(*target), None],
-            Terminator::CondBr { then_, else_, .. }
-            | Terminator::FusedCmpBr { then_, else_, .. } => [Some(*then_), Some(*else_)],
+            Terminator::CondBr { then_, else_, .. } => [Some(*then_), Some(*else_)],
             Terminator::Ret { .. } => [None, None],
         };
         pair.into_iter().flatten()
@@ -476,8 +408,7 @@ impl Terminator {
     pub fn map_targets(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
         match self {
             Terminator::Br { target } => *target = f(*target),
-            Terminator::CondBr { then_, else_, .. }
-            | Terminator::FusedCmpBr { then_, else_, .. } => {
+            Terminator::CondBr { then_, else_, .. } => {
                 *then_ = f(*then_);
                 *else_ = f(*else_);
             }

@@ -50,7 +50,6 @@ pub mod builder;
 pub mod cfg;
 pub mod dom;
 pub mod function;
-pub mod fuse;
 pub mod instr;
 pub mod loops;
 pub mod parser;
@@ -66,7 +65,6 @@ pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use cfg::Cfg;
 pub use dom::{DomTree, PostDomTree};
 pub use function::{Block, Function, Global, Module};
-pub use fuse::{fuse_module, FuseStats};
 pub use instr::{BinOp, CmpOp, Instr, Op, Operand, Terminator};
 pub use loops::{Loop, LoopForest};
 pub use parser::{instr_from_string, module_from_string, term_from_string, ParseError};

@@ -98,38 +98,6 @@ pub fn instr_to_string(instr: &Instr) -> String {
         } => {
             let _ = write!(s, "stride_prof site={site} [{addr} + {offset}] slot={slot}");
         }
-        // Execution-only superinstruction: printed for debugging, never
-        // parsed back (the parser round-trips unfused modules only).
-        Op::FusedBinLoad {
-            bin_dst,
-            op,
-            lhs,
-            rhs,
-            load_dst,
-            offset,
-            site,
-        } => {
-            let _ = write!(
-                s,
-                "{bin_dst} = {op} {lhs}, {rhs} ; {load_dst} = load [{bin_dst} + {offset}] site={site}"
-            );
-        }
-        Op::FusedBinBin {
-            a_dst,
-            a_op,
-            a_lhs,
-            a_rhs,
-            b_dst,
-            b_op,
-            b_lhs,
-            b_rhs,
-            b_id,
-        } => {
-            let _ = write!(
-                s,
-                "{a_dst} = {a_op} {a_lhs}, {a_rhs} ; {b_dst} = {b_op} {b_lhs}, {b_rhs} ({b_id})"
-            );
-        }
     }
     let _ = write!(s, "    ; {}", instr.id);
     s
@@ -144,18 +112,6 @@ pub fn term_to_string(term: &Terminator) -> String {
         }
         Terminator::Ret { value: Some(v) } => format!("ret {v}"),
         Terminator::Ret { value: None } => "ret".to_string(),
-        // Execution-only superinstruction (see `Op::FusedBinLoad`).
-        Terminator::FusedCmpBr {
-            dst,
-            op,
-            lhs,
-            rhs,
-            then_,
-            else_,
-            ..
-        } => {
-            format!("{dst} = cmp.{op} {lhs}, {rhs} ; condbr {dst}, {then_}, {else_}")
-        }
     }
 }
 

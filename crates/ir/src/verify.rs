@@ -178,61 +178,11 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
                         instr: instr.id,
                     });
                 }
-                // A superinstruction owns its consumed half's id: `site`
-                // is the fused-away Load's id, so it must be reserved and
-                // must not collide with any live instruction.
-                Op::FusedBinLoad { bin_dst, site, .. } => {
-                    if bin_dst.0 >= func.num_regs {
-                        return Err(VerifyError::RegOutOfRange {
-                            func: name.clone(),
-                            instr: instr.id,
-                            reg: bin_dst.0,
-                        });
-                    }
-                    if !seen_ids.insert(*site) {
-                        return Err(VerifyError::DuplicateInstrId {
-                            func: name.clone(),
-                            instr: *site,
-                        });
-                    }
-                    if site.0 >= func.next_instr {
-                        return Err(VerifyError::InstrIdNotReserved {
-                            func: name.clone(),
-                            instr: *site,
-                        });
-                    }
-                }
-                Op::FusedBinBin { a_dst, b_id, .. } => {
-                    // `b_dst` is the instruction's def, checked above;
-                    // the first half's destination is checked here.
-                    if a_dst.0 >= func.num_regs {
-                        return Err(VerifyError::RegOutOfRange {
-                            func: name.clone(),
-                            instr: instr.id,
-                            reg: a_dst.0,
-                        });
-                    }
-                    if !seen_ids.insert(*b_id) {
-                        return Err(VerifyError::DuplicateInstrId {
-                            func: name.clone(),
-                            instr: *b_id,
-                        });
-                    }
-                    if b_id.0 >= func.next_instr {
-                        return Err(VerifyError::InstrIdNotReserved {
-                            func: name.clone(),
-                            instr: *b_id,
-                        });
-                    }
-                }
                 _ => {}
             }
         }
         match &block.term {
-            Terminator::CondBr { then_, else_, .. }
-            | Terminator::FusedCmpBr { then_, else_, .. }
-                if then_ == else_ =>
-            {
+            Terminator::CondBr { then_, else_, .. } if then_ == else_ => {
                 return Err(VerifyError::CondBrSameTarget {
                     func: name.clone(),
                     block: block.id,
@@ -258,44 +208,6 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
                             func: name.clone(),
                             instr: InstrId::new(u32::MAX),
                             reg: r.0,
-                        });
-                    }
-                }
-                // The fused compare-branch owns the consumed Cmp's id and
-                // register operands; check both like a live instruction.
-                if let Terminator::FusedCmpBr {
-                    id, dst, lhs, rhs, ..
-                } = term
-                {
-                    let mut bad_reg: Option<u32> = None;
-                    let mut check = |r: u32| {
-                        if r >= func.num_regs && bad_reg.is_none() {
-                            bad_reg = Some(r);
-                        }
-                    };
-                    check(dst.0);
-                    for o in [lhs, rhs] {
-                        if let Operand::Reg(r) = o {
-                            check(r.0);
-                        }
-                    }
-                    if let Some(reg) = bad_reg {
-                        return Err(VerifyError::RegOutOfRange {
-                            func: name.clone(),
-                            instr: *id,
-                            reg,
-                        });
-                    }
-                    if !seen_ids.insert(*id) {
-                        return Err(VerifyError::DuplicateInstrId {
-                            func: name.clone(),
-                            instr: *id,
-                        });
-                    }
-                    if id.0 >= func.next_instr {
-                        return Err(VerifyError::InstrIdNotReserved {
-                            func: name.clone(),
-                            instr: *id,
                         });
                     }
                 }
@@ -478,136 +390,6 @@ mod tests {
         assert!(matches!(
             verify_module(&m),
             Err(VerifyError::BadEntry { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_fused_bin_load_with_bad_bin_dst() {
-        let mut m = valid_module();
-        let f = &mut m.functions[1];
-        let id = f.new_instr_id();
-        let site = f.new_instr_id();
-        let load_dst = f.new_reg();
-        f.blocks[0].instrs.push(Instr {
-            id,
-            pred: None,
-            op: Op::FusedBinLoad {
-                bin_dst: Reg::new(700),
-                op: crate::instr::BinOp::Add,
-                lhs: Operand::Imm(0),
-                rhs: Operand::Imm(8),
-                load_dst,
-                offset: 0,
-                site,
-            },
-        });
-        assert!(matches!(
-            verify_module(&m),
-            Err(VerifyError::RegOutOfRange { reg: 700, .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_fused_bin_load_with_unreserved_site() {
-        let mut m = valid_module();
-        let f = &mut m.functions[1];
-        let id = f.new_instr_id();
-        let bin_dst = f.new_reg();
-        let load_dst = f.new_reg();
-        f.blocks[0].instrs.push(Instr {
-            id,
-            pred: None,
-            op: Op::FusedBinLoad {
-                bin_dst,
-                op: crate::instr::BinOp::Add,
-                lhs: Operand::Imm(0),
-                rhs: Operand::Imm(8),
-                load_dst,
-                offset: 0,
-                site: InstrId::new(5000),
-            },
-        });
-        assert!(matches!(
-            verify_module(&m),
-            Err(VerifyError::InstrIdNotReserved { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_fused_bin_load_site_colliding_with_live_instr() {
-        let mut m = valid_module();
-        let f = &mut m.functions[1];
-        let live = f.blocks[0].instrs[0].id;
-        let id = f.new_instr_id();
-        let bin_dst = f.new_reg();
-        let load_dst = f.new_reg();
-        f.blocks[0].instrs.push(Instr {
-            id,
-            pred: None,
-            op: Op::FusedBinLoad {
-                bin_dst,
-                op: crate::instr::BinOp::Add,
-                lhs: Operand::Imm(0),
-                rhs: Operand::Imm(8),
-                load_dst,
-                offset: 0,
-                site: live,
-            },
-        });
-        assert!(matches!(
-            verify_module(&m),
-            Err(VerifyError::DuplicateInstrId { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_fused_cmp_br_with_same_targets() {
-        let mut m = valid_module();
-        let f = &mut m.functions[1];
-        let id = f.new_instr_id();
-        let dst = f.new_reg();
-        f.blocks[0].term = Terminator::FusedCmpBr {
-            id,
-            dst,
-            op: crate::instr::CmpOp::Eq,
-            lhs: Operand::Imm(0),
-            rhs: Operand::Imm(0),
-            then_: BlockId::new(0),
-            else_: BlockId::new(0),
-        };
-        assert!(matches!(
-            verify_module(&m),
-            Err(VerifyError::CondBrSameTarget { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_fused_cmp_br_with_bad_reg() {
-        let mut m = valid_module();
-        let f = &mut m.functions[1];
-        let id = f.new_instr_id();
-        // Targets must differ, or the same-target check fires first.
-        let b1 = {
-            let nb = f.blocks.len() as u32;
-            f.blocks.push(crate::function::Block {
-                id: BlockId::new(nb),
-                instrs: vec![],
-                term: Terminator::Ret { value: None },
-            });
-            BlockId::new(nb)
-        };
-        f.blocks[0].term = Terminator::FusedCmpBr {
-            id,
-            dst: Reg::new(900),
-            op: crate::instr::CmpOp::Eq,
-            lhs: Operand::Imm(0),
-            rhs: Operand::Imm(0),
-            then_: BlockId::new(0),
-            else_: b1,
-        };
-        assert!(matches!(
-            verify_module(&m),
-            Err(VerifyError::RegOutOfRange { reg: 900, .. })
         ));
     }
 

@@ -17,7 +17,7 @@
 //! but not router restarts).
 
 use std::process::ExitCode;
-use stride_server::{RouterConfig, RouterServer};
+use stride_server::{status_line, RouterConfig, RouterServer};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -107,7 +107,7 @@ fn main() -> ExitCode {
     if let Some(every) = probe_every {
         config.probe_every = every;
     }
-    println!("routing {} shard(s)", config.shards.len());
+    status_line(format_args!("routing {} shard(s)", config.shards.len()));
     let server = match RouterServer::start(config) {
         Ok(s) => s,
         Err(e) => {
@@ -115,8 +115,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("listening on {}", server.addr());
+    status_line(format_args!("listening on {}", server.addr()));
     server.join();
-    println!("strided-router: shut down cleanly");
+    status_line(format_args!("strided-router: shut down cleanly"));
     ExitCode::SUCCESS
 }

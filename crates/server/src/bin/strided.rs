@@ -18,7 +18,9 @@
 
 use std::process::ExitCode;
 use stride_core::{FaultInjector, FaultPlan};
-use stride_server::{Client, Request, Response, RetryPolicy, Server, ServerConfig, ServiceConfig};
+use stride_server::{
+    status_line, Client, Request, Response, RetryPolicy, Server, ServerConfig, ServiceConfig,
+};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -61,7 +63,9 @@ fn announce(router: &str, shard: u32, replica: u32, my_addr: &str) {
     for _ in 0..40 {
         if let Ok(mut client) = Client::connect_with(router, RetryPolicy::no_retries()) {
             if let Ok(Response::Ok(_)) = client.call(&req) {
-                println!("announced to {router} as shard {shard} replica {replica}");
+                status_line(format_args!(
+                    "announced to {router} as shard {shard} replica {replica}"
+                ));
                 return;
             }
         }
@@ -150,10 +154,10 @@ fn main() -> ExitCode {
     // Surface what startup recovery had to do before accepting traffic, so
     // operators (and the chaos harness) can audit crash handling.
     match server.service().recovery_report() {
-        Some(report) if report.eventful() => println!("{report}"),
-        _ => println!("recovery: clean start"),
+        Some(report) if report.eventful() => status_line(format_args!("{report}")),
+        _ => status_line(format_args!("recovery: clean start")),
     }
-    println!("listening on {}", server.addr());
+    status_line(format_args!("listening on {}", server.addr()));
     let announcer = announce_spec.map(|(router, shard, replica)| {
         let my_addr = server.addr().to_string();
         std::thread::spawn(move || announce(&router, shard, replica, &my_addr))
@@ -162,6 +166,6 @@ fn main() -> ExitCode {
     if let Some(handle) = announcer {
         let _ = handle.join();
     }
-    println!("strided: shut down cleanly");
+    status_line(format_args!("strided: shut down cleanly"));
     ExitCode::SUCCESS
 }

@@ -71,24 +71,6 @@ impl CostModel {
                 _ => self.alu,
             },
             Op::Load { .. } => self.load,
-            // A superinstruction costs the sum of its halves: fusion saves
-            // dispatch work in the interpreter, never simulated cycles.
-            Op::FusedBinLoad { op, .. } => {
-                let bin = match op {
-                    stride_ir::BinOp::Mul => self.mul,
-                    stride_ir::BinOp::Div | stride_ir::BinOp::Rem => self.div,
-                    _ => self.alu,
-                };
-                bin + self.load
-            }
-            Op::FusedBinBin { a_op, b_op, .. } => {
-                let of = |op: &stride_ir::BinOp| match op {
-                    stride_ir::BinOp::Mul => self.mul,
-                    stride_ir::BinOp::Div | stride_ir::BinOp::Rem => self.div,
-                    _ => self.alu,
-                };
-                of(a_op) + of(b_op)
-            }
             Op::Store { .. } => self.store,
             Op::Prefetch { .. } => self.prefetch,
             Op::Alloc { .. } => self.alloc,

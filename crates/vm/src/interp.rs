@@ -4,11 +4,12 @@
 //! runtime of the paper).
 
 use crate::cost::CostModel;
+use crate::lower::{Inst, LOp, Program, NO_DST, NO_PRED};
 use crate::memory::{layout_globals, Heap, Memory};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use stride_ir::{BlockId, EdgeId, FuncId, InstrId, Module, Op, Operand, Reg, Terminator};
+use stride_ir::{EdgeId, FuncId, InstrId, Module};
 
 /// Whether a memory access is a load or a store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,9 +119,9 @@ pub struct VmConfig {
     /// [`VmError::InvalidMemoryAccess`]; prefetches of such addresses are
     /// dropped silently (prefetch is non-faulting, as on Itanium).
     pub addr_limit: u64,
-    /// Execute through the superinstruction-fused clone of the module
-    /// (`stride_ir::fuse_module`). Fusion is a pure dispatch optimization:
-    /// every logical output — return value, cycles, instruction/load/store
+    /// Form superinstructions when lowering the module (see
+    /// [`crate::lower`]). Fusion is a pure dispatch optimization: every
+    /// logical output — return value, cycles, instruction/load/store
     /// counts, per-site load counts — is byte-identical with it on or off.
     pub fuse: bool,
 }
@@ -254,20 +255,56 @@ impl RunResult {
     }
 }
 
+/// A suspended caller: where it resumes and where the callee's return
+/// value goes.
 struct Frame {
-    func: FuncId,
-    block: BlockId,
-    idx: usize,
+    pc: u32,
     regs: Vec<i64>,
-    ret_reg: Option<Reg>,
+    ret: u32,
 }
 
-/// Operand evaluation, hoisted out of the dispatch loop.
-#[inline]
-fn eval(regs: &[i64], o: Operand) -> i64 {
-    match o {
-        Operand::Reg(r) => regs[r.index()],
-        Operand::Imm(v) => v,
+/// The last-line load fast path (see [`MemoryTiming::repeat_line_size`]):
+/// demand loads and stores of the line touched by the immediately
+/// preceding demand access skip the timing model; their statistics are
+/// batched into the model at the next slow event or at run exit.
+struct LastLine {
+    mask: Option<u64>,
+    /// Line of the last slow access; `u64::MAX` when none is known.
+    line: u64,
+    addr: u64,
+    pending: u64,
+    hits: u64,
+}
+
+impl LastLine {
+    /// Stall cycles of a demand access of `a` at `cycle`.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        timing: &mut dyn MemoryTiming,
+        a: u64,
+        cycle: u64,
+        kind: AccessKind,
+    ) -> u64 {
+        if let Some(mask) = self.mask {
+            if a & mask == self.line {
+                self.pending += 1;
+                self.hits += 1;
+                return 0;
+            }
+            self.flush(timing);
+            self.line = a & mask;
+            self.addr = a;
+        }
+        timing.access(a, cycle, kind)
+    }
+
+    /// Settles batched repeats into the timing model.
+    fn flush(&mut self, timing: &mut dyn MemoryTiming) {
+        if self.pending != 0 {
+            timing.note_line_repeats(self.addr, self.pending);
+            self.pending = 0;
+        }
     }
 }
 
@@ -276,9 +313,8 @@ fn eval(regs: &[i64], o: Operand) -> i64 {
 pub struct Vm<'a> {
     module: &'a Module,
     config: VmConfig,
-    /// Superinstruction-fused clone of `module`, shared through the
-    /// process-wide decode cache (None when `config.fuse` is off).
-    fused: Option<std::sync::Arc<Module>>,
+    /// `module` lowered to the execution form, on the first run.
+    program: Option<Program>,
     /// Simulated memory, exposed so harnesses can pre-initialize data.
     pub mem: Memory,
     /// Simulated heap.
@@ -291,15 +327,15 @@ pub struct Vm<'a> {
 }
 
 impl<'a> Vm<'a> {
-    /// Creates a VM for `module` with globals laid out and zeroed.
+    /// Creates a VM for `module` with globals laid out and zeroed. The
+    /// module is lowered to the VM's execution form when it first runs.
     pub fn new(module: &'a Module, config: VmConfig) -> Self {
         let sizes: Vec<u64> = module.globals.iter().map(|g| g.size).collect();
         let global_bases = layout_globals(&sizes);
-        let fused = config.fuse.then(|| decode_cache::fused(module));
         Vm {
             module,
             config,
-            fused,
+            program: None,
             mem: Memory::new(),
             heap: Heap::new(),
             global_bases,
@@ -346,22 +382,12 @@ impl<'a> Vm<'a> {
         timing: &mut dyn MemoryTiming,
         profiling: &mut dyn ProfilingRuntime,
     ) -> Result<RunResult, VmError> {
-        // Execute from the fused clone when fusion is on. The clone has
-        // the same functions, ids and register files; the fused arms below
-        // keep all accounting byte-identical to sequential execution.
-        let fused_arc = self.fused.clone();
-        let module: &Module = fused_arc.as_deref().unwrap_or(self.module);
+        let config = self.config;
+        let prog: &Program = self.program.get_or_insert_with(|| {
+            Program::lower(self.module, &config.cost, &self.global_bases, config.fuse)
+        });
 
-        let mut result = RunResult {
-            load_site_counts: module
-                .functions
-                .iter()
-                .map(|f| vec![0u64; f.next_instr as usize])
-                .collect(),
-            ..RunResult::default()
-        };
-
-        let Some(f) = module.functions.get(func.index()) else {
+        let Some(f) = prog.funcs.get(func.index()) else {
             return Err(VmError::UnknownFunction {
                 func: func.index() as u32,
             });
@@ -373,496 +399,320 @@ impl<'a> Vm<'a> {
                 got: args.len(),
             });
         }
-        let mut entry_regs = vec![0i64; f.num_regs as usize];
-        entry_regs[..args.len()].copy_from_slice(args);
-        // The running frame lives in a local; `stack` holds only suspended
-        // callers, so dispatch never re-indexes the stack.
-        let mut cur = Frame {
-            func,
-            block: f.entry,
-            idx: 0,
-            regs: entry_regs,
-            ret_reg: None,
-        };
-        let mut stack: Vec<Frame> = Vec::new();
 
-        // Loop-invariant configuration, hoisted out of dispatch.
-        let cost = self.config.cost;
-        let fuel = self.config.fuel;
-        let addr_limit = self.config.addr_limit;
-        let max_depth = self.config.max_call_depth;
+        let VmConfig {
+            fuel,
+            addr_limit,
+            max_call_depth: max_depth,
+            ..
+        } = config;
+
+        // The running frame lives in locals; `stack` holds only suspended
+        // callers.
+        let code: &[Inst] = &prog.code;
+        let mut pc = f.entry as usize;
+        let mut regs = vec![0i64; f.frame_regs as usize];
+        // Arguments fill IR registers only, never the zero register; a
+        // function declaring more parameters than registers panics.
+        regs[..f.frame_regs as usize - 1][..args.len()].copy_from_slice(args);
+        let mut ret_dst = NO_DST;
+        let mut stack: Vec<Frame> = Vec::new();
         // Register files of returned frames, reused by later calls so the
         // call-heavy workloads do not allocate per dynamic call. Bounded by
         // the deepest call stack seen.
         let mut reg_pool: Vec<Vec<i64>> = Vec::new();
+        let mut sites = vec![0u64; prog.funcs.iter().map(|f| f.sites as usize).sum()];
+        let mut line = LastLine {
+            mask: timing.repeat_line_size().map(|s| !(s - 1)),
+            line: u64::MAX,
+            addr: 0,
+            pending: 0,
+            hits: 0,
+        };
 
-        // Last-line load fast path (see MemoryTiming::repeat_line_size):
-        // demand loads and stores of the line touched by the immediately
-        // preceding demand access skip the timing model; their statistics
-        // are batched into the model at the next slow event or at run exit.
-        let repeat_mask = timing.repeat_line_size().map(|s| !(s - 1));
-        let mut last_line: u64 = u64::MAX; // sentinel: no MRU line known
-        let mut last_addr: u64 = 0;
-        let mut pending_repeats: u64 = 0;
-
+        let mut cycles = 0u64;
+        let mut instructions = 0u64;
+        let (mut stores, mut prefetches) = (0u64, 0u64);
+        let (mut mem_stall_cycles, mut profiling_cycles) = (0u64, 0u64);
+        let mut fused_dispatch = 0u64;
         #[cfg(feature = "vm-selfprof")]
         let mut prev_kind: Option<crate::selfprof::OpKind> = None;
+        #[cfg(feature = "vm-selfprof")]
+        let mut probes = 0u64;
 
-        let mut error: Option<VmError> = None;
+        // Counts one dynamic instruction (each half of a superinstruction
+        // is one) and aborts the run once the budget is exhausted.
+        macro_rules! tick {
+            () => {
+                instructions += 1;
+                if instructions > fuel {
+                    break Err(VmError::OutOfFuel {
+                        executed: instructions,
+                    });
+                }
+            };
+        }
 
-        'outer: loop {
-            let function = &module.functions[cur.func.index()];
-            'blocks: loop {
-                let block = &function.blocks[cur.block.index()];
-                let instrs = &block.instrs;
-                while cur.idx < instrs.len() {
-                    let instr = &instrs[cur.idx];
-                    cur.idx += 1;
-                    result.instructions += 1;
-                    if result.instructions > fuel {
-                        error = Some(VmError::OutOfFuel {
-                            executed: result.instructions,
-                        });
-                        break 'outer;
-                    }
+        // Each arm that aborts breaks with the error; a return from the
+        // entry frame breaks with its value.
+        let outcome: Result<Option<i64>, VmError> = loop {
+            let inst = &code[pc];
+            pc += 1;
+            tick!();
 
-                    #[cfg(feature = "vm-selfprof")]
-                    {
-                        let k = crate::selfprof::OpKind::of_op(&instr.op);
-                        self.selfprof.record(prev_kind, k);
-                        prev_kind = Some(k);
-                        result.selfprof_overhead_cycles += 1;
-                    }
+            #[cfg(feature = "vm-selfprof")]
+            {
+                self.selfprof.record(prev_kind, inst.kind);
+                prev_kind = Some(inst.kind);
+                probes += 1;
+            }
 
-                    // Qualifying predicate: a squashed instruction still
-                    // costs its issue slot on an in-order machine? On
-                    // Itanium a predicated-off instruction occupies the
-                    // slot but completes without effect; charge 1 cycle.
-                    if let Some(p) = instr.pred {
-                        if cur.regs[p.index()] == 0 {
-                            result.cycles += 1;
-                            continue;
-                        }
-                    }
+            // On Itanium a predicated-off instruction occupies its issue
+            // slot but completes without effect: charge 1 cycle.
+            if inst.pred != NO_PRED && regs[inst.pred as usize] == 0 {
+                cycles += 1;
+                continue;
+            }
+            cycles += inst.cost;
 
-                    result.cycles += cost.base_cost(&instr.op);
-                    let regs = &mut cur.regs;
-
-                    // Arms ordered hottest-first per the vm-selfprof
-                    // opcode/digram profile of the Fig. 15 workloads.
-                    match &instr.op {
-                        Op::FusedBinBin {
-                            a_dst,
-                            a_op,
-                            a_lhs,
-                            a_rhs,
-                            b_dst,
-                            b_op,
-                            b_lhs,
-                            b_rhs,
-                            b_id: _,
-                        } => {
-                            result.fused_dispatch += 1;
-                            // base_cost above charged the sum of both
-                            // halves; each half keeps its own dynamic
-                            // instruction slot and fuel check.
-                            regs[a_dst.index()] = a_op.eval(eval(regs, *a_lhs), eval(regs, *a_rhs));
-                            result.instructions += 1;
-                            if result.instructions > fuel {
-                                error = Some(VmError::OutOfFuel {
-                                    executed: result.instructions,
-                                });
-                                break 'outer;
-                            }
-                            regs[b_dst.index()] = b_op.eval(eval(regs, *b_lhs), eval(regs, *b_rhs));
-                        }
-                        Op::FusedBinLoad {
-                            bin_dst,
-                            op,
-                            lhs,
-                            rhs,
+            // Arms ordered hottest-first per the vm-selfprof opcode/digram
+            // profile of the Fig. 15 workloads.
+            match inst.op {
+                LOp::BinBin { a, b } => {
+                    fused_dispatch += 1;
+                    a.exec(&mut regs);
+                    tick!();
+                    b.exec(&mut regs);
+                }
+                LOp::BinRI { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(regs[a as usize], b);
+                }
+                LOp::BinRR { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
+                }
+                LOp::Load { .. } | LOp::BinLoad { .. } => {
+                    let (a, dst, site) = match inst.op {
+                        LOp::BinLoad {
+                            bin,
                             load_dst,
                             offset,
                             site,
                         } => {
-                            result.fused_dispatch += 1;
-                            // Bin half (base_cost above charged the sum of
-                            // both halves' base costs).
-                            let av = op.eval(eval(regs, *lhs), eval(regs, *rhs));
-                            regs[bin_dst.index()] = av;
-                            // Load half: its own dynamic-instruction slot
-                            // and fuel check, so OutOfFuel aborts at the
-                            // same point as unfused execution.
-                            result.instructions += 1;
-                            if result.instructions > fuel {
-                                error = Some(VmError::OutOfFuel {
-                                    executed: result.instructions,
-                                });
-                                break 'outer;
-                            }
-                            let a = av.wrapping_add(*offset) as u64;
-                            if a >= addr_limit {
-                                error = Some(VmError::InvalidMemoryAccess { addr: a });
-                                break 'outer;
-                            }
-                            result.loads += 1;
-                            result.load_site_counts[cur.func.index()][site.index()] += 1;
-                            if let Some(mask) = repeat_mask {
-                                if a & mask == last_line {
-                                    pending_repeats += 1;
-                                    result.fastpath_load_hits += 1;
-                                } else {
-                                    if pending_repeats != 0 {
-                                        timing.note_line_repeats(last_addr, pending_repeats);
-                                        pending_repeats = 0;
-                                    }
-                                    let stall = timing.access(a, result.cycles, AccessKind::Load);
-                                    result.cycles += stall;
-                                    result.mem_stall_cycles += stall;
-                                    last_line = a & mask;
-                                    last_addr = a;
-                                }
-                            } else {
-                                let stall = timing.access(a, result.cycles, AccessKind::Load);
-                                result.cycles += stall;
-                                result.mem_stall_cycles += stall;
-                            }
-                            regs[load_dst.index()] = self.mem.read_u64(a) as i64;
+                            fused_dispatch += 1;
+                            let base = bin.exec(&mut regs);
+                            tick!();
+                            (base.wrapping_add(offset), load_dst, site)
                         }
-                        Op::Bin { dst, op, lhs, rhs } => {
-                            regs[dst.index()] = op.eval(eval(regs, *lhs), eval(regs, *rhs));
-                        }
-                        Op::Load { dst, addr, offset } => {
-                            let a = (eval(regs, *addr)).wrapping_add(*offset) as u64;
-                            if a >= addr_limit {
-                                error = Some(VmError::InvalidMemoryAccess { addr: a });
-                                break 'outer;
-                            }
-                            result.loads += 1;
-                            result.load_site_counts[cur.func.index()][instr.id.index()] += 1;
-                            if let Some(mask) = repeat_mask {
-                                if a & mask == last_line {
-                                    pending_repeats += 1;
-                                    result.fastpath_load_hits += 1;
-                                } else {
-                                    if pending_repeats != 0 {
-                                        timing.note_line_repeats(last_addr, pending_repeats);
-                                        pending_repeats = 0;
-                                    }
-                                    let stall = timing.access(a, result.cycles, AccessKind::Load);
-                                    result.cycles += stall;
-                                    result.mem_stall_cycles += stall;
-                                    last_line = a & mask;
-                                    last_addr = a;
-                                }
-                            } else {
-                                let stall = timing.access(a, result.cycles, AccessKind::Load);
-                                result.cycles += stall;
-                                result.mem_stall_cycles += stall;
-                            }
-                            regs[dst.index()] = self.mem.read_u64(a) as i64;
-                        }
-                        Op::Cmp { dst, op, lhs, rhs } => {
-                            regs[dst.index()] = op.eval(eval(regs, *lhs), eval(regs, *rhs));
-                        }
-                        Op::Mov { dst, src } => regs[dst.index()] = eval(regs, *src),
-                        Op::Const { dst, value } => regs[dst.index()] = *value,
-                        Op::Store {
-                            value,
-                            addr,
-                            offset,
-                        } => {
-                            let a = (eval(regs, *addr)).wrapping_add(*offset) as u64;
-                            if a >= addr_limit {
-                                error = Some(VmError::InvalidMemoryAccess { addr: a });
-                                break 'outer;
-                            }
-                            result.stores += 1;
-                            // The hierarchy's hit path is kind-agnostic, so
-                            // a same-line store repeats exactly like a load.
-                            if let Some(mask) = repeat_mask {
-                                if a & mask == last_line {
-                                    pending_repeats += 1;
-                                    result.fastpath_load_hits += 1;
-                                } else {
-                                    if pending_repeats != 0 {
-                                        timing.note_line_repeats(last_addr, pending_repeats);
-                                        pending_repeats = 0;
-                                    }
-                                    let stall = timing.access(a, result.cycles, AccessKind::Store);
-                                    result.cycles += stall;
-                                    result.mem_stall_cycles += stall;
-                                    last_line = a & mask;
-                                    last_addr = a;
-                                }
-                            } else {
-                                let stall = timing.access(a, result.cycles, AccessKind::Store);
-                                result.cycles += stall;
-                                result.mem_stall_cycles += stall;
-                            }
-                            let v = eval(regs, *value) as u64;
-                            self.mem.write_u64(a, v);
-                        }
-                        Op::Select {
-                            dst,
-                            cond,
-                            on_true,
-                            on_false,
-                        } => {
-                            regs[dst.index()] = if eval(regs, *cond) != 0 {
-                                eval(regs, *on_true)
-                            } else {
-                                eval(regs, *on_false)
-                            };
-                        }
-                        Op::GlobalAddr { dst, global } => {
-                            regs[dst.index()] = self.global_bases[global.index()] as i64;
-                        }
-                        Op::Prefetch { addr, offset } => {
-                            let a = (eval(regs, *addr)).wrapping_add(*offset) as u64;
-                            // Prefetch is non-faulting: a wild address (e.g.
-                            // from a degraded profile) is dropped, not an
-                            // error.
-                            if a < addr_limit {
-                                if pending_repeats != 0 {
-                                    timing.note_line_repeats(last_addr, pending_repeats);
-                                    pending_repeats = 0;
-                                }
-                                // Prefetch installs can displace the MRU
-                                // hint; drop the repeat guarantee.
-                                last_line = u64::MAX;
-                                timing.prefetch(a, result.cycles);
-                                result.prefetches += 1;
-                            }
-                        }
-                        Op::Call {
-                            dst,
-                            callee,
-                            args: call_args,
-                        } => {
-                            if stack.len() + 1 >= max_depth {
-                                error = Some(VmError::CallDepthExceeded { limit: max_depth });
-                                break 'outer;
-                            }
-                            let Some(cf) = module.functions.get(callee.index()) else {
-                                error = Some(VmError::UnknownFunction {
-                                    func: callee.index() as u32,
-                                });
-                                break 'outer;
-                            };
-                            if call_args.len() > cf.num_regs as usize {
-                                error = Some(VmError::ArityMismatch {
-                                    func: callee.index() as u32,
-                                    expected: cf.num_params,
-                                    got: call_args.len(),
-                                });
-                                break 'outer;
-                            }
-                            let mut new_regs = reg_pool.pop().unwrap_or_default();
-                            new_regs.clear();
-                            new_regs.resize(cf.num_regs as usize, 0);
-                            for (i, a) in call_args.iter().enumerate() {
-                                new_regs[i] = eval(regs, *a);
-                            }
-                            let new_frame = Frame {
-                                func: *callee,
-                                block: cf.entry,
-                                idx: 0,
-                                regs: new_regs,
-                                ret_reg: *dst,
-                            };
-                            stack.push(std::mem::replace(&mut cur, new_frame));
-                            continue 'outer;
-                        }
-                        Op::ProfileStride {
-                            site,
-                            addr,
-                            offset,
-                            slot,
-                        } => {
-                            let a = (eval(regs, *addr)).wrapping_add(*offset) as u64;
-                            let c = profiling.stride_prof(cur.func, *site, *slot, a);
-                            result.cycles += c;
-                            result.profiling_cycles += c;
-                        }
-                        Op::ProfileEdge { edge } => {
-                            let c = profiling.profile_edge(cur.func, *edge);
-                            result.cycles += c;
-                            result.profiling_cycles += c;
-                        }
-                        Op::TripCountCheck {
-                            dst,
-                            incoming,
-                            outgoing,
-                            shift,
-                            ..
-                        } => {
-                            let (pred, c) =
-                                profiling.trip_count_check(cur.func, incoming, outgoing, *shift);
-                            result.cycles += c;
-                            result.profiling_cycles += c;
-                            cur.regs[dst.index()] = pred as i64;
-                        }
-                        Op::Alloc { dst, size } => {
-                            let sz = eval(regs, *size).max(0) as u64;
-                            let a = self.heap.alloc(sz);
-                            self.alloc_sizes.insert(a, sz);
-                            regs[dst.index()] = a as i64;
-                        }
-                        Op::Free { addr } => {
-                            let a = eval(regs, *addr) as u64;
-                            if let Some(sz) = self.alloc_sizes.remove(&a) {
-                                self.heap.free(a, sz);
-                            }
-                        }
+                        LOp::Load { dst, addr, site } => (addr.get(&regs), dst, site),
+                        _ => unreachable!("matched a load above"),
+                    };
+                    let a = a as u64;
+                    if a >= addr_limit {
+                        break Err(VmError::InvalidMemoryAccess { addr: a });
                     }
+                    sites[site as usize] += 1;
+                    // Read before timing the access: the host's miss on
+                    // guest data then overlaps the timing model's work.
+                    let v = self.mem.read_u64(a) as i64;
+                    let stall = line.access(timing, a, cycles, AccessKind::Load);
+                    cycles += stall;
+                    mem_stall_cycles += stall;
+                    regs[dst as usize] = v;
                 }
-
-                // Terminator.
-                result.instructions += 1;
-                if result.instructions > fuel {
-                    error = Some(VmError::OutOfFuel {
-                        executed: result.instructions,
+                LOp::CmpBr {
+                    op,
+                    dst,
+                    a,
+                    b,
+                    k,
+                    then_,
+                    else_,
+                } => {
+                    fused_dispatch += 1;
+                    let c = op.eval(regs[a as usize], regs[b as usize].wrapping_add(k));
+                    regs[dst as usize] = c;
+                    tick!();
+                    pc = if c != 0 { then_ } else { else_ } as usize;
+                }
+                LOp::Br { target } => pc = target as usize,
+                LOp::Cmp { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(a.get(&regs), b.get(&regs));
+                }
+                LOp::CondBr { cond, then_, else_ } => {
+                    pc = if regs[cond as usize] != 0 {
+                        then_
+                    } else {
+                        else_
+                    } as usize;
+                }
+                LOp::Store { value, addr } => {
+                    let a = addr.get(&regs) as u64;
+                    if a >= addr_limit {
+                        break Err(VmError::InvalidMemoryAccess { addr: a });
+                    }
+                    stores += 1;
+                    // The hierarchy's hit path is kind-agnostic, so a
+                    // same-line store repeats exactly like a load.
+                    let stall = line.access(timing, a, cycles, AccessKind::Store);
+                    cycles += stall;
+                    mem_stall_cycles += stall;
+                    self.mem.write_u64(a, value.get(&regs) as u64);
+                }
+                LOp::Const { dst, value } => regs[dst as usize] = value,
+                LOp::Mov { dst, src } => regs[dst as usize] = src.get(&regs),
+                LOp::Select {
+                    dst,
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    let pick = if cond.get(&regs) != 0 {
+                        on_true
+                    } else {
+                        on_false
+                    };
+                    regs[dst as usize] = pick.get(&regs);
+                }
+                LOp::BinIR { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(a, b.get(&regs));
+                }
+                LOp::Call { dst, callee, at, n } => {
+                    if stack.len() + 1 >= max_depth {
+                        break Err(VmError::CallDepthExceeded { limit: max_depth });
+                    }
+                    let Some(cf) = prog.funcs.get(callee as usize) else {
+                        break Err(VmError::UnknownFunction { func: callee });
+                    };
+                    if n >= cf.frame_regs {
+                        break Err(VmError::ArityMismatch {
+                            func: callee,
+                            expected: cf.num_params,
+                            got: n as usize,
+                        });
+                    }
+                    let mut new_regs = reg_pool.pop().unwrap_or_default();
+                    new_regs.clear();
+                    new_regs.resize(cf.frame_regs as usize, 0);
+                    for (slot, s) in new_regs
+                        .iter_mut()
+                        .zip(&prog.args[at as usize..][..n as usize])
+                    {
+                        *slot = s.get(&regs);
+                    }
+                    stack.push(Frame {
+                        pc: pc as u32,
+                        regs: std::mem::replace(&mut regs, new_regs),
+                        ret: std::mem::replace(&mut ret_dst, dst),
                     });
-                    break 'outer;
+                    pc = cf.entry as usize;
                 }
-
-                #[cfg(feature = "vm-selfprof")]
-                {
-                    let k = crate::selfprof::OpKind::of_term(&block.term);
-                    self.selfprof.record(prev_kind, k);
-                    prev_kind = Some(k);
-                    result.selfprof_overhead_cycles += 1;
+                LOp::Ret { value } => {
+                    let v = value.map(|s| s.get(&regs));
+                    let Some(caller) = stack.pop() else {
+                        break Ok(v);
+                    };
+                    reg_pool.push(std::mem::replace(&mut regs, caller.regs));
+                    if let (true, Some(v)) = (ret_dst != NO_DST, v) {
+                        regs[ret_dst as usize] = v;
+                    }
+                    ret_dst = caller.ret;
+                    pc = caller.pc as usize;
                 }
-
-                match &block.term {
-                    Terminator::FusedCmpBr {
-                        dst,
-                        op,
-                        lhs,
-                        rhs,
-                        then_,
-                        else_,
-                        ..
-                    } => {
-                        result.fused_dispatch += 1;
-                        // Cmp half.
-                        result.cycles += cost.alu;
-                        let c = op.eval(eval(&cur.regs, *lhs), eval(&cur.regs, *rhs));
-                        cur.regs[dst.index()] = c;
-                        // Branch half: its own dynamic-instruction slot and
-                        // fuel check.
-                        result.instructions += 1;
-                        if result.instructions > fuel {
-                            error = Some(VmError::OutOfFuel {
-                                executed: result.instructions,
-                            });
-                            break 'outer;
-                        }
-                        result.cycles += cost.branch;
-                        cur.block = if c != 0 { *then_ } else { *else_ };
-                        cur.idx = 0;
-                        continue 'blocks;
+                LOp::Prefetch { addr } => {
+                    let a = addr.get(&regs) as u64;
+                    // Prefetch is non-faulting: a wild address (e.g. from a
+                    // degraded profile) is dropped, not an error.
+                    if a < addr_limit {
+                        line.flush(timing);
+                        // Prefetch installs can displace the MRU hint; drop
+                        // the repeat guarantee.
+                        line.line = u64::MAX;
+                        timing.prefetch(a, cycles);
+                        prefetches += 1;
                     }
-                    Terminator::Br { target } => {
-                        result.cycles += cost.branch;
-                        cur.block = *target;
-                        cur.idx = 0;
-                        continue 'blocks;
-                    }
-                    Terminator::CondBr { cond, then_, else_ } => {
-                        result.cycles += cost.branch;
-                        let c = eval(&cur.regs, *cond);
-                        cur.block = if c != 0 { *then_ } else { *else_ };
-                        cur.idx = 0;
-                        continue 'blocks;
-                    }
-                    Terminator::Ret { value } => {
-                        result.cycles += cost.branch;
-                        let v = value.map(|o| eval(&cur.regs, o));
-                        match stack.pop() {
-                            Some(caller) => {
-                                let finished = std::mem::replace(&mut cur, caller);
-                                reg_pool.push(finished.regs);
-                                if let (Some(dst), Some(v)) = (finished.ret_reg, v) {
-                                    cur.regs[dst.index()] = v;
-                                }
-                                continue 'outer;
-                            }
-                            None => {
-                                result.return_value = v;
-                                break 'outer;
-                            }
-                        }
+                }
+                LOp::ProfileStride {
+                    func,
+                    site,
+                    slot,
+                    addr,
+                } => {
+                    let a = addr.get(&regs) as u64;
+                    let c = profiling.stride_prof(FuncId::new(func), site, slot, a);
+                    cycles += c;
+                    profiling_cycles += c;
+                }
+                LOp::ProfileEdge { func, edge } => {
+                    let c = profiling.profile_edge(FuncId::new(func), edge);
+                    cycles += c;
+                    profiling_cycles += c;
+                }
+                LOp::TripCountCheck {
+                    func,
+                    dst,
+                    at,
+                    n_in,
+                    n_out,
+                    shift,
+                } => {
+                    let (incoming, outgoing) = prog.edges[at as usize..][..(n_in + n_out) as usize]
+                        .split_at(n_in as usize);
+                    let (pred, c) =
+                        profiling.trip_count_check(FuncId::new(func), incoming, outgoing, shift);
+                    cycles += c;
+                    profiling_cycles += c;
+                    regs[dst as usize] = pred as i64;
+                }
+                LOp::Alloc { dst, size } => {
+                    let sz = size.get(&regs).max(0) as u64;
+                    let a = self.heap.alloc(sz);
+                    self.alloc_sizes.insert(a, sz);
+                    regs[dst as usize] = a as i64;
+                }
+                LOp::Free { addr } => {
+                    let a = addr.get(&regs) as u64;
+                    if let Some(sz) = self.alloc_sizes.remove(&a) {
+                        self.heap.free(a, sz);
                     }
                 }
             }
-        }
+        };
 
         // Settle batched fast-path hits so the timing model's statistics
         // cover the whole run (including error aborts).
-        if pending_repeats != 0 {
-            timing.note_line_repeats(last_addr, pending_repeats);
-        }
-        match error {
-            Some(e) => Err(e),
-            None => Ok(result),
-        }
-    }
-}
-
-/// Process-wide fusion decode cache: module → superinstruction-fused clone
-/// (`stride_ir::fuse_module`), so harnesses that build many short-lived
-/// [`Vm`]s over the same module pay the fusion pass once. Keyed by the
-/// module's structural hash, with full structural equality verification
-/// (each entry keeps a clone of the unfused module) so hash collisions
-/// cannot alias distinct modules. Bounded: past capacity, new modules are
-/// fused but not retained.
-mod decode_cache {
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use stride_ir::Module;
-
-    const CAPACITY: usize = 64;
-
-    type Shelf = HashMap<u64, Vec<(Module, Arc<Module>)>>;
-
-    static CACHE: OnceLock<Mutex<Shelf>> = OnceLock::new();
-
-    pub(crate) fn fused(module: &Module) -> Arc<Module> {
-        let mut h = DefaultHasher::new();
-        module.hash(&mut h);
-        let key = h.finish();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Ok(shelf) = cache.lock() {
-            if let Some(bucket) = shelf.get(&key) {
-                for (stored, fused) in bucket {
-                    if stored == module {
-                        return Arc::clone(fused);
-                    }
-                }
-            }
-        }
-        let (fused, _stats) = stride_ir::fuse_module(module);
-        let fused = Arc::new(fused);
-        if let Ok(mut shelf) = cache.lock() {
-            if shelf.len() < CAPACITY || shelf.contains_key(&key) {
-                let bucket = shelf.entry(key).or_default();
-                if !bucket.iter().any(|(stored, _)| stored == module) {
-                    bucket.push((module.clone(), Arc::clone(&fused)));
-                }
-            }
-        }
-        fused
+        line.flush(timing);
+        let return_value = outcome?;
+        // Every load counts at its site.
+        let loads = sites.iter().sum();
+        let mut rows = sites.into_iter();
+        Ok(RunResult {
+            return_value,
+            cycles,
+            instructions,
+            loads,
+            stores,
+            prefetches,
+            mem_stall_cycles,
+            profiling_cycles,
+            load_site_counts: prog
+                .funcs
+                .iter()
+                .map(|f| rows.by_ref().take(f.sites as usize).collect())
+                .collect(),
+            fused_dispatch,
+            fastpath_load_hits: line.hits,
+            #[cfg(feature = "vm-selfprof")]
+            selfprof_overhead_cycles: probes,
+            #[cfg(not(feature = "vm-selfprof"))]
+            selfprof_overhead_cycles: 0,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stride_ir::{BinOp, CmpOp, ModuleBuilder, Operand};
+    use stride_ir::{BinOp, BlockId, CmpOp, ModuleBuilder, Op, Operand};
 
     fn run_entry(module: &Module, args: &[i64]) -> RunResult {
         let mut vm = Vm::new(module, VmConfig::default());
@@ -1254,6 +1104,24 @@ mod tests {
     }
 
     #[test]
+    fn arguments_never_reach_the_zero_register() {
+        // A malformed function declaring more parameters than registers:
+        // its third argument would land in the zero register that
+        // immediates read.
+        let mut mb = ModuleBuilder::new();
+        let f = mb.declare_function("main", 3);
+        let mut fb = mb.function(f);
+        fb.ret(Some(Operand::Imm(5)));
+        mb.set_entry(f);
+        let mut m = mb.finish();
+        m.functions[0].num_regs = 2;
+        let run = std::panic::catch_unwind(|| {
+            Vm::new(&m, VmConfig::default()).run(&[1, 2, 3], &mut FlatTiming, &mut NullRuntime)
+        });
+        assert!(run.is_err(), "the IR interpreter panicked here too");
+    }
+
+    #[test]
     fn entry_arity_mismatch_is_an_error() {
         let mut mb = ModuleBuilder::new();
         let f = mb.declare_function("main", 2);
@@ -1374,23 +1242,6 @@ mod tests {
                 _ => panic!("fuel {fuel}: one run aborted, the other finished"),
             }
         }
-    }
-
-    #[test]
-    fn decode_cache_shares_fused_modules() {
-        let m = fusible_workload();
-        let a = Vm::new(&m, VmConfig::default());
-        let b = Vm::new(&m, VmConfig::default());
-        let (fa, fb) = (a.fused.as_ref().unwrap(), b.fused.as_ref().unwrap());
-        assert!(std::sync::Arc::ptr_eq(fa, fb), "same module fuses once");
-        let off = Vm::new(
-            &m,
-            VmConfig {
-                fuse: false,
-                ..VmConfig::default()
-            },
-        );
-        assert!(off.fused.is_none());
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! consecutive dynamic opcodes) dominate, and how much dispatch work the
 //! probes themselves add. The resulting report drives the three
 //! optimizations of the self-applied-PGO loop: match-arm ordering,
-//! superinstruction fusion (`stride_ir::fuse_module`), and the last-line
-//! load fast path.
+//! superinstruction fusion (formed when the VM lowers a module, see
+//! `crate::lower`), and the last-line load fast path.
 //!
 //! Every probe is behind `#[cfg(feature = "vm-selfprof")]` in the
-//! interpreter, so the default build carries zero overhead — not a branch,
-//! not a field.
+//! interpreter, so the default build carries zero overhead — not a branch.
+//! (Each lowered instruction records its [`OpKind`] in a byte its padding
+//! already had.)
 
 use std::fmt::Write as _;
 use stride_ir::{Op, Terminator};
@@ -52,9 +53,9 @@ pub enum OpKind {
     TripCountCheck,
     /// `Op::ProfileStride`
     ProfileStride,
-    /// `Op::FusedBinLoad`
+    /// Superinstruction: `Bin` + `Load`
     FusedBinLoad,
-    /// `Op::FusedBinBin`
+    /// Superinstruction: `Bin` + `Bin`
     FusedBinBin,
     /// `Terminator::Br`
     Br,
@@ -62,7 +63,7 @@ pub enum OpKind {
     CondBr,
     /// `Terminator::Ret`
     Ret,
-    /// `Terminator::FusedCmpBr`
+    /// Superinstruction: `Cmp` + `CondBr`
     FusedCmpBr,
 }
 
@@ -113,8 +114,6 @@ impl OpKind {
             Op::ProfileEdge { .. } => OpKind::ProfileEdge,
             Op::TripCountCheck { .. } => OpKind::TripCountCheck,
             Op::ProfileStride { .. } => OpKind::ProfileStride,
-            Op::FusedBinLoad { .. } => OpKind::FusedBinLoad,
-            Op::FusedBinBin { .. } => OpKind::FusedBinBin,
         }
     }
 
@@ -124,34 +123,6 @@ impl OpKind {
             Terminator::Br { .. } => OpKind::Br,
             Terminator::CondBr { .. } => OpKind::CondBr,
             Terminator::Ret { .. } => OpKind::Ret,
-            Terminator::FusedCmpBr { .. } => OpKind::FusedCmpBr,
-        }
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Const => "Const",
-            OpKind::Mov => "Mov",
-            OpKind::Bin => "Bin",
-            OpKind::Cmp => "Cmp",
-            OpKind::Select => "Select",
-            OpKind::Load => "Load",
-            OpKind::Store => "Store",
-            OpKind::Prefetch => "Prefetch",
-            OpKind::Alloc => "Alloc",
-            OpKind::Free => "Free",
-            OpKind::GlobalAddr => "GlobalAddr",
-            OpKind::Call => "Call",
-            OpKind::ProfileEdge => "ProfileEdge",
-            OpKind::TripCountCheck => "TripCountCheck",
-            OpKind::ProfileStride => "ProfileStride",
-            OpKind::FusedBinLoad => "FusedBinLoad",
-            OpKind::FusedBinBin => "FusedBinBin",
-            OpKind::Br => "Br",
-            OpKind::CondBr => "CondBr",
-            OpKind::Ret => "Ret",
-            OpKind::FusedCmpBr => "FusedCmpBr",
         }
     }
 }
@@ -252,7 +223,7 @@ impl SelfProfile {
             let _ = writeln!(
                 s,
                 "  {:<16} {:>12}  {:5.1}%",
-                k.name(),
+                format!("{k:?}"),
                 c,
                 100.0 * c as f64 / total as f64
             );
@@ -262,8 +233,8 @@ impl SelfProfile {
             let _ = writeln!(
                 s,
                 "  {:<16} -> {:<16} {:>12}  {:5.1}%",
-                a.name(),
-                b.name(),
+                format!("{a:?}"),
+                format!("{b:?}"),
                 c,
                 100.0 * c as f64 / total as f64
             );
