@@ -275,7 +275,8 @@ done
 [ -n "$dead_keys" ] || { echo "no key routed to the killed shard" >&2; exit 1; }
 [ "$live" -gt 0 ] || { echo "live shards stopped serving during the outage" >&2; exit 1; }
 # Restart the victim on a fresh port (startup recovery replays its WAL)
-# and re-point the router; the outage's queued deltas drain.
+# and re-point the router. The shed merges were applied nowhere, so the
+# client resends them (fresh ids), as DESIGN.md §13's client rule says.
 shard_out[1]=$(mktemp)
 cargo run --release -q -p stride-server --bin strided -- \
     serve --addr 127.0.0.1:0 --db "$cl_root/s1" --workers 2 > "${shard_out[1]}" &
@@ -289,6 +290,10 @@ done
 [ -n "$new_addr" ] || { echo "restarted shard 1 did not report its address" >&2; exit 1; }
 rctl route-update --shard 1 --replica 0 --to "$new_addr" | grep -q '^routed shard=1' \
     || { echo "route-update failed" >&2; exit 1; }
+for i in $dead_keys; do
+    rctl merge-profile --file "$cl_root/entry.wl$i" > /dev/null \
+        || { echo "resend of shed merge wl$i failed" >&2; exit 1; }
+done
 # One more merge round, then every key — shed or not — must have
 # converged to the same three applied merges.
 for i in 0 1 2 3 4; do
@@ -296,10 +301,12 @@ for i in 0 1 2 3 4; do
         || { echo "post-recovery merge wl$i failed" >&2; exit 1; }
     rctl submit "wl$i" --builtin mcf --scale test > /dev/null
     rctl get-profile "wl$i" | grep -q '^runs 3$' \
-        || { echo "wl$i did not converge to 3 merges (acked or queued merge lost)" >&2; exit 1; }
+        || { echo "wl$i did not converge to 3 merges (acked merge lost or resend double-counted)" >&2; exit 1; }
 done
-rctl stats | grep -q '^gauge router.hint_depth.s1r0 0 ' \
-    || { echo "replication lag did not drain after route-update" >&2; exit 1; }
+rctl health | grep -qx '1 0 alive' \
+    || { echo "revived shard 1 is not alive in the health table" >&2; exit 1; }
+rctl repair | grep -q '^repair shard=1 divergent=false' \
+    || { echo "revived shard 1 still diverges after route-update" >&2; exit 1; }
 rctl stats | grep -Ev '^(counter|gauge|histogram|trace) |^== .* ==$' \
     && { echo "router stats adds more than section headers to the registry lines" >&2; exit 1; }
 rctl stats --json | python3 -c '
@@ -376,8 +383,8 @@ for i in 0 1 2; do
     ufctl merge-profile --file "$uf_root/entry.fo$i" > /dev/null \
         || { echo "pre-fault merge fo$i failed" >&2; exit 1; }
 done
-# Mid-traffic SIGKILL of replica 0: its siblings keep acking while its
-# share spools as hints. Nobody runs route-update from here on.
+# Mid-traffic SIGKILL of replica 0: its siblings keep acking while it
+# misses its share. Nobody runs route-update from here on.
 kill -9 "${uf_pid[0]}"
 wait "${uf_pid[0]}" 2>/dev/null || true
 for i in 0 1 2; do
@@ -385,7 +392,7 @@ for i in 0 1 2; do
         || { echo "merge fo$i during replica outage failed (siblings must keep acking)" >&2; exit 1; }
 done
 # Restart the victim with --announce: it re-registers itself on a fresh
-# port; the router's revival drains hints and re-runs repair.
+# port; the router's revival re-runs repair, which catches it up.
 uf_out[0]=$(mktemp)
 cargo run --release -q -p stride-server --bin strided -- \
     serve --addr 127.0.0.1:0 --db "$uf_root/r0" --workers 2 \
@@ -393,9 +400,8 @@ cargo run --release -q -p stride-server --bin strided -- \
 uf_pid[0]=$!
 healed=""
 for _ in $(seq 1 100); do
-    st=$(ufctl stats || true)
-    if echo "$st" | grep -q '^gauge router.hint_depth.s0r0 0 ' \
-        && echo "$st" | grep -q '^gauge router.health.s0r0 0 '; then
+    if ufctl health 2>/dev/null | grep -qx '0 0 alive' \
+        && ufctl repair 2>/dev/null | grep -q '^repair shard=0 divergent=false'; then
         healed=yes
         break
     fi

@@ -648,17 +648,21 @@ const KEYS_PER_WRITER: usize = 4;
 /// every applied-delta subset has a unique counter sum.
 const CLUSTER_ROUNDS: usize = 4;
 
-/// Extra merges the deep-repair scenario sends one shard: more than the
-/// 4,096 idempotency ids a replica remembers.
+/// Extra merges the deep-repair and long-dead scenarios send one shard:
+/// more than the 4,096 idempotency ids a replica remembers.
 const DEEP_MERGES: usize = 4_200;
 
 /// When a scenario's victim dies.
 #[derive(Clone, Copy, PartialEq)]
 enum Kill {
-    /// Before the first merge, so its range meets the outage at once.
-    BeforeTraffic,
+    /// After every key's first merge, so it holds state a transfer must
+    /// replace.
+    AfterFirstRound,
     /// Before a seeded merge in the second quarter of the traffic.
     MidTraffic,
+    /// After the traffic settled and the floor pruned every logged delta;
+    /// its store directory is deleted before it restarts.
+    Wiped,
 }
 
 /// How a restarted victim gets back into the router's topology.
@@ -698,10 +702,10 @@ impl Victim {
 enum Refusal {
     /// Every merge must ack.
     None,
-    /// The victim's range answers `kind`, naming the victim's shard with
-    /// a retry hint, for every merge after the kill but the first
-    /// `grace` (which ack and spool as hints); every other merge acks.
-    Victim { kind: ErrorKind, grace: usize },
+    /// The victim's range answers `unavailable`, naming the victim's
+    /// shard with a retry hint, for every merge from the kill on (applied
+    /// nowhere); every other merge acks.
+    Unavailable,
     /// Any merge may be shed `busy` with a retry hint; which ones depends
     /// on load timing, so the report names none.
     Shed,
@@ -719,10 +723,16 @@ struct ClusterScenario {
     victim: Option<Victim>,
     /// Replication weather at the live replicas after the traffic.
     weather: bool,
-    /// After this many more merges on the first key's shard, one
-    /// divergent delta per key injected behind the router's back into
-    /// one replica, for anti-entropy repair alone to reconverge.
-    diverge: Option<usize>,
+    /// Extra merges on one shard — the victim's, else the first key's —
+    /// after the per-key rounds.
+    deep: usize,
+    /// One divergent delta per key injected behind the router's back
+    /// into one replica after the traffic, for anti-entropy repair alone
+    /// to reconverge.
+    diverge: bool,
+    /// The victim lacks deltas its siblings pruned below the floor, so
+    /// it must be refilled by a full-state transfer.
+    transfer: bool,
     /// Concurrent writers; only a lone writer can have a victim.
     writers: usize,
     refusal: Refusal,
@@ -736,13 +746,14 @@ struct Tally {
     merges: usize,
     acked: usize,
     refused: usize,
-    /// The first key's shard (where deep merges go).
+    /// The shard of the last merge (where deep merges go).
     deep_shard: usize,
 }
 
 /// The built-in cluster campaign. #1–#3 were retired: a single-replica
 /// outage and weather on a healthy cluster are covered by #0 and #4, and
-/// a second whole-shard outage repeated #0 on another shard.
+/// a second whole-shard outage repeated #0 on another shard. #6 (a full
+/// hint spool refusing merges) went with the spool.
 fn cluster_campaign() -> Vec<ClusterScenario> {
     let mid_kill = |whole_shard, rejoin| Victim {
         shard: 1,
@@ -757,7 +768,9 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
         router_flags: &[],
         victim: None,
         weather: false,
-        diverge: None,
+        deep: 0,
+        diverge: false,
+        transfer: false,
         writers: 1,
         refusal: Refusal::None,
         report: |_| String::new(),
@@ -769,10 +782,7 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
             label: "kill-shard=1+chaos",
             victim: Some(mid_kill(true, Rejoin::RouteUpdate)),
             weather: true,
-            refusal: Refusal::Victim {
-                kind: ErrorKind::Unavailable,
-                grace: 0,
-            },
+            refusal: Refusal::Unavailable,
             report: |t| {
                 format!(
                     "ok: {} merges ({} acked, {} shed typed-unavailable), drop/dup/reorder \
@@ -791,8 +801,8 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
             report: |t| {
                 format!(
                     "ok: {} merges all acked through replica kill, restart self-announced \
-                     (zero operator verbs), hints drained, {STORES} stores byte-identical to \
-                     reference",
+                     (zero operator verbs), repair caught it up, {STORES} stores byte-identical \
+                     to reference",
                     t.merges
                 )
             },
@@ -802,38 +812,13 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
             index: 5,
             salt: 6,
             label: "anti-entropy",
-            diverge: Some(0),
+            diverge: true,
             report: |t| {
                 format!(
                     "ok: {} merges + {CLUSTER_KEYS} divergent deltas behind the router, \
                      anti-entropy reconverged (zero operator verbs), {STORES} stores \
                      byte-identical",
                     t.merges
-                )
-            },
-            ..quiet
-        },
-        ClusterScenario {
-            index: 6,
-            salt: 7,
-            label: "hint-overflow",
-            router_flags: &["--hint-cap", "2"],
-            victim: Some(Victim {
-                shard: 0,
-                whole_shard: false,
-                kill: Kill::BeforeTraffic,
-                rejoin: Rejoin::Announce,
-            }),
-            refusal: Refusal::Victim {
-                kind: ErrorKind::HandoffFull,
-                grace: 2,
-            },
-            report: |t| {
-                format!(
-                    "ok: {} merges ({} acked, {} refused typed handoff-full applied-nowhere), \
-                     self-announce drained the spool, resends acked, {STORES} stores \
-                     byte-identical",
-                    t.merges, t.acked, t.refused
                 )
             },
             ..quiet
@@ -863,12 +848,57 @@ fn cluster_campaign() -> Vec<ClusterScenario> {
             index: 8,
             salt: 9,
             label: "deep-repair",
-            diverge: Some(DEEP_MERGES),
+            deep: DEEP_MERGES,
+            diverge: true,
             report: |t| {
                 format!(
                     "ok: {} merges ({DEEP_MERGES} more on shard {}, past its replicas' id \
                      window) + {CLUSTER_KEYS} divergent deltas behind the router, exact \
                      repair reconverged (zero operator verbs), {STORES} stores byte-identical",
+                    t.merges, t.deep_shard
+                )
+            },
+            ..quiet
+        },
+        ClusterScenario {
+            index: 9,
+            salt: 10,
+            label: "wipe-replica",
+            victim: Some(Victim {
+                shard: 1,
+                whole_shard: false,
+                kill: Kill::Wiped,
+                rejoin: Rejoin::Announce,
+            }),
+            transfer: true,
+            report: |t| {
+                format!(
+                    "ok: {} merges all acked, then replica s1r0's store deleted after the \
+                     floor pruned every delta; self-announce revival refilled it by full-state \
+                     transfer (zero operator verbs), {STORES} stores byte-identical to reference",
+                    t.merges
+                )
+            },
+            ..quiet
+        },
+        ClusterScenario {
+            index: 10,
+            salt: 11,
+            label: "long-dead",
+            victim: Some(Victim {
+                shard: 1,
+                whole_shard: false,
+                kill: Kill::AfterFirstRound,
+                rejoin: Rejoin::Announce,
+            }),
+            deep: DEEP_MERGES,
+            transfer: true,
+            report: |t| {
+                format!(
+                    "ok: {} merges all acked ({DEEP_MERGES} more on shard {}) while replica \
+                     s1r0 stayed dead and the floor advanced over its sibling; self-announce \
+                     revival refilled it by full-state transfer, {STORES} stores byte-identical \
+                     to reference",
                     t.merges, t.deep_shard
                 )
             },
@@ -895,14 +925,13 @@ fn entry_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
     Ok(files)
 }
 
-/// One writer's deterministic traffic: its keys, every merge's wire
-/// text, and for each merge its owning shard and the exact delta the
-/// router fans out for it. Req-ids come from the client's id stream;
+/// One writer's deterministic traffic: its keys, and for each merge its
+/// owning shard and the exact delta the router fans out for it (whose
+/// entry text is the merge's). Req-ids come from the client's id stream;
 /// only merges consume ids, so stats polls never shift it.
 struct WriterPlan {
     id0: u64,
     keys: Vec<(String, u64)>,
-    texts: Vec<String>,
     records: Vec<(usize, DeltaRecord)>,
 }
 
@@ -929,40 +958,36 @@ fn plan_writers(
             covered[owner(key)] = true;
         }
         // (key, round) of every merge: each key once per round, then the
-        // deep merges, spread over the keys of the first key's shard.
+        // deep merges, spread over the keys of the victim's shard, else
+        // of the first key's.
         let mut merges: Vec<(usize, usize)> = (0..n_keys * CLUSTER_ROUNDS)
             .map(|i| (i % n_keys, i / n_keys))
             .collect();
+        let deep_shard = sc.victim.map_or(owner(&keys[0]), |v| v.shard);
         let deep_keys: Vec<usize> = (0..n_keys)
-            .filter(|&j| owner(&keys[j]) == owner(&keys[0]))
+            .filter(|&j| owner(&keys[j]) == deep_shard)
             .collect();
-        let deep = sc.diverge.unwrap_or(0);
-        merges.extend((0..deep).map(|j| (deep_keys[j % deep_keys.len()], j % CLUSTER_ROUNDS)));
+        if deep_keys.is_empty() && sc.deep > 0 {
+            return Err(format!(
+                "scenario key set covers no key on shard {deep_shard}"
+            ));
+        }
+        merges.extend((0..sc.deep).map(|j| (deep_keys[j % deep_keys.len()], j % CLUSTER_ROUNDS)));
         let id0 = mix64(seed ^ sc.salt.wrapping_mul(0xc2b2_ae3d) ^ (t as u64 * 0x9e37_79b9));
-        let texts: Vec<String> = merges
-            .iter()
-            .map(|&(key, round)| {
-                let (w, h) = &keys[key];
-                scaled_entry(&bases[(t + key) % bases.len()], w, *h, 1 << round).to_text()
-            })
-            .collect();
         let records = IdStream::new(id0)
-            .zip(merges.iter().zip(&texts))
-            .map(|(req_id, (&(key, _), text))| {
+            .zip(&merges)
+            .map(|(req_id, &(key, round))| {
+                let (w, h) = &keys[key];
+                let entry = scaled_entry(&bases[(t + key) % bases.len()], w, *h, 1 << round);
                 let rec = DeltaRecord {
                     req_id,
                     dot: None,
-                    entry_text: text.clone(),
+                    entry_text: entry.to_text(),
                 };
                 (owner(&keys[key]), rec)
             })
             .collect();
-        plans.push(WriterPlan {
-            id0,
-            keys,
-            texts,
-            records,
-        });
+        plans.push(WriterPlan { id0, keys, records });
     }
     if let Some(k) = covered.iter().position(|&c| !c) {
         return Err(format!("scenario key set covers no key on shard {k}"));
@@ -1106,14 +1131,14 @@ fn inject_divergence(
 }
 
 /// What one router `stats` body says about the cluster: whether every
-/// replica's hint spool is empty and every replica is alive (one zero
-/// gauge per replica each), the router's repair-round count, and
-/// `profdb.entries` of every replica that answered.
+/// replica is alive (one zero health gauge per replica), the router's
+/// repair-round and full-state-transfer counts, and `profdb.entries` of
+/// every replica that answered.
 #[derive(Default)]
 struct ClusterView {
-    drained: bool,
     alive: bool,
     repair_rounds: u64,
+    state_transfers: u64,
     entries: Vec<((usize, usize), u64)>,
 }
 
@@ -1128,29 +1153,26 @@ fn cluster_view(body: &str) -> ClusterView {
                 view.entries.push(((shard, replica), n));
             }
         } else if section.origin == Origin::Router {
-            let all_zero = |prefix: &str| {
-                let gauges = metrics
-                    .gauges
-                    .iter()
-                    .filter(|(name, _)| name.starts_with(prefix));
-                let levels: Vec<u64> = gauges.map(|(_, g)| g.value).collect();
-                levels.len() == STORES && levels.iter().all(|&v| v == 0)
-            };
-            view.drained = all_zero("router.hint_depth.");
-            view.alive = all_zero("router.health.");
+            let health = metrics
+                .gauges
+                .iter()
+                .filter(|(name, _)| name.starts_with("router.health."));
+            let levels: Vec<u64> = health.map(|(_, g)| g.value).collect();
+            view.alive = levels.len() == STORES && levels.iter().all(|&v| v == 0);
             view.repair_rounds = metrics.counter("router.repair_rounds").unwrap_or(0);
+            view.state_transfers = metrics.counter("router.state_transfers").unwrap_or(0);
         }
     }
     view
 }
 
-/// Polls router stats until the cluster looks healed: every hint spool
-/// drained, every replica alive, and the replicas of each shard agreeing
-/// on entry count — then keeps polling until `extra_repair` more
-/// anti-entropy rounds have run on top of that quiet state. Every poll
+/// Polls router stats until the cluster looks healed: every replica
+/// alive, and the replicas of each shard agreeing on entry count — then
+/// keeps polling until `extra_repair` more anti-entropy rounds have run
+/// on top of that quiet state, and returns the last view. Every poll
 /// ticks the router's logical probe clock, so polling *drives* probing,
 /// revival, and repair.
-fn settle(client: &mut Client, extra_repair: u64) -> Result<(), String> {
+fn settle(client: &mut Client, extra_repair: u64) -> Result<ClusterView, String> {
     let mut quiet_rounds: Option<u64> = None;
     for _ in 0..800 {
         let body = match client.call(&Request::Stats) {
@@ -1169,10 +1191,10 @@ fn settle(client: &mut Client, extra_repair: u64) -> Result<(), String> {
                 per.len() == CLUSTER_REPLICAS && per.windows(2).all(|w| w[0] == w[1])
             });
         let rounds = view.repair_rounds;
-        if view.drained && view.alive && agree {
+        if view.alive && agree {
             let base = *quiet_rounds.get_or_insert(rounds);
             if rounds >= base + extra_repair {
-                return Ok(());
+                return Ok(view);
             }
         } else {
             quiet_rounds = None;
@@ -1235,25 +1257,46 @@ fn stop_and_compare(
 /// `i` (the kill hook); returns every response.
 fn drive(
     client: &mut Client,
-    texts: &[String],
+    records: &[(usize, DeltaRecord)],
     mut before: impl FnMut(usize),
 ) -> Result<Vec<Response>, String> {
-    let mut responses = Vec::with_capacity(texts.len());
-    for (i, entry_text) in texts.iter().cloned().enumerate() {
+    let mut responses = Vec::with_capacity(records.len());
+    for (i, (_, rec)) in records.iter().enumerate() {
         before(i);
+        let entry_text = rec.entry_text.clone();
         let resp = client.call(&Request::MergeProfile { entry_text });
         responses.push(resp.map_err(|e| format!("merge {i} transport: {e}"))?);
     }
     Ok(responses)
 }
 
+/// Restarts the victim's replicas on fresh ports (startup recovery
+/// replays what is left of their stores); with [`Rejoin::Announce`] each
+/// registers itself with the router.
+fn restart_victim(
+    bins: &Bins,
+    cluster: &mut Cluster,
+    root: &Path,
+    v: Victim,
+) -> Result<(), String> {
+    for r in v.replicas() {
+        let mut args = db_args(&replica_dir(root, v.shard, r));
+        if v.rejoin == Rejoin::Announce {
+            let at = format!("{}/{}/{r}", cluster.router.addr, v.shard);
+            args.extend(["--announce".to_string(), at]);
+        }
+        cluster.backends[v.shard][r] = Some(spawn_daemon(&bins.strided, &args)?);
+    }
+    Ok(())
+}
+
 /// Runs one cluster scenario row: plan the traffic, boot, merge (killing
 /// the victim at its point), check every answer against the expected
 /// refusals, restart and rejoin the victim, play the weather, inject
-/// divergence, settle, resend what was refused, and compare every store
-/// with the reference. The kill point, victim, and schedules are all
-/// functions of `(seed, salt)`, so the line is identical at any
-/// `--jobs` level.
+/// divergence, settle — or, for a wiped victim, settle, then kill it,
+/// delete its store and settle again — and compare every store with the
+/// reference. The kill point, victim, and schedules are all functions of
+/// `(seed, salt)`, so the line is identical at any `--jobs` level.
 fn run_cluster_scenario(
     bins: &Bins,
     bases: &[ProfileEntry],
@@ -1261,7 +1304,7 @@ fn run_cluster_scenario(
     seed: u64,
 ) -> Result<Verdict, String> {
     let plans = plan_writers(bases, sc, seed)?;
-    let merges: usize = plans.iter().map(|p| p.texts.len()).sum();
+    let merges: usize = plans.iter().map(|p| p.records.len()).sum();
     let root = cluster_root(sc.index);
     let mut cluster = Cluster::boot(bins, &root, sc.router_flags)?;
     let mut clients = Vec::with_capacity(plans.len());
@@ -1273,12 +1316,15 @@ fn run_cluster_scenario(
 
     // Phase 1: the traffic. A lone writer may lose a victim on the way;
     // several writers run concurrently.
-    let kill_at = sc.victim.map(|v| match v.kill {
-        Kill::BeforeTraffic => 0,
-        Kill::MidTraffic => CLUSTER_KEYS + (mix64(seed ^ sc.salt) % (merges as u64 / 2)) as usize,
+    let kill_at = sc.victim.and_then(|v| match v.kill {
+        Kill::AfterFirstRound => Some(CLUSTER_KEYS),
+        Kill::MidTraffic => {
+            Some(CLUSTER_KEYS + (mix64(seed ^ sc.salt) % (merges as u64 / 2)) as usize)
+        }
+        Kill::Wiped => None,
     });
     let responses: Vec<Vec<Response>> = match (&plans[..], &mut clients[..]) {
-        ([plan], [client]) => vec![drive(client, &plan.texts, |i| {
+        ([plan], [client]) => vec![drive(client, &plan.records, |i| {
             if let (Some(v), true) = (sc.victim, Some(i) == kill_at) {
                 for r in v.replicas() {
                     cluster.backends[v.shard][r] = None;
@@ -1289,7 +1335,7 @@ fn run_cluster_scenario(
             let handles: Vec<_> = plans
                 .iter()
                 .zip(clients.iter_mut())
-                .map(|(plan, client)| scope.spawn(move || drive(client, &plan.texts, |_| {})))
+                .map(|(plan, client)| scope.spawn(move || drive(client, &plan.records, |_| {})))
                 .collect();
             handles
                 .into_iter()
@@ -1303,33 +1349,29 @@ fn run_cluster_scenario(
 
     // Every answer is an ack or the expected typed refusal. `reference`
     // collects the deltas the replicas must end up holding: the acked
-    // ones, and the `unavailable` ones, which the router spooled for the
-    // dead replicas and delivers when they rejoin. A `handoff-full`
-    // write was refused whole, applied nowhere, so it is resent later.
+    // ones. An `unavailable` merge was applied nowhere, and a `busy` one
+    // was shed at the door.
     let mut reference: Vec<(usize, DeltaRecord)> = Vec::new();
-    let (mut acked, mut refused, mut resend) = (0usize, Vec::new(), Vec::new());
+    let (mut acked, mut refused) = (0usize, Vec::new());
     for (plan, resps) in plans.iter().zip(responses) {
         for (i, resp) in resps.into_iter().enumerate() {
             let (own, rec) = &plan.records[i];
             let victim_range =
                 sc.victim.is_some_and(|v| v.shard == *own) && kill_at.is_some_and(|k| i >= k);
             match (resp, sc.refusal) {
-                (Response::Ok(_), _) => acked += 1,
+                (Response::Ok(_), _) => {
+                    acked += 1;
+                    reference.push((*own, rec.clone()));
+                }
                 (
                     Response::Err {
-                        kind,
+                        kind: ErrorKind::Unavailable,
                         shard,
                         retry_after_ms: Some(_),
                         ..
                     },
-                    Refusal::Victim { kind: want, .. },
-                ) if kind == want && victim_range && shard == Some(*own as u32) => {
-                    refused.push(i);
-                    if kind == ErrorKind::HandoffFull {
-                        resend.push(i);
-                        continue;
-                    }
-                }
+                    Refusal::Unavailable,
+                ) if victim_range && shard == Some(*own as u32) => refused.push(i),
                 (
                     Response::Err {
                         kind: ErrorKind::Busy,
@@ -1337,7 +1379,7 @@ fn run_cluster_scenario(
                         ..
                     },
                     Refusal::Shed,
-                ) => continue,
+                ) => {}
                 (other, _) => {
                     return Err(format!(
                         "merge {i} on shard {own} answered {other:?} — neither an ack nor \
@@ -1345,13 +1387,11 @@ fn run_cluster_scenario(
                     ))
                 }
             }
-            reference.push((*own, rec.clone()));
         }
     }
-    if let (Some(v), Refusal::Victim { grace, .. }) = (sc.victim, sc.refusal) {
+    if let (Some(v), Refusal::Unavailable) = (sc.victim, sc.refusal) {
         let want: Vec<usize> = (kill_at.unwrap_or(0)..merges)
             .filter(|&i| plans[0].records[i].0 == v.shard)
-            .skip(grace)
             .collect();
         if refused != want {
             return Err(format!(
@@ -1362,15 +1402,8 @@ fn run_cluster_scenario(
     }
 
     // Phase 2: restart the victim, play the weather, and rejoin it.
-    if let Some(v) = sc.victim {
-        for r in v.replicas() {
-            let mut args = db_args(&replica_dir(&root, v.shard, r));
-            if v.rejoin == Rejoin::Announce {
-                let at = format!("{}/{}/{r}", cluster.router.addr, v.shard);
-                args.extend(["--announce".to_string(), at]);
-            }
-            cluster.backends[v.shard][r] = Some(spawn_daemon(&bins.strided, &args)?);
-        }
+    if let Some(v) = sc.victim.filter(|_| kill_at.is_some()) {
+        restart_victim(bins, &mut cluster, &root, v)?;
     }
     if sc.weather {
         chaos_weather(&cluster, &reference, seed, sc.salt)?;
@@ -1392,35 +1425,30 @@ fn run_cluster_scenario(
 
     // Phase 3: divergence behind the router's back, then settle. Two
     // full anti-entropy passes per shard after divergence: the first
-    // ships each replica the deltas it lacks, the second verifies.
-    if sc.diverge.is_some() {
+    // ships each replica the deltas it lacks, the second verifies. A
+    // store about to be wiped waits two passes too: the first computes
+    // a floor holding every delta, the second makes its siblings prune.
+    if sc.diverge {
         reference.extend(inject_divergence(
             &cluster, bases, &plans[0], seed, sc.salt,
         )?);
     }
-    let passes = if sc.diverge.is_some() { 2 } else { 1 };
-    settle(control, passes * CLUSTER_SHARDS as u64)?;
+    let wiped = sc.victim.filter(|v| v.kill == Kill::Wiped);
+    let passes = if sc.diverge || wiped.is_some() { 2 } else { 1 };
+    let mut view = settle(control, passes * CLUSTER_SHARDS as u64)?;
 
-    // Phase 4: `handoff-full` invites a clean retry, so resend every such
-    // merge on the same client: the resends take the next ids of its
-    // stream.
-    let plan = &plans[0];
-    let ids = IdStream::new(plan.id0).skip(plan.texts.len());
-    for (&i, req_id) in resend.iter().zip(ids) {
-        merge_ok(
-            control,
-            &plan.texts[i],
-            &format!("resend of refused merge {i}"),
-        )?;
-        let rec = DeltaRecord {
-            req_id,
-            dot: None,
-            entry_text: plan.texts[i].clone(),
-        };
-        reference.push((plan.records[i].0, rec));
+    // Phase 4: a wiped victim dies, loses its store, and rejoins empty.
+    if let Some(v) = wiped {
+        for r in v.replicas() {
+            cluster.backends[v.shard][r] = None;
+            let dir = replica_dir(&root, v.shard, r);
+            std::fs::remove_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        }
+        restart_victim(bins, &mut cluster, &root, v)?;
+        view = settle(control, CLUSTER_SHARDS as u64)?;
     }
-    if !resend.is_empty() {
-        settle(control, 0)?;
+    if sc.transfer && view.state_transfers == 0 {
+        return Err("the victim converged without a full-state transfer".to_string());
     }
 
     let tally = Tally {
@@ -1428,7 +1456,7 @@ fn run_cluster_scenario(
         merges,
         acked,
         refused: refused.len(),
-        deep_shard: plans[0].records[0].0,
+        deep_shard: plans[0].records.last().map_or(0, |(own, _)| *own),
     };
     let allow_empty = matches!(sc.refusal, Refusal::Shed);
     stop_and_compare(control, cluster, &root, &reference, allow_empty)?;
@@ -1532,8 +1560,9 @@ fn usage() -> ! {
          \x20 --cluster          sharded chaos campaign: router + 3x2 strided cluster,\n\
          \x20                    replica and shard kills healed by route-update or\n\
          \x20                    --announce, delta drop/dup/reorder, anti-entropy\n\
-         \x20                    repair, hint-spool overflow, AIMD overload; replicas\n\
-         \x20                    must converge byte-identically, typed shedding only"
+         \x20                    repair, wiped and long-dead replicas refilled by\n\
+         \x20                    full-state transfer, AIMD overload; replicas must\n\
+         \x20                    converge byte-identically, typed shedding only"
     );
     std::process::exit(2);
 }

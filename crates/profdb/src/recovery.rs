@@ -225,7 +225,7 @@ fn redo(root: &Path, payload: &[u8], state: &mut Replayed) -> Result<bool, DbErr
 /// Folds one verified record's idempotency ids, dot and causal context
 /// into `state` — everything a store handle resumes from besides entry
 /// files; `false` when its payload is unusable.
-fn fold_record(record: &WalRecord, state: &mut Replayed) -> bool {
+pub(crate) fn fold_record(record: &WalRecord, state: &mut Replayed) -> bool {
     match record.kind {
         RecordKind::Entry | RecordKind::Delta if record.req_id != 0 => {
             state.report.applied_ids.push(record.req_id);

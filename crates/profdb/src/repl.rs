@@ -152,7 +152,8 @@ pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
         .and_then(|n| n.trim().parse().ok())
         .ok_or_else(|| batch_err(format!("bad count line `{count_line}`")))?;
 
-    let mut deltas = Vec::with_capacity(count);
+    // The count is untrusted: nothing is allocated ahead by it.
+    let mut deltas = Vec::new();
     for i in 0..count {
         let head = line(&mut rest).ok_or_else(|| batch_err(format!("truncated at delta {i}")))?;
         let rest_head = head
@@ -250,6 +251,16 @@ mod tests {
         let evil = text.replace("workload a", "workload b");
         let err = decode_delta_batch(&evil).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn a_lying_count_is_rejected_not_allocated() {
+        let mut body = format!("{DELTA_BATCH_HEADER}\ncount {}\n", u64::MAX >> 8);
+        body.push_str("delta id=7 bytes=1\nx\n");
+        let sum = crate::hash::fnv1a64(body.as_bytes());
+        body.push_str(&format!("checksum {sum:016x}\n"));
+        let err = decode_delta_batch(&body).unwrap_err();
+        assert!(err.to_string().contains("truncated at delta 1"), "{err}");
     }
 
     #[test]

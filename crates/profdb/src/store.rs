@@ -17,10 +17,11 @@
 use crate::context::{CausalContext, Dot};
 use crate::entry::{DbError, ProfileEntry};
 use crate::hash::fnv1a64;
-use crate::recovery::{fold_chain, replay, RecoveryReport};
+use crate::recovery::{fold_chain, fold_record, replay, RecoveryReport, Replayed};
 use crate::repl::{DeltaApplyReport, DeltaRecord};
 use crate::wal::{
-    fsync, scan_chain, sync_dir, write_atomic, DiskFaults, SegmentConfig, Wal, WalRecord,
+    decode_log_image, encode_log_image, fsync, scan_chain, sync_dir, write_atomic, DiskFaults,
+    RecordKind, SegmentConfig, Wal, WalRecord,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fs;
@@ -710,6 +711,89 @@ impl ProfileDb {
         Ok((out, bad))
     }
 
+    /// This store's whole replicated state, for a full-state transfer
+    /// to a sibling: the log image a checkpoint would write — the id,
+    /// context and retained-delta records it carries — plus one `E`
+    /// record per entry, as [`encode_log_image`] text.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::Io`] on directory trouble or when an entry
+    /// file fails to verify: a partial state must not be shipped.
+    pub fn export_state(&self) -> Result<String, DbError> {
+        let mut st = self.lock();
+        let (records, bad) = self.list_verified()?;
+        if bad > 0 {
+            let root = self.root.display();
+            return Err(DbError::Io(format!(
+                "{root}: {bad} entry file(s) fail to verify"
+            )));
+        }
+        let mut image = st.carry();
+        for r in records {
+            let entry = self.load_locked(&mut st, &r.workload, r.module_hash)?;
+            image.push(WalRecord::entry(0, &entry.to_text()));
+        }
+        Ok(encode_log_image(&image))
+    }
+
+    /// Replaces this store's state with a sibling's [`export_state`]
+    /// text, atomically: the image becomes the log through one
+    /// checkpoint, and only then are the entry files redone from its `E`
+    /// records (a crash in between is redone at the next open) and the
+    /// ones it lacks removed.
+    ///
+    /// [`export_state`]: ProfileDb::export_state
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::KeyMismatch`] when the text is not a whole,
+    /// verified image of valid records, or when its context does not
+    /// cover this store's (it would drop dots only this store holds),
+    /// and [`DbError::Io`] on filesystem trouble; until the image is in
+    /// place the store is unchanged.
+    pub fn install_state(&self, text: &str) -> Result<(), DbError> {
+        let image = decode_log_image(text)?;
+        let mut held = Replayed::default();
+        let mut entries = Vec::new();
+        for record in &image {
+            let bad = || DbError::KeyMismatch(format!("state: unusable {:?} record", record.kind));
+            if !fold_record(record, &mut held) {
+                return Err(bad());
+            }
+            if record.kind == RecordKind::Entry {
+                let text = std::str::from_utf8(&record.payload).map_err(|_| bad())?;
+                let entry = ProfileEntry::from_text(text)?;
+                check_workload_name(&entry.workload)?;
+                entries.push((entry.workload, entry.module_hash, text));
+            }
+        }
+        let mut st = self.lock();
+        if held.context.intersection(&st.context) != st.context {
+            let msg = "shard state lacks dots this store holds; ship them to its source first";
+            return Err(DbError::KeyMismatch(msg.to_string()));
+        }
+        st.wal.checkpoint(&image)?;
+        st.applied.clear();
+        st.applied_order.clear();
+        for &id in &held.report.applied_ids {
+            st.remember(id);
+        }
+        st.context = held.context;
+        st.retained = held.retained;
+        st.entries.clear();
+        st.dirty = entries.iter().map(|(w, h, _)| (w.clone(), *h)).collect();
+        for rec in self.list()? {
+            if !st.dirty.contains(&(rec.workload.clone(), rec.module_hash)) {
+                self.remove_file(&rec.workload, rec.module_hash)?;
+            }
+        }
+        for (workload, module_hash, text) in entries {
+            write_back(&self.root, &workload, module_hash, text)?;
+        }
+        Ok(())
+    }
+
     /// The dots this store holds (anti-entropy compares these across a
     /// shard's replicas).
     pub fn causal_context(&self) -> CausalContext {
@@ -753,6 +837,10 @@ impl ProfileDb {
         let mut st = self.lock();
         st.forget(workload, module_hash);
         st.dirty.remove(&(workload.to_string(), module_hash));
+        self.remove_file(workload, module_hash)
+    }
+
+    fn remove_file(&self, workload: &str, module_hash: u64) -> Result<(), DbError> {
         let path = self.path_for(workload, module_hash);
         match fs::remove_file(&path) {
             Ok(()) => Ok(()),
@@ -1114,6 +1202,58 @@ mod tests {
         let db = ProfileDb::open(&root).unwrap();
         assert_eq!(held(&db), before, "after reopen");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn installed_state_replaces_the_store_and_survives_a_crash_before_redo() {
+        let dot = |origin, n| Some(Dot { origin, n });
+        let source = ProfileDb::open(tmpdir("install-source")).unwrap();
+        source
+            .apply_deltas(&[
+                delta(0x11, dot(1, 1), &entry("gap", 3, 5)),
+                delta(0x22, dot(1, 2), &entry("mcf", 3, 7)),
+            ])
+            .unwrap();
+        let state = source.export_state().unwrap();
+        let root = tmpdir("install-target");
+        let db = ProfileDb::open(&root).unwrap();
+        // Holding a dot the state lacks, the store refuses it whole.
+        db.apply_deltas(&[delta(0x99, dot(9, 1), &entry("vpr", 3, 1))])
+            .unwrap();
+        let err = db.install_state(&state).unwrap_err();
+        assert!(matches!(err, DbError::KeyMismatch(_)), "{err}");
+        assert_eq!(db.load("vpr", 3).unwrap().runs, 1, "refused whole");
+        drop(db);
+        // A store the state covers takes it: its entry the state lacks
+        // goes, and it exports the source's state byte for byte.
+        let _ = fs::remove_dir_all(&root);
+        let db = ProfileDb::open(&root).unwrap();
+        db.store(&entry("vpr", 3, 1)).unwrap();
+        db.apply_deltas(&[delta(0x11, dot(1, 1), &entry("gap", 3, 5))])
+            .unwrap();
+        db.install_state(&state).unwrap();
+        assert_eq!(db.export_state().unwrap(), state);
+        assert!(db.wal_pending(), "the image's entries stay redo-able");
+        drop(db);
+        // A crash after the image landed but before the entry files were
+        // rewritten: recovery redoes them from the image.
+        for name in ["gap", "mcf"] {
+            fs::remove_file(entry_path(&root, name, 3)).unwrap();
+        }
+        let db = ProfileDb::open(&root).unwrap();
+        assert_eq!(db.export_state().unwrap(), state);
+        db.checkpoint().unwrap();
+        drop(db);
+        assert_eq!(
+            ProfileDb::open(&root).unwrap().export_state().unwrap(),
+            state
+        );
+        // The id set came along: a retried merge dedups.
+        let db = ProfileDb::open(&root).unwrap();
+        let report = db.apply_deltas(&[delta(0x22, dot(5, 1), &entry("mcf", 3, 7))]);
+        assert_eq!(report.unwrap().deduped, 1);
+        let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_dir_all(source.root());
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //!   `(origin, n)` names the delta for exact anti-entropy repair, the
 //!   delta text is what repair re-sends, and the post-merge text (empty
 //!   when the delta changed nothing here) is redone exactly like an `E`
-//!   payload. Origin 0 means "no dot" (a hint spooled before the router
-//!   stamped dots).
+//!   payload. Origin 0 means "no dot"; a store stamps every delta it
+//!   logs, so only a log written before deltas carried dots holds one.
 //! * `I` — idempotency-id carryover: the payload is a concatenation of
 //!   big-endian `u64` request ids. Written at checkpoint so the dedup
 //!   set survives WAL truncation.
@@ -66,6 +66,7 @@ use crate::context::{CausalContext, Dot};
 use crate::entry::DbError;
 use crate::hash::fnv1a64;
 use crate::repl::DeltaRecord;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -312,7 +313,65 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     out
 }
 
-/// Deterministic, injectable disk misbehaviour for chaos testing. Each
+/// A whole log image as a checkpoint writes it: the magic, `records`,
+/// and a clean footer over both.
+fn log_image(records: &[WalRecord]) -> Vec<u8> {
+    let mut buf = WAL_MAGIC.to_vec();
+    for rec in records {
+        buf.extend_from_slice(&encode_record(rec));
+    }
+    let footer = WalRecord {
+        kind: RecordKind::Footer,
+        req_id: 0,
+        payload: fnv1a64(&buf).to_be_bytes().to_vec(),
+    };
+    buf.extend_from_slice(&encode_record(&footer));
+    buf
+}
+
+/// A log image of `records` (see [`Wal::checkpoint`]) as hex text: the
+/// form a full-state transfer ships over the text wire protocol.
+pub fn encode_log_image(records: &[WalRecord]) -> String {
+    let mut text = String::new();
+    for byte in log_image(records) {
+        let _ = write!(text, "{byte:02x}");
+    }
+    text
+}
+
+/// Parses hex text from [`encode_log_image`] back into its records,
+/// footer excluded. The text is untrusted: it is rejected whole unless
+/// every record's checksum verifies and the clean footer covers them all.
+///
+/// # Errors
+///
+/// Returns [`DbError::KeyMismatch`] for bad hex, a bad magic, or a torn,
+/// corrupt or footer-less image.
+pub fn decode_log_image(text: &str) -> Result<Vec<WalRecord>, DbError> {
+    let err = |msg: &str| DbError::KeyMismatch(format!("log image: {msg}"));
+    let text = text.trim();
+    if !text.len().is_multiple_of(2) {
+        return Err(err("odd-length hex"));
+    }
+    let bytes = (0..text.len() / 2)
+        .map(|i| u8::from_str_radix(text.get(2 * i..2 * i + 2)?, 16).ok())
+        .collect::<Option<Vec<u8>>>()
+        .ok_or_else(|| err("bad hex"))?;
+    let body = bytes
+        .strip_prefix(WAL_MAGIC)
+        .ok_or_else(|| err("bad magic"))?;
+    let scan = scan_bytes(body, WAL_MAGIC.len() as u64);
+    if !scan.clean_footer {
+        return Err(err("torn, corrupt or missing its footer"));
+    }
+    let records = scan.items.into_iter().filter_map(|item| match item {
+        ScanItem::Record { record, .. } if record.kind != RecordKind::Footer => Some(record),
+        _ => None,
+    });
+    Ok(records.collect())
+}
+
+/// Deterministic, injectable disk misbehaviour for chaos testing. Each/// Deterministic, injectable disk misbehaviour for chaos testing. Each
 /// field is a one-shot trigger consumed when it fires; `None` means the
 /// disk behaves.
 #[derive(Clone, Debug, Default)]
@@ -792,9 +851,10 @@ impl Wal {
     /// Checkpoints: atomically replaces the active log with a fresh one
     /// holding only the magic, the `carry` records (the store's id and
     /// context carryover and the deltas repair may still need), and a
-    /// clean footer, then deletes the sealed segments (compaction). All
-    /// entry redo state must already be durable in entry files, and no
-    /// carried record may hold redo state.
+    /// clean footer, then deletes the sealed segments (compaction). Redo
+    /// state the old log held must already be durable in entry files.
+    /// A carried record with redo state — a full-state install's `E`
+    /// records — stays pending until the next checkpoint.
     ///
     /// Segment deletion is best-effort and ordered *after* the fresh
     /// log is durable: a leftover sealed segment only causes idempotent
@@ -805,23 +865,15 @@ impl Wal {
     /// Returns [`DbError::Io`] on filesystem trouble; the old log stays
     /// in place on failure.
     pub fn checkpoint(&mut self, carry: &[WalRecord]) -> Result<(), DbError> {
-        let mut buf = WAL_MAGIC.to_vec();
-        for rec in carry {
-            buf.extend_from_slice(&encode_record(rec));
-        }
-        let footer = WalRecord {
-            kind: RecordKind::Footer,
-            req_id: 0,
-            payload: fnv1a64(&buf).to_be_bytes().to_vec(),
-        };
-        buf.extend_from_slice(&encode_record(&footer));
+        let buf = log_image(carry);
         write_atomic(&self.path, &buf, &mut self.fsyncs)?;
         self.file = OpenOptions::new()
             .append(true)
             .open(&self.path)
             .map_err(|e| io_err(&self.path, e))?;
         self.len = buf.len() as u64;
-        self.entries_since_checkpoint = 0;
+        self.entries_since_checkpoint =
+            carry.iter().filter(|r| r.redo_payload().is_some()).count() as u64;
         self.checkpoints += 1;
         self.segments_compacted += self.sealed.len() as u64;
         for idx in std::mem::take(&mut self.sealed) {
@@ -913,6 +965,48 @@ mod tests {
         assert_eq!(scan.pending_entries(), 1);
         assert_eq!(scan.known_ids(), vec![7, 7]);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn log_images_round_trip_and_reject_corruption_whole() {
+        let delta = DeltaRecord {
+            req_id: 7,
+            dot: Some(Dot { origin: 2, n: 9 }),
+            entry_text: "delta text".into(),
+        };
+        let records = vec![
+            WalRecord::ids(&[7, 8]),
+            WalRecord::delta(&delta, ""),
+            WalRecord::entry(0, "# profdb v1\n"),
+        ];
+        let text = encode_log_image(&records);
+        assert_eq!(decode_log_image(&text).unwrap(), records);
+        assert_eq!(decode_log_image(&encode_log_image(&[])).unwrap(), vec![]);
+        let rejects = |what: &str, evil: &str| {
+            let err = decode_log_image(evil).unwrap_err();
+            assert!(matches!(err, DbError::KeyMismatch(_)), "{what}: {err:?}");
+            assert!(err.to_string().contains("log image: "), "{what}: {err}");
+        };
+        // Truncation anywhere: odd hex, or an image missing its footer.
+        for cut in (0..text.len()).step_by(7) {
+            rejects("truncated", &text[..cut]);
+        }
+        // One flipped hex digit anywhere, and non-hex text.
+        for at in (0..text.len()).step_by(5) {
+            let mut flipped = text.clone().into_bytes();
+            flipped[at] = if flipped[at] == b'0' { b'1' } else { b'0' };
+            rejects("flipped", &String::from_utf8(flipped).unwrap());
+        }
+        rejects("not hex", &text.replace('a', "g"));
+        // A lying length field in the first record (after the magic and
+        // its tag): past the image, or short of its record.
+        for len in ["ffffff00", "00000001"] {
+            let at = 2 * (WAL_MAGIC.len() + 1);
+            rejects(
+                "lying length",
+                &format!("{}{len}{}", &text[..at], &text[at + 8..]),
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! strided-router serve [--addr HOST:PORT] [--workers N]
-//!                      [--hints DIR] [--hint-cap N] [--probe-every N]
+//!                      [--hints DIR] [--probe-every N]
 //!                      --shard ADDR[,ADDR...] [--shard ...]
 //! ```
 //!
@@ -10,11 +10,12 @@
 //! order (the first flag is shard 0). Prints `routing N shard(s)` and
 //! `listening on ADDR` once bound; scripts wait for the latter.
 //!
-//! `--hints` names the durable root for per-replica hint spools and the
-//! failure-detector snapshot; pointing a restarted router at the same
-//! directory resumes suspicion counts and undelivered hints. Without it
-//! the router uses a scratch directory (hints survive replica crashes
-//! but not router restarts).
+//! `--hints` names the directory for the failure-detector snapshot
+//! (`health.txt`, its only file); pointing a restarted router at the
+//! same directory resumes suspicion counts. Without it the router uses a
+//! scratch directory. A replica that missed merges — dead, wiped, or
+//! just unreachable for a moment — is caught up by anti-entropy repair,
+//! which needs no router state on disk.
 
 use std::process::ExitCode;
 use stride_server::{status_line, RouterConfig, RouterServer};
@@ -22,14 +23,13 @@ use stride_server::{status_line, RouterConfig, RouterServer};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: strided-router serve [--addr HOST:PORT] [--workers N]\n\
-         \x20                           [--hints DIR] [--hint-cap N] [--probe-every N]\n\
+         \x20                           [--hints DIR] [--probe-every N]\n\
          \x20                           --shard ADDR[,ADDR...] [--shard ...]\n\
          \n\
          \x20 --addr        listen address (default 127.0.0.1:7310; :0 = ephemeral)\n\
          \x20 --workers     worker threads (default 4)\n\
-         \x20 --hints       durable root for hint spools + detector snapshot\n\
+         \x20 --hints       directory for the failure-detector snapshot\n\
          \x20               (default: a scratch directory)\n\
-         \x20 --hint-cap    max spooled hints per replica (default 4096)\n\
          \x20 --probe-every probe replicas every N handled requests (default 8)\n\
          \x20 --shard       one shard's replica addresses, comma-separated;\n\
          \x20               repeat per shard (flag order = shard index)"
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
     let mut workers = 4usize;
     let mut shards: Vec<Vec<String>> = Vec::new();
     let mut hint_root: Option<std::path::PathBuf> = None;
-    let mut hint_cap: Option<usize> = None;
     let mut probe_every: Option<u64> = None;
 
     let mut it = args[1..].iter();
@@ -63,10 +62,6 @@ fn main() -> ExitCode {
                 Err(_) => return usage(),
             },
             "--hints" => hint_root = Some(std::path::PathBuf::from(value)),
-            "--hint-cap" => match value.parse() {
-                Ok(n) => hint_cap = Some(n),
-                Err(_) => return usage(),
-            },
             "--probe-every" => match value.parse() {
                 Ok(n) => probe_every = Some(n),
                 Err(_) => return usage(),
@@ -101,9 +96,6 @@ fn main() -> ExitCode {
         hint_root,
         ..RouterConfig::loopback(shards)
     };
-    if let Some(cap) = hint_cap {
-        config.hint_cap = cap;
-    }
     if let Some(every) = probe_every {
         config.probe_every = every;
     }

@@ -13,8 +13,8 @@
 //! after binding: it sends the router a `route-update` naming its own
 //! address and replica slot. A crashed replica restarted by a supervisor
 //! (on any free port) rejoins the cluster unattended — the router's
-//! revival routine re-teaches its modules, drains its hint spool, and
-//! runs an anti-entropy repair round.
+//! revival routine re-teaches its modules and runs an anti-entropy
+//! repair round, which ships it the merges it missed.
 
 use std::process::ExitCode;
 use stride_core::{FaultInjector, FaultPlan};

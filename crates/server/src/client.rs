@@ -253,6 +253,8 @@ impl Client {
         let duplicate = self.dup_request_nth == Some(self.calls);
         let schedule = backoff_schedule_for(&self.policy, meta.req_id);
         let mut last_err: Option<io::Error> = None;
+        // The server's retry-after hint from the last answer, if any.
+        let mut hint_ms = None;
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
                 if let Some(counter) = &self.retry_counter {
@@ -264,24 +266,17 @@ impl Client {
                     .unwrap_or(self.policy.max_delay_ms);
                 // A server-provided retry-after hint extends (never
                 // shortens) the backoff.
-                let wait = match &last_err {
-                    Some(e) => match parse_retry_after(e) {
-                        Some(hint) => base_wait.max(hint),
-                        None => base_wait,
-                    },
-                    None => base_wait,
-                };
+                let wait = base_wait.max(hint_ms.take().unwrap_or(0));
                 std::thread::sleep(std::time::Duration::from_millis(wait));
             }
             match self.attempt(&payload, duplicate) {
                 Ok(resp) => {
-                    // `busy` (shed load), `unavailable` (dead shard, may
-                    // come back), and `handoff-full` (hint log draining)
-                    // are the transient server answers: all retry with
-                    // the server's hint honoured.
+                    // `busy` (shed load) and `unavailable` (dead shard,
+                    // may come back) are the transient server answers:
+                    // both retry, under the same id, with the server's
+                    // hint honoured.
                     if let Response::Err {
-                        kind:
-                            kind @ (ErrorKind::Busy | ErrorKind::Unavailable | ErrorKind::HandoffFull),
+                        kind: kind @ (ErrorKind::Busy | ErrorKind::Unavailable),
                         message,
                         retry_after_ms,
                         ..
@@ -293,7 +288,8 @@ impl Client {
                                 attempt + 1,
                                 retry_after_ms
                             ));
-                            last_err = Some(busy_as_err(*retry_after_ms));
+                            hint_ms = *retry_after_ms;
+                            last_err = Some(io::Error::other(format!("server answered {kind}")));
                             // Busy answers close nothing server-side, but
                             // shed connections are per-accept: reconnect.
                             self.stream = None;
@@ -353,23 +349,6 @@ impl Client {
         }
         Ok(resp)
     }
-}
-
-/// Encodes a busy response as an io::Error whose message carries the
-/// retry-after hint (so the backoff loop can honour it uniformly).
-fn busy_as_err(retry_after_ms: Option<u64>) -> io::Error {
-    match retry_after_ms {
-        Some(ms) => io::Error::other(format!("server busy; retry-after={ms}")),
-        None => io::Error::other("server busy"),
-    }
-}
-
-fn parse_retry_after(e: &io::Error) -> Option<u64> {
-    let text = e.to_string();
-    let at = text.find("retry-after=")?;
-    let rest = &text[at + "retry-after=".len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -432,13 +411,5 @@ mod tests {
             let exp = (10u64 << i).min(100);
             assert!(wait >= exp / 2 && wait <= exp + 1, "wait {wait} vs {exp}");
         }
-    }
-
-    #[test]
-    fn retry_after_hints_parse() {
-        let e = busy_as_err(Some(75));
-        assert_eq!(parse_retry_after(&e), Some(75));
-        let e = busy_as_err(None);
-        assert_eq!(parse_retry_after(&e), None);
     }
 }

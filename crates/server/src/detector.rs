@@ -7,7 +7,7 @@
 //! `alive -> suspect(misses) -> dead` as probes fail, and any
 //! successful probe snaps it back to `alive`; the `dead -> alive` edge
 //! is reported as a revival so the router can run its recovery routine
-//! (module re-teach, hint-log drain, anti-entropy repair).
+//! (module re-teach, anti-entropy repair).
 //!
 //! The suspect->dead threshold is derived per replica from the detector
 //! seed with splitmix64, so thresholds differ across replicas (no
@@ -28,7 +28,8 @@ pub enum HealthState {
     /// Missed `misses` consecutive probes (1 <= misses < threshold).
     Suspect(u32),
     /// Missed its seeded threshold of consecutive probes; the router
-    /// spools its deltas to the hint log instead of forwarding.
+    /// stops delivering to it and leaves it out of the shard floor, and
+    /// repair catches it up on revival.
     Dead,
 }
 
@@ -54,7 +55,7 @@ pub enum ProbeOutcome {
     /// Miss count reached the replica's threshold: suspect -> dead.
     Died,
     /// A dead replica answered: dead -> alive; the router must re-teach
-    /// modules, drain the hint log, and schedule a repair round.
+    /// modules and run a repair round.
     Revived,
 }
 
@@ -95,7 +96,7 @@ impl FailureDetector {
         self.state[shard][replica]
     }
 
-    /// True when the replica is declared dead (hint-spool its deltas).
+    /// True when the replica is declared dead (skip it when delivering).
     pub fn is_dead(&self, shard: usize, replica: usize) -> bool {
         self.state[shard][replica] == HealthState::Dead
     }

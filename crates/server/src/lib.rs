@@ -27,7 +27,6 @@
 
 pub mod client;
 pub mod detector;
-pub mod hints;
 pub mod limiter;
 pub mod proto;
 pub mod queue;
@@ -38,7 +37,6 @@ pub mod transport;
 
 pub use client::{backoff_schedule, backoff_schedule_for, Client, IdStream, RetryPolicy};
 pub use detector::{FailureDetector, HealthState, ProbeOutcome};
-pub use hints::HintLog;
 pub use limiter::{cost_of, AimdLimiter, Completion};
 pub use proto::{
     decode_request, encode_frame, encode_request, read_frame, write_frame, ErrorKind, Request,

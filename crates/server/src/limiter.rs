@@ -50,14 +50,13 @@ pub enum Completion {
 }
 
 /// The overload rule both daemons share. Load signals cut the ceiling:
-/// a downstream `busy`, a hint spool at capacity (`handoff-full`), or a
-/// VM abort under an explicit deadline (a deadline miss). Everything
-/// else — ok, or a typed error unrelated to load such as `unavailable`
-/// (a liveness problem) — raises it.
+/// a downstream `busy`, or a VM abort under an explicit deadline (a
+/// deadline miss). Everything else — ok, or a typed error unrelated to
+/// load such as `unavailable` (a liveness problem) — raises it.
 pub(crate) fn completion_of(meta: &RequestMeta, resp: &Response) -> Completion {
     match resp {
         Response::Err {
-            kind: ErrorKind::Busy | ErrorKind::HandoffFull,
+            kind: ErrorKind::Busy,
             ..
         } => Completion::Overload,
         Response::Err {
@@ -225,9 +224,10 @@ mod tests {
         };
         let untimed = RequestMeta::default();
         let err = |kind| Response::err(kind, "x");
-        for kind in [ErrorKind::Busy, ErrorKind::HandoffFull] {
-            assert_eq!(completion_of(&untimed, &err(kind)), Completion::Overload);
-        }
+        assert_eq!(
+            completion_of(&untimed, &err(ErrorKind::Busy)),
+            Completion::Overload
+        );
         assert_eq!(
             completion_of(&timed, &err(ErrorKind::Vm)),
             Completion::Overload

@@ -284,6 +284,16 @@ pub enum Request {
         /// The lacking sibling's causal context text.
         context: String,
     },
+    /// Full-state transfer: export the store's whole replicated state
+    /// (see [`stride_profdb::ProfileDb::export_state`]) for a sibling
+    /// below the shard floor.
+    PullState,
+    /// Full-state transfer: replace the store's state with a sibling's,
+    /// atomically; refused unless its context covers the store's.
+    InstallState {
+        /// A `pull-state` answer: a log image as hex.
+        state_text: String,
+    },
     /// Router-only: the failure detector's per-replica state table.
     /// A plain daemon rejects this verb.
     Health,
@@ -393,6 +403,8 @@ impl Request {
             Request::Ping => "ping".to_string(),
             Request::Context { floor } => format!("context\n{floor}"),
             Request::PullDeltas { context } => format!("pull-deltas\n{context}"),
+            Request::PullState => "pull-state".to_string(),
+            Request::InstallState { state_text } => format!("install-state\n{state_text}"),
             Request::Health => "health".to_string(),
             Request::Repair => "repair".to_string(),
             Request::RouteUpdate {
@@ -460,6 +472,10 @@ impl Request {
             "pull-deltas" => Ok(Request::PullDeltas {
                 context: body.to_string(),
             }),
+            "pull-state" => Ok(Request::PullState),
+            "install-state" => Ok(Request::InstallState {
+                state_text: body.to_string(),
+            }),
             "health" => Ok(Request::Health),
             "repair" => Ok(Request::Repair),
             "route-update" => Ok(Request::RouteUpdate {
@@ -501,17 +517,14 @@ pub enum ErrorKind {
     /// The stored profile was taken on a different module version.
     Stale,
     /// The shard owning the request's key range has no live replica —
-    /// the rest of the cluster keeps serving; retry this key later.
+    /// the rest of the cluster keeps serving; retry this key later. A
+    /// write answered this way was applied nowhere.
     Unavailable,
-    /// A dead replica's durable hint log is at capacity: the router
-    /// refuses the merge whole rather than applying it partially, so
-    /// nothing it acknowledges can be silently dropped. Retry later.
-    HandoffFull,
 }
 
 impl ErrorKind {
     /// Every kind, in declaration order (so `ALL[kind as usize] == kind`).
-    pub(crate) const ALL: [ErrorKind; 11] = [
+    pub(crate) const ALL: [ErrorKind; 10] = [
         ErrorKind::Vm,
         ErrorKind::Parse,
         ErrorKind::Malformed,
@@ -522,7 +535,6 @@ impl ErrorKind {
         ErrorKind::NotFound,
         ErrorKind::Stale,
         ErrorKind::Unavailable,
-        ErrorKind::HandoffFull,
     ];
 
     /// Stable wire name.
@@ -538,7 +550,6 @@ impl ErrorKind {
             ErrorKind::NotFound => "not-found",
             ErrorKind::Stale => "stale",
             ErrorKind::Unavailable => "unavailable",
-            ErrorKind::HandoffFull => "handoff-full",
         }
     }
 
@@ -626,18 +637,6 @@ impl Response {
     pub fn unavailable(shard: u32, retry_after_ms: u64, message: impl Into<String>) -> Response {
         Response::Err {
             kind: ErrorKind::Unavailable,
-            message: message.into(),
-            retry_after_ms: Some(retry_after_ms),
-            shard: Some(shard),
-        }
-    }
-
-    /// Builds the router's hint-log-at-capacity response: typed
-    /// `handoff-full`, scoped to the overloaded shard, with a retry
-    /// hint. The merge was NOT applied anywhere.
-    pub fn handoff_full(shard: u32, retry_after_ms: u64, message: impl Into<String>) -> Response {
-        Response::Err {
-            kind: ErrorKind::HandoffFull,
             message: message.into(),
             retry_after_ms: Some(retry_after_ms),
             shard: Some(shard),
@@ -784,6 +783,10 @@ mod tests {
             Request::PullDeltas {
                 context: "# profdb context v1\n".into(),
             },
+            Request::PullState,
+            Request::InstallState {
+                state_text: "53505741".into(),
+            },
             Request::Health,
             Request::Repair,
             Request::RouteUpdate {
@@ -819,7 +822,6 @@ mod tests {
             Response::err(ErrorKind::Busy, ""),
             Response::busy("queue full", 50),
             Response::unavailable(2, 250, "shard 2 has no live replica"),
-            Response::handoff_full(1, 200, "hint log for shard 1 replica 0 is full"),
         ];
         for resp in responses {
             let back = Response::from_bytes(&resp.to_bytes()).unwrap();

@@ -10,17 +10,18 @@
 //! A `merge-profile` arriving at the router is converted into a
 //! [`stride_profdb::repl`] delta — the *pre-merge* entry, its
 //! idempotency id, and a dot `(origin, n)` whose origin is random per
-//! router start — and sent as a `sync-delta` batch to **every** replica of
-//! the owning shard. (A `profile` is forwarded to one replica under a
-//! router-stamped id; the fresh-run entry it returns is then delivered
-//! to every replica as one dotted delta, which the replica that ran it
-//! skips by the id but records the dot of.) The merge is
-//! acknowledged once at least one replica applied it durably; replicas
-//! the delivery missed get the delta spooled to their durable hint log,
-//! drained in order before that replica's next delivery. Delivery is
-//! therefore at-least-once in any order — exactly what the store's
-//! delivery-order-independent delta merge absorbs into byte-identical
-//! convergence.
+//! router start — and sent as a `sync-delta` batch to **every** live
+//! replica of the owning shard. (A `profile` is forwarded to one replica
+//! under a router-stamped id; the fresh-run entry it returns is then
+//! delivered to every replica as one dotted delta, which the replica that
+//! ran it skips by the id but records the dot of.) The merge is
+//! acknowledged once at least one replica applied it durably, so an ack
+//! means one replica's disk. A replica the delivery misses is only noted
+//! as missed: revival and the periodic repair round fill the gap. When no
+//! replica applied it, the merge was applied nowhere and the answer is
+//! `unavailable`. Delivery is at-least-once in any order — exactly what
+//! the store's delivery-order-independent delta merge absorbs into
+//! byte-identical convergence.
 //!
 //! # Self-healing
 //!
@@ -32,28 +33,31 @@
 //!   pass over all replicas; seeded-deterministic miss thresholds walk
 //!   alive → suspect → dead. Transport failures during normal
 //!   forwarding count as misses too, so detection is no slower than
-//!   the probe cadence. The health table is persisted beside the hint
-//!   spool, so a router restart resumes mid-suspicion.
-//! * **Hinted handoff** ([`crate::hints`]): deltas owed to a dead (or
-//!   just-missed) replica are spooled to a checksummed per-replica WAL
-//!   chain and drained in order on revival. At capacity the merge is
-//!   refused *whole* with a typed `handoff-full` — before any replica
-//!   applies it — so an acknowledged merge can never lose a replica
-//!   silently (the old in-memory lag queue dropped its oldest entry).
-//! * **Anti-entropy repair**: the replicas of a shard exchange causal
-//!   contexts (the dots each holds), and each replica is sent exactly
-//!   the deltas it lacks, pulled by dot from a sibling's log. Runs
-//!   periodically on the probe clock, on every revival, and on the
-//!   `repair` verb.
+//!   the probe cadence. The health table is persisted under
+//!   [`RouterConfig::hint_root`], so a router restart resumes
+//!   mid-suspicion.
+//! * **Anti-entropy repair** — the one catch-up path: the replicas of a
+//!   shard exchange causal contexts (the dots each holds), and each
+//!   replica is sent exactly the deltas it lacks, pulled by dot from a
+//!   sibling's log. Runs periodically on the probe clock, on every
+//!   revival, and on the `repair` verb.
 //! * **Floor**: every context exchange — each repair round, and every
 //!   [`FLOOR_EVERY_DELIVERIES`]-th delivery to a shard, so it advances
-//!   with probing off too — hands each replica the shard-wide floor the
-//!   previous exchange computed (the dots every replica held), below
-//!   which compaction drops logged deltas.
+//!   with probing off too — hands each replica the shard floor the
+//!   previous exchange computed: the dots every replica the detector
+//!   held live had, once all of those answered. Below it compaction
+//!   drops logged deltas, so a dead replica does not stall pruning.
+//! * **Full-state transfer**: a replica that lacks a dot no sibling can
+//!   ship any more (pruned below the floor while it was dead, or before
+//!   its store was wiped) cannot be refilled by deltas. Repair pulls the
+//!   whole state of a sibling whose context covers the lagging replica's
+//!   and installs it there atomically (`pull-state`, `install-state`).
+//!   The test reads only what the replicas hold, so it survives a
+//!   router restart.
 //! * **Revival**: when a dead replica answers a probe again (a crashed
 //!   daemon restarted on its old port), the router re-teaches it every
-//!   module it owns, drains its hint log, and runs a repair round —
-//!   the exact routine `route-update` performs for an address move.
+//!   module it owns and runs a repair round — the exact routine
+//!   `route-update` performs for an address move.
 //!
 //! # Degradation
 //!
@@ -63,7 +67,6 @@
 //! admission limiter ([`crate::limiter`]) with typed `busy` errors.
 
 use crate::client::{Client, RetryPolicy};
-use crate::hints::HintLog;
 use crate::proto::{ErrorKind, Request, RequestMeta, Response};
 use crate::transport::{Daemon, Handler, NetFaults, Transport};
 use crate::{detector::FailureDetector, detector::ProbeOutcome};
@@ -83,11 +86,6 @@ use stride_profdb::{
 /// Retry-after hint on `unavailable` responses, in milliseconds.
 pub const UNAVAILABLE_RETRY_AFTER_MS: u64 = 200;
 
-/// Default ceiling on one replica's durable hint spool. Unlike the old
-/// in-memory lag queue, hitting it refuses new merges (`handoff-full`)
-/// instead of silently dropping the oldest delta.
-pub const HINT_CAP_DEFAULT: usize = 4096;
-
 /// Default probe cadence: one failure-detector pass per this many
 /// handled requests (a logical clock — wall time never drives it).
 pub const PROBE_EVERY_DEFAULT: u64 = 8;
@@ -97,10 +95,10 @@ const REPAIR_EVERY_PASSES: u64 = 4;
 
 /// Floor cadence: one context exchange per this many deliveries to a
 /// shard, which bounds a replica's repair set near twice this many
-/// deltas while every replica of the shard answers.
+/// deltas while every live replica of the shard answers.
 pub const FLOOR_EVERY_DELIVERIES: u64 = 64;
 
-/// Health-table snapshot file, beside the hint spool.
+/// Health-table snapshot file, under [`RouterConfig::hint_root`].
 const HEALTH_FILE: &str = "health.txt";
 
 /// Router configuration.
@@ -116,13 +114,11 @@ pub struct RouterConfig {
     /// Retry policy for backend calls (kept short: the router's own
     /// callers have retry loops too).
     pub backend_retry: RetryPolicy,
-    /// Root directory for the per-replica hint spools and the health
-    /// snapshot. `None` uses a fresh per-process temp directory (tests);
-    /// deployments pass a durable path so spooled deltas and suspicion
-    /// counts survive a router restart.
+    /// Directory for the failure detector's health snapshot
+    /// (`health.txt`, its only file). `None` uses a fresh per-process
+    /// temp directory (tests); deployments pass a durable path so
+    /// suspicion counts survive a router restart.
     pub hint_root: Option<PathBuf>,
-    /// Per-replica hint-spool capacity, in hints.
-    pub hint_cap: usize,
     /// Probe cadence in handled requests; 0 disables probing.
     pub probe_every: u64,
     /// Failure-detector seed (derives per-replica miss thresholds).
@@ -144,7 +140,6 @@ impl RouterConfig {
                 jitter_seed: 0,
             },
             hint_root: None,
-            hint_cap: HINT_CAP_DEFAULT,
             probe_every: PROBE_EVERY_DEFAULT,
             detector_seed: 0x7007_c0de,
         }
@@ -152,16 +147,11 @@ impl RouterConfig {
 }
 
 /// One backend replica: its (mutable — `route-update`) address, a lazy
-/// connection, the durable hint spool of deliveries it has missed, and
-/// its two gauges: `router.hint_depth.sKrR` (spool length, updated on
-/// every spool and drain, so its `max` is the peak depth) and
-/// `router.health.sKrR` (detector state as 0 alive, 1 suspect, 2 dead,
-/// sampled for each `stats` body).
+/// connection, and its gauge `router.health.sKrR` (detector state as 0
+/// alive, 1 suspect, 2 dead, sampled for each `stats` body).
 struct Replica {
     addr: Mutex<String>,
     client: Mutex<Option<Client>>,
-    hints: Mutex<HintLog>,
-    hint_depth: Gauge,
     health: Gauge,
 }
 
@@ -172,17 +162,14 @@ impl Replica {
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
-
-    fn hints(&self) -> std::sync::MutexGuard<'_, HintLog> {
-        self.hints.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A shard's floor-exchange state.
 #[derive(Default)]
 struct Floor {
-    /// The shard-wide floor the last complete exchange computed, as
-    /// context text (empty for none); the next exchange hands it out.
+    /// The shard floor the last complete exchange computed — the dots
+    /// every replica the detector held live had — as context text (empty
+    /// for none); the next exchange hands it out.
     text: String,
     /// Deliveries to the shard since the last exchange.
     deliveries: u64,
@@ -199,14 +186,12 @@ pub struct Router {
     forwarded: Counter,
     shed_unavailable: Counter,
     retries: Counter,
-    hints_spooled: Counter,
-    hints_drained: Counter,
-    handoff_refused: Counter,
     probes: Counter,
     failovers: Counter,
     revivals: Counter,
     repair_rounds: Counter,
     repair_resent: Counter,
+    state_transfers: Counter,
     policy: RetryPolicy,
     /// Router-generated idempotency ids for writes arriving without one.
     id_seq: AtomicU64,
@@ -227,44 +212,38 @@ pub struct Router {
     health_path: PathBuf,
 }
 
-/// Distinct per-process hint roots for routers started without one
+/// Distinct per-process health roots for routers started without one
 /// (multiple in-process routers in one test binary must not collide).
-fn scratch_hint_root() -> PathBuf {
+fn scratch_health_root() -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("strided-router-hints-{}-{n}", std::process::id()))
+    std::env::temp_dir().join(format!("strided-router-health-{}-{n}", std::process::id()))
 }
 
 impl Router {
-    /// Builds the router over a shard topology, opening (and replaying)
-    /// the per-replica hint spools and restoring the health table.
+    /// Builds the router over a shard topology, restoring the health
+    /// table.
     ///
     /// # Errors
     ///
-    /// Returns [`io::Error`] when a hint spool cannot be opened.
+    /// Returns [`io::Error`] when the health directory cannot be created.
     pub fn new(config: &RouterConfig) -> io::Result<Router> {
         let obs = Arc::new(Registry::new());
         let map = ShardMap::new(config.shards.len() as u32);
-        let hint_root = config.hint_root.clone().unwrap_or_else(scratch_hint_root);
+        let hint_root = config.hint_root.clone().unwrap_or_else(scratch_health_root);
+        std::fs::create_dir_all(&hint_root)?;
         let topo: Vec<usize> = config.shards.iter().map(Vec::len).collect();
-        let mut shards: Vec<Vec<Replica>> = Vec::with_capacity(config.shards.len());
-        for (k, replicas) in config.shards.iter().enumerate() {
-            let mut row = Vec::with_capacity(replicas.len());
-            for (r, addr) in replicas.iter().enumerate() {
-                let spool = HintLog::open(&hint_root.join(format!("s{k}r{r}")), config.hint_cap)
-                    .map_err(|e| io::Error::other(format!("hint spool s{k}r{r}: {e}")))?;
-                let hint_depth = obs.gauge(&format!("router.hint_depth.s{k}r{r}"));
-                hint_depth.set(spool.len() as u64);
-                row.push(Replica {
-                    addr: Mutex::new(addr.clone()),
-                    client: Mutex::new(None),
-                    hints: Mutex::new(spool),
-                    hint_depth,
-                    health: obs.gauge(&format!("router.health.s{k}r{r}")),
-                });
-            }
-            shards.push(row);
-        }
+        let shards: Vec<Vec<Replica>> = (config.shards.iter().enumerate())
+            .map(|(k, replicas)| {
+                (replicas.iter().enumerate())
+                    .map(|(r, addr)| Replica {
+                        addr: Mutex::new(addr.clone()),
+                        client: Mutex::new(None),
+                        health: obs.gauge(&format!("router.health.s{k}r{r}")),
+                    })
+                    .collect()
+            })
+            .collect();
         let health_path = hint_root.join(HEALTH_FILE);
         // Resume mid-suspicion from the persisted health table; a
         // missing or unparsable snapshot starts everyone alive.
@@ -282,14 +261,12 @@ impl Router {
             forwarded: obs.counter("router.forwarded"),
             shed_unavailable: obs.counter("router.shed_unavailable"),
             retries: obs.counter("client.retries"),
-            hints_spooled: obs.counter("router.hints_spooled"),
-            hints_drained: obs.counter("router.hints_drained"),
-            handoff_refused: obs.counter("router.handoff_refused"),
             probes: obs.counter("router.probes"),
             failovers: obs.counter("router.failovers"),
             revivals: obs.counter("router.revivals"),
             repair_rounds: obs.counter("router.repair_rounds"),
             repair_resent: obs.counter("router.repair_resent"),
+            state_transfers: obs.counter("router.state_transfers"),
             obs,
             policy: config.backend_retry,
             // Any fresh random word: the dot origin's source serves.
@@ -417,8 +394,8 @@ impl Router {
 
     /// The revival routine — also the `route-update` routine: re-teach
     /// the replica every module its shard owns (a restarted daemon is
-    /// module-less), drain its hint spool in order, then run a repair
-    /// round so anything the hints could not carry re-converges.
+    /// module-less), then run a repair round, which ships it the deltas
+    /// it missed or, below the floor, a sibling's whole state.
     fn revive(&self, shard: usize, replica_idx: usize) {
         let replica = &self.shards[shard][replica_idx];
         let modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
@@ -434,52 +411,7 @@ impl Router {
         for req in &teach {
             let _ = self.call_replica(replica, req);
         }
-        self.drain_hints(replica);
         self.repair_shard(shard);
-    }
-
-    /// Drains a replica's hint spool in order. Stops on the first
-    /// transport failure, or on a `busy` or `handoff-full` answer (the
-    /// replica is overloaded, not down): either way the hint stays
-    /// front-of-queue. Any other typed refusal is popped: it cannot
-    /// succeed later either, and anti-entropy re-converges the key.
-    fn drain_hints(&self, replica: &Replica) -> Drain {
-        loop {
-            let Some(hint) = replica.hints().front().cloned() else {
-                return Drain::Done;
-            };
-            let req = Request::SyncDelta {
-                batch_text: encode_delta_batch(&[hint]),
-            };
-            match self.call_replica(replica, &req) {
-                Ok(Response::Err {
-                    kind: ErrorKind::Busy | ErrorKind::HandoffFull,
-                    ..
-                }) => return Drain::Overloaded,
-                Ok(_) => {
-                    let mut hints = replica.hints();
-                    let _ = hints.pop_delivered();
-                    replica.hint_depth.set(hints.len() as u64);
-                    self.hints_drained.inc();
-                }
-                Err(_) => return Drain::Failed,
-            }
-        }
-    }
-
-    /// Durably spools one delta for a replica the delivery missed.
-    /// Capacity was pre-checked by the caller, so a refusal here (a
-    /// race) surfaces as `handoff-full` upstream.
-    fn spool_hint(&self, replica: &Replica, delta: &DeltaRecord) -> bool {
-        let mut hints = replica.hints();
-        match hints.spool(delta) {
-            Ok(()) => {
-                replica.hint_depth.set(hints.len() as u64);
-                self.hints_spooled.inc();
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     fn shard_replicas(&self, shard: u32) -> &[Replica] {
@@ -500,13 +432,14 @@ impl Router {
             Request::Classify { workload, .. }
             | Request::Prefetch { workload, .. }
             | Request::GetProfile { workload } => self.route_by_workload(workload, meta, req),
-            Request::SyncDelta { .. } => Response::err(
+            Request::SyncDelta { .. }
+            | Request::Context { .. }
+            | Request::PullDeltas { .. }
+            | Request::PullState
+            | Request::InstallState { .. } => Response::err(
                 ErrorKind::Malformed,
-                "sync-delta is replica-to-replica; submit merges via merge-profile",
-            ),
-            Request::Context { .. } | Request::PullDeltas { .. } => Response::err(
-                ErrorKind::Malformed,
-                "context/pull-deltas are shard-daemon verbs; ask the router for `repair`",
+                "replica-to-replica verb: submit merges via merge-profile, or ask the router for \
+                 `repair`",
             ),
             Request::Ping => Response::Ok("pong\n".to_string()),
             Request::Health => Response::Ok(self.health_body()),
@@ -542,52 +475,26 @@ impl Router {
             workload: workload.to_string(),
             text: text.to_string(),
         };
-        let mut acked = None;
-        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
-            if self.is_dead(shard as usize, r) {
-                continue;
-            }
-            self.drain_hints(replica);
-            match self.call_replica(replica, &req) {
-                Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
-                Ok(resp @ Response::Err { .. }) => return resp,
-                Err(_) => self.note_miss(shard as usize, r),
-            }
-        }
-        match acked {
-            Some(body) => {
-                self.forwarded.inc();
-                Response::Ok(body)
-            }
-            None => self.unavailable(shard, "no live replica accepted the module"),
-        }
+        let answer = self.fan_out(shard, &req);
+        self.answer(shard, answer, "accepted the module")
     }
 
     /// Converts a merge into a replication delta and delivers it to all
-    /// replicas of the owning shard, acknowledging on the first durable
-    /// apply.
+    /// live replicas of the owning shard, acknowledging on the first
+    /// durable apply; a refusal counts only when no replica applied it.
     fn merge(&self, meta: &RequestMeta, entry_text: &str) -> Response {
         let entry = match ProfileEntry::from_text(entry_text) {
             Ok(e) => e,
             Err(e) => return Response::err(ErrorKind::from(&e), e.to_string()),
         };
         let shard = self.map.shard_of(&entry.workload, entry.module_hash);
-        if let Some(refused) = self.refuse_if_a_spool_is_full(shard) {
-            return refused;
-        }
         let delta = DeltaRecord {
             req_id: self.stamp_id(meta.req_id),
             dot: Some(self.stamp_dot()),
             entry_text: entry_text.to_string(),
         };
-        match self.deliver(shard, &delta, false) {
-            Ok(Some(body)) => {
-                self.forwarded.inc();
-                Response::Ok(body)
-            }
-            Ok(None) => self.unavailable(shard, "no live replica applied the merge"),
-            Err(refused) => refused,
-        }
+        let answer = self.deliver(shard, &delta);
+        self.answer(shard, answer, "applied the merge")
     }
 
     /// Forwards a `profile` to the first live replica of the owning shard
@@ -596,15 +503,12 @@ impl Router {
     /// dotted delta under the same id, so every replica holds the run and
     /// its dot — the replica that ran it skips the merge by the id. A
     /// replica's refusal is not the client's error: the run is already
-    /// stored, and the replica gets the delta as a hint instead.
+    /// stored, and repair ships the replica the delta later.
     fn profile(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
         let shard = match self.shard_of_workload(workload) {
             Ok(shard) => shard,
             Err(resp) => return resp,
         };
-        if let Some(refused) = self.refuse_if_a_spool_is_full(shard) {
-            return refused;
-        }
         let stamped = RequestMeta {
             req_id: self.stamp_id(meta.req_id),
             ..*meta
@@ -616,34 +520,18 @@ impl Router {
                     dot: Some(self.stamp_dot()),
                     entry_text,
                 };
-                let _ = self.deliver(shard, &delta, true);
+                self.deliver(shard, &delta);
                 Response::Ok(delta.entry_text)
             }
             Ok((_, resp)) | Err(resp) => resp,
         }
     }
 
-    /// Refuses a write whole with `handoff-full` when any replica's hint
-    /// spool of `shard` is at capacity — checked before any delivery, so
-    /// the write was applied nowhere and the client's retry is clean.
-    fn refuse_if_a_spool_is_full(&self, shard: u32) -> Option<Response> {
-        let r = self
-            .shard_replicas(shard)
-            .iter()
-            .position(|replica| replica.hints().is_full())?;
-        self.handoff_refused.inc();
-        Some(Response::handoff_full(
-            shard,
-            UNAVAILABLE_RETRY_AFTER_MS,
-            format!("replica {r} hint spool at capacity; write refused whole, retry later"),
-        ))
-    }
-
     /// The client's idempotency id, or for an id-less client a fresh
     /// router id, so replica dedup sees one identity for the write
     /// across all replicas. Replicas remember applied ids across
     /// restarts, so router ids must not repeat from one router start to
-    /// the next, whatever its hint root: each start seeds its splitmix
+    /// the next, whatever its health root: each start seeds its splitmix
     /// stream from fresh randomness, as it does its dot origin.
     fn stamp_id(&self, req_id: u64) -> u64 {
         if req_id != 0 {
@@ -658,7 +546,7 @@ impl Router {
     }
 
     /// The next dot of this router start. The origin is random, not
-    /// derived from the hint root, because replicas dedup by dot before
+    /// derived from the health root, because replicas dedup by dot before
     /// id: a reused dot would make a new merge look delivered.
     fn stamp_dot(&self) -> Dot {
         Dot {
@@ -667,51 +555,45 @@ impl Router {
         }
     }
 
-    /// Delivers one delta as a `sync-delta` to every replica of `shard`.
-    /// Replicas the delivery misses get it spooled to their hint log,
-    /// drained in order before their next delivery. Returns the first
-    /// replica's ack body (`None` when no replica applied it), or a
-    /// replica's typed refusal. When the write is already `stored` (and
-    /// acked), a refusal does not cut the fan-out short: the refusing
-    /// replica is treated as missed.
-    fn deliver(
-        &self,
-        shard: u32,
-        delta: &DeltaRecord,
-        stored: bool,
-    ) -> Result<Option<String>, Response> {
+    /// Sends `req` to every live replica of `shard`, noting a transport
+    /// failure as a miss; returns the first ack, else the first typed
+    /// refusal, else `None` (no live replica answered).
+    fn fan_out(&self, shard: u32, req: &Request) -> Option<Response> {
+        let (mut acked, mut refused) = (None, None);
+        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
+            if self.is_dead(shard as usize, r) {
+                continue;
+            }
+            match self.call_replica(replica, req) {
+                Ok(resp @ Response::Ok(_)) => acked = acked.or(Some(resp)),
+                Ok(resp) => refused = refused.or(Some(resp)),
+                Err(_) => self.note_miss(shard as usize, r),
+            }
+        }
+        acked.or(refused)
+    }
+
+    /// A fan-out's answer to the client: the ack (counted as forwarded)
+    /// or refusal, or `unavailable` when no live replica `what`.
+    fn answer(&self, shard: u32, reply: Option<Response>, what: &str) -> Response {
+        match reply {
+            Some(resp @ Response::Ok(_)) => {
+                self.forwarded.inc();
+                resp
+            }
+            Some(refused) => refused,
+            None => self.unavailable(shard, format!("no live replica {what}")),
+        }
+    }
+
+    /// Delivers one delta as a `sync-delta` to every live replica of
+    /// `shard` (see [`Router::fan_out`]); a replica the delivery misses
+    /// is caught up by repair later.
+    fn deliver(&self, shard: u32, delta: &DeltaRecord) -> Option<Response> {
         let req = Request::SyncDelta {
             batch_text: encode_delta_batch(std::slice::from_ref(delta)),
         };
-        let mut acked = None;
-        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
-            if self.is_dead(shard as usize, r) {
-                self.spool_hint(replica, delta);
-                continue;
-            }
-            // Ordered delivery per replica: missed deliveries go first.
-            match self.drain_hints(replica) {
-                Drain::Done => {}
-                Drain::Overloaded => {
-                    self.spool_hint(replica, delta);
-                    continue;
-                }
-                Drain::Failed => {
-                    self.spool_hint(replica, delta);
-                    self.note_miss(shard as usize, r);
-                    continue;
-                }
-            }
-            match self.call_replica(replica, &req) {
-                Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
-                Ok(resp @ Response::Err { .. }) if !stored => return Err(resp),
-                Ok(Response::Err { .. }) => drop(self.spool_hint(replica, delta)),
-                Err(_) => {
-                    self.spool_hint(replica, delta);
-                    self.note_miss(shard as usize, r);
-                }
-            }
-        }
+        let answer = self.fan_out(shard, &req);
         let due = {
             let mut floor = self.floor(shard as usize);
             floor.deliveries += 1;
@@ -720,7 +602,7 @@ impl Router {
         if due {
             self.exchange_contexts(shard as usize);
         }
-        Ok(acked)
+        answer
     }
 
     /// The shard owning `workload`'s registered module.
@@ -759,7 +641,6 @@ impl Router {
             if self.is_dead(shard as usize, r) {
                 continue;
             }
-            self.drain_hints(replica);
             match self.call_replica_with(replica, meta, req) {
                 Ok(resp) => {
                     self.forwarded.inc();
@@ -808,10 +689,12 @@ impl Router {
     }
 
     /// Collects the live replicas' causal contexts, handing each the
-    /// floor the previous exchange computed; when every replica answered,
-    /// their intersection — the dots all of them hold — is the floor the
-    /// next exchange hands out. Pruning thus lags one exchange, which is
-    /// safe: a floor only names dots every replica already held.
+    /// floor the previous exchange computed; when every replica the
+    /// detector holds live answered, their intersection — the dots all of
+    /// them hold — is the floor the next exchange hands out. Pruning thus
+    /// lags one exchange, which is safe: a floor only names dots every
+    /// live replica already held, and a replica that lacks one later (it
+    /// was dead, or its store was wiped) gets a state transfer.
     fn exchange_contexts(&self, shard: usize) -> Vec<(usize, CausalContext)> {
         let replicas = &self.shards[shard];
         let floor = {
@@ -819,11 +702,14 @@ impl Router {
             floor.deliveries = 0;
             floor.text.clone()
         };
-        let contexts: Vec<(usize, CausalContext)> = (0..replicas.len())
+        let live: Vec<usize> = (0..replicas.len())
             .filter(|&r| !self.is_dead(shard, r))
-            .filter_map(|r| Some((r, self.context_of(&replicas[r], &floor)?)))
             .collect();
-        if contexts.len() == replicas.len() {
+        let contexts: Vec<(usize, CausalContext)> = live
+            .iter()
+            .filter_map(|&r| Some((r, self.context_of(&replicas[r], &floor)?)))
+            .collect();
+        if contexts.len() == live.len() {
             let mut held = contexts.iter().map(|(_, c)| c);
             if let Some(first) = held.next() {
                 let next = held.fold(first.clone(), |f, c| f.intersection(c));
@@ -833,15 +719,19 @@ impl Router {
         contexts
     }
 
-    /// One anti-entropy round for one shard: exchange the replicas'
+    /// One anti-entropy round for one shard: exchange the live replicas'
     /// causal contexts (advancing the floor); where they differ, send
     /// each replica exactly the deltas it lacks, pulled by dot from the
-    /// siblings that logged them. Returns `(divergent, deltas shipped)`.
+    /// siblings that logged them. A replica that lacks a dot no sibling
+    /// can ship any more — pruned below the floor while it was dead, or
+    /// before its store was wiped — gets a state transfer instead, after
+    /// the round shipped its own deltas to its siblings. Returns
+    /// `(divergent, deltas shipped)`.
     fn repair_shard(&self, shard: usize) -> (bool, u64) {
         let replicas = &self.shards[shard];
         let contexts = self.exchange_contexts(shard);
         let divergent = contexts.windows(2).any(|w| w[0].1 != w[1].1);
-        let mut shipped = 0u64;
+        let (mut shipped, mut lagging) = (0u64, Vec::new());
         for (r, held) in contexts.iter().filter(|_| divergent) {
             let pull = Request::PullDeltas {
                 context: held.to_text(),
@@ -860,6 +750,17 @@ impl Router {
                     }
                 }
             }
+            let mut reach = held.clone();
+            for dot in missing.keys() {
+                reach.insert(*dot);
+            }
+            if contexts
+                .iter()
+                .any(|(_, theirs)| theirs.intersection(&reach) != *theirs)
+            {
+                lagging.push(*r);
+                continue;
+            }
             if missing.is_empty() {
                 continue;
             }
@@ -871,9 +772,43 @@ impl Router {
                 shipped += deltas.len() as u64;
             }
         }
+        for &r in &lagging {
+            self.transfer_state(shard, r, &lagging);
+        }
         self.repair_rounds.inc();
         self.repair_resent.add(shipped);
         (divergent, shipped)
+    }
+
+    /// Replaces a lagging replica's state with that of a live sibling,
+    /// not lagging itself, whose context covers the target's. The target
+    /// checks the cover again under its own lock, so a dot only it holds
+    /// is never dropped: repair ships such dots to the siblings first,
+    /// and until it has, no sibling qualifies and the transfer waits for
+    /// a later round.
+    fn transfer_state(&self, shard: usize, target: usize, lagging: &[usize]) {
+        let replicas = &self.shards[shard];
+        let Some(held) = self.context_of(&replicas[target], "") else {
+            return;
+        };
+        let source = (0..replicas.len())
+            .filter(|&s| !lagging.contains(&s) && !self.is_dead(shard, s))
+            .find(|&s| {
+                self.context_of(&replicas[s], "")
+                    .is_some_and(|theirs| theirs.intersection(&held) == held)
+            });
+        let Some(source) = source else {
+            return;
+        };
+        let Ok(Response::Ok(state_text)) =
+            self.call_replica(&replicas[source], &Request::PullState)
+        else {
+            return;
+        };
+        let install = Request::InstallState { state_text };
+        if let Ok(Response::Ok(_)) = self.call_replica(&replicas[target], &install) {
+            self.state_transfers.inc();
+        }
     }
 
     /// Fans a verb out to every replica of every shard, composing the
@@ -894,9 +829,6 @@ impl Router {
         out.push_str(&self.obs.snapshot_text());
         for (k, replicas) in self.shards.iter().enumerate() {
             for (r, replica) in replicas.iter().enumerate() {
-                if !self.is_dead(k, r) {
-                    self.drain_hints(replica);
-                }
                 let addr = replica.addr();
                 let _ = writeln!(out, "== shard {k} replica {r} addr {addr} ==");
                 match self.call_replica(replica, req) {
@@ -915,7 +847,7 @@ impl Router {
 
     /// Re-points a replica at a new address (a genuine move — same-port
     /// restarts heal without this verb) and runs the revival routine:
-    /// re-teach modules, drain hints, repair.
+    /// re-teach modules, repair.
     fn route_update(&self, shard: u32, replica_idx: u32, addr: &str) -> Response {
         let Some(replica) = self
             .shards
@@ -960,17 +892,6 @@ impl Router {
             }
         }
     }
-}
-
-/// How a hint drain ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Drain {
-    /// The spool is empty.
-    Done,
-    /// The replica answered `busy` or `handoff-full`.
-    Overloaded,
-    /// A transport failure.
-    Failed,
 }
 
 /// The header of the router's own section in a fan-out body.
@@ -1058,14 +979,14 @@ const ROUTER_QUEUE_CAP: usize = 64;
 pub type RouterServer = Daemon<Router>;
 
 impl Daemon<Router> {
-    /// Binds, opens the hint spools, spawns the acceptor and workers,
+    /// Binds, restores the health table, spawns the acceptor and workers,
     /// returns immediately. [`Daemon::shutdown`] stops accepting and
     /// drains workers but leaves the backends running; a client
     /// `shutdown` request also fans out to them.
     ///
     /// # Errors
     ///
-    /// Socket or hint-spool failures.
+    /// Socket or health-directory failures.
     pub fn start(config: RouterConfig) -> io::Result<RouterServer> {
         let listener = TcpListener::bind(&config.addr)?;
         Daemon::spawn(

@@ -112,7 +112,7 @@ fn bump(obs: &Registry, slot: &OnceLock<Counter>, name: impl FnOnce() -> String)
 
 /// Every verb a request is counted under (`server.req.<verb>`), in the
 /// order [`verb_of`] indexes them.
-const VERBS: [&str; 16] = [
+const VERBS: [&str; 18] = [
     "submit",
     "profile",
     "classify",
@@ -124,6 +124,8 @@ const VERBS: [&str; 16] = [
     "ping",
     "context",
     "pull-deltas",
+    "pull-state",
+    "install-state",
     "health",
     "repair",
     "route-update",
@@ -145,11 +147,13 @@ fn verb_of(req: &Request) -> usize {
         Request::Ping => 8,
         Request::Context { .. } => 9,
         Request::PullDeltas { .. } => 10,
-        Request::Health => 11,
-        Request::Repair => 12,
-        Request::RouteUpdate { .. } => 13,
-        Request::Stats => 14,
-        Request::Shutdown => 15,
+        Request::PullState => 11,
+        Request::InstallState { .. } => 12,
+        Request::Health => 13,
+        Request::Repair => 14,
+        Request::RouteUpdate { .. } => 15,
+        Request::Stats => 16,
+        Request::Shutdown => 17,
     }
 }
 
@@ -331,17 +335,14 @@ impl Service {
             Request::Ping => Response::Ok("pong\n".to_string()),
             Request::Context { floor } => self.context_req(floor),
             Request::PullDeltas { context } => self.pull_deltas_req(context),
-            Request::Health => Response::err(
+            Request::PullState => self.pull_state_req(),
+            Request::InstallState { state_text } => self.install_state_req(state_text),
+            Request::Health | Request::Repair | Request::RouteUpdate { .. } => Response::err(
                 ErrorKind::Malformed,
-                "health is a router verb; this is a shard daemon",
-            ),
-            Request::Repair => Response::err(
-                ErrorKind::Malformed,
-                "repair is a router verb; this is a shard daemon",
-            ),
-            Request::RouteUpdate { .. } => Response::err(
-                ErrorKind::Malformed,
-                "route-update is a router verb; this is a shard daemon",
+                format!(
+                    "{} is a router verb; this is a shard daemon",
+                    VERBS[verb_of(req)]
+                ),
             ),
             Request::Stats => Response::Ok(self.stats_body()),
             // The transport intercepts Shutdown before dispatch; reply
@@ -581,6 +582,30 @@ impl Service {
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
         let deltas = db.deltas_missing_from(&held, PULL_BATCH_BYTES);
         Response::Ok(encode_delta_batch(&deltas))
+    }
+
+    /// Exports the store's whole replicated state for a sibling below
+    /// the shard floor. One too big for the `install-state` frame that
+    /// carries it on is refused typed, not cut.
+    fn pull_state_req(&self) -> Response {
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        match db.export_state() {
+            Ok(text) if text.len() > crate::proto::MAX_FRAME - 64 => Response::err(
+                ErrorKind::Malformed,
+                format!("shard state of {} bytes does not fit a frame", text.len()),
+            ),
+            Ok(text) => Response::Ok(text),
+            Err(e) => db_err(&e),
+        }
+    }
+
+    /// Replaces the store's state with a sibling's.
+    fn install_state_req(&self, state_text: &str) -> Response {
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        match db.install_state(state_text) {
+            Ok(()) => Response::Ok("installed\n".to_string()),
+            Err(e) => db_err(&e),
+        }
     }
 
     /// Garbage-collects entries whose workload has no registered module

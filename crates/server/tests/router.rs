@@ -79,11 +79,6 @@ fn entries(s: &Snapshot) -> u64 {
     s.gauge("profdb.entries").expect("profdb.entries gauge")
 }
 
-fn hint_depth(router: &Snapshot, shard: usize, replica: usize) -> u64 {
-    let name = format!("router.hint_depth.s{shard}r{replica}");
-    router.gauge(&name).expect("hint depth gauge")
-}
-
 #[test]
 fn merges_replicate_to_every_replica_of_the_owning_shard() {
     let (router, backends, roots) = boot_cluster("repl", 3, 2);
@@ -120,8 +115,6 @@ fn merges_replicate_to_every_replica_of_the_owning_shard() {
                 per_shard[k],
                 "shard {k} replica {r} entry count"
             );
-            // Replication delivered every owned merge to this replica.
-            assert_eq!(hint_depth(&router_stats, k, r), 0, "{body}");
             let health = format!("router.health.s{k}r{r}");
             assert_eq!(router_stats.gauge(&health), Some(0), "{body}");
         }
@@ -138,118 +131,6 @@ fn merges_replicate_to_every_replica_of_the_owning_shard() {
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
     }
-}
-
-/// Satellite: a replica outage spools merges as durable hints; when the
-/// spool fills, the router refuses the merge *whole* with a typed
-/// `handoff-full` instead of silently dropping, and a revived replica
-/// drains the spool in order and converges.
-#[test]
-fn full_hint_spool_refuses_merges_typed_and_drains_on_revival() {
-    let hint_root = tmp_root("hints-full");
-    let root0 = tmp_root("hints-full-s0r0");
-    let backend = Server::start(ServerConfig::loopback(ServiceConfig::new(root0.clone())))
-        .expect("start backend");
-    let topology = vec![vec![backend.addr().to_string()]];
-    let router = RouterServer::start(RouterConfig {
-        hint_root: Some(hint_root.clone()),
-        hint_cap: 2,
-        ..RouterConfig::loopback(topology)
-    })
-    .expect("start router");
-    let mut client = Client::connect_with(router.addr(), RetryPolicy::no_retries()).unwrap();
-
-    // Take the only replica down; merges can no longer be applied live.
-    backend.shutdown_and_join();
-
-    // The first two merges fit the spool: refused as unavailable (no
-    // live apply) but kept as durable hints, not dropped.
-    for i in 0..2u64 {
-        let resp = client
-            .call(&Request::MergeProfile {
-                entry_text: entry_text(&format!("wl{i}"), 0x3000 + i),
-            })
-            .unwrap();
-        let Response::Err { kind, .. } = resp else {
-            panic!("dead replica acked a merge: {resp:?}")
-        };
-        assert_eq!(kind, ErrorKind::Unavailable);
-    }
-
-    // The third finds the spool at capacity: typed refusal, applied
-    // nowhere, with the shard named and a retry hint.
-    let overflow = entry_text("wl-overflow", 0x3abc);
-    let resp = client
-        .call(&Request::MergeProfile {
-            entry_text: overflow.clone(),
-        })
-        .unwrap();
-    let Response::Err {
-        kind,
-        shard,
-        retry_after_ms,
-        ..
-    } = resp
-    else {
-        panic!("overflow merge not refused: {resp:?}")
-    };
-    assert_eq!(kind, ErrorKind::HandoffFull);
-    assert_eq!(shard, Some(0), "handoff-full must name the shard");
-    assert!(retry_after_ms.is_some(), "handoff-full must hint a retry");
-
-    let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
-        panic!("stats failed")
-    };
-    let (router_stats, _) = stats_sections(&body);
-    assert_eq!(hint_depth(&router_stats, 0, 0), 2, "{body}");
-    assert_eq!(
-        router_stats.counter("router.handoff_refused"),
-        Some(1),
-        "{body}"
-    );
-
-    // Revival: a replacement daemon on a fresh port self-announces via
-    // route-update (what `strided --announce` sends). The router drains
-    // the spool in order; the replacement converges on the spooled
-    // merges and the once-refused merge now applies cleanly.
-    let replacement = Server::start(ServerConfig::loopback(ServiceConfig::new(root0.clone())))
-        .expect("start replacement");
-    let resp = client
-        .call(&Request::RouteUpdate {
-            shard: 0,
-            replica: 0,
-            addr: replacement.addr().to_string(),
-        })
-        .unwrap();
-    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
-    let resp = client
-        .call(&Request::MergeProfile {
-            entry_text: overflow,
-        })
-        .unwrap();
-    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
-
-    let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
-        panic!("stats failed")
-    };
-    let (router_stats, sections) = stats_sections(&body);
-    assert_eq!(hint_depth(&router_stats, 0, 0), 0, "{body}");
-    assert_eq!(
-        router_stats.gauges["router.hint_depth.s0r0"].max, 2,
-        "the gauge's high-water mark is the peak spool depth"
-    );
-    assert_eq!(
-        entries(&sections[&(0, 0)]),
-        3,
-        "spooled + retried merges all landed: {body}"
-    );
-
-    let resp = client.call(&Request::Shutdown).unwrap();
-    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
-    router.join();
-    replacement.join();
-    let _ = std::fs::remove_dir_all(hint_root);
-    let _ = std::fs::remove_dir_all(root0);
 }
 
 /// Tentpole: divergent replicas (one missed a delta the other holds in
@@ -323,15 +204,22 @@ fn repair_round_heals_divergent_replicas() {
 
 /// The `runs` line of a replica's entry file, and the file's bytes.
 fn stored_runs(root: &std::path::Path, workload: &str, module_hash: u64) -> (u64, Vec<u8>) {
+    try_stored_runs(root, workload, module_hash).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`stored_runs`], or why the file does not hold them.
+fn try_stored_runs(
+    root: &std::path::Path,
+    workload: &str,
+    module_hash: u64,
+) -> Result<(u64, Vec<u8>), String> {
     let path = root.join(format!("{workload}@{module_hash:016x}.profdb"));
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let text = String::from_utf8(bytes.clone()).expect("entry text");
-    let runs = text
+    let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let runs = String::from_utf8_lossy(&bytes)
         .lines()
-        .find_map(|l| l.strip_prefix("runs "))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no runs line in {}", path.display()));
-    (runs, bytes)
+        .find_map(|l| l.strip_prefix("runs ")?.parse().ok())
+        .ok_or_else(|| format!("no runs line in {}", path.display()))?;
+    Ok((runs, bytes))
 }
 
 /// More routed merges than a replica remembers idempotency ids for,
@@ -441,18 +329,25 @@ fn routers_over_scratch_hint_roots_never_reuse_dots() {
 /// With probing off no repair round ever runs, yet the floor still
 /// advances on the merge path: after thousands of routed merges a
 /// replica's checkpointed log carries only the few deltas above the
-/// last floor, not one per merge.
+/// last floor, not one per merge — also while its sibling is dead, since
+/// the floor is taken over the live replicas. The dead sibling, revived
+/// below that floor, converges by a full-state transfer.
 #[test]
 fn repair_set_stays_bounded_with_probing_off() {
-    const MERGES: u64 = 3_000;
-    let roots = [tmp_root("floor-s0r0"), tmp_root("floor-s0r1")];
-    let backends: Vec<Server> = roots
-        .iter()
-        .map(|root| {
-            Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
-                .expect("start backend")
-        })
-        .collect();
+    bounded_repair_set("floor", 3_000, false);
+    bounded_repair_set("floor-dead", 10_000, true);
+}
+
+fn bounded_repair_set(tag: &str, merges: u64, sibling_dead: bool) {
+    let roots = [
+        tmp_root(&format!("{tag}-s0r0")),
+        tmp_root(&format!("{tag}-s0r1")),
+    ];
+    let start = |root: &std::path::PathBuf| {
+        Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+            .expect("start backend")
+    };
+    let mut backends: Vec<Server> = roots.iter().map(start).collect();
     let router = RouterServer::start(RouterConfig {
         probe_every: 0,
         ..RouterConfig::loopback(vec![backends
@@ -461,8 +356,11 @@ fn repair_set_stays_bounded_with_probing_off() {
             .collect()])
     })
     .expect("start router");
+    if sibling_dead {
+        backends.pop().expect("replica 1").shutdown_and_join();
+    }
     let mut client = Client::connect(router.addr()).unwrap();
-    for i in 0..MERGES {
+    for i in 0..merges {
         let resp = client
             .call(&Request::MergeProfile {
                 entry_text: entry_text("floor", 0x8000),
@@ -470,16 +368,14 @@ fn repair_set_stays_bounded_with_probing_off() {
             .unwrap();
         assert!(matches!(resp, Response::Ok(_)), "merge {i}: {resp:?}");
     }
-    drop(client);
-    router.shutdown_and_join();
-    // A graceful shutdown checkpoints: the fresh log carries the
-    // unpruned deltas as `D` records.
-    for b in backends {
-        b.shutdown_and_join();
+    // A checkpoint carries the unpruned deltas into the fresh log as `D`
+    // records.
+    for b in &backends {
+        b.service().checkpoint();
     }
     let bound = 2 * stride_server::router::FLOOR_EVERY_DELIVERIES as usize;
-    for root in &roots {
-        assert_eq!(stored_runs(root, "floor", 0x8000).0, MERGES);
+    for (b, root) in backends.iter().zip(&roots) {
+        assert_eq!(stored_runs(root, "floor", 0x8000).0, merges);
         let scan = stride_profdb::scan_wal(root, &stride_profdb::DiskFaults::default()).unwrap();
         assert!(scan.clean_footer, "{}", root.display());
         let carried = scan
@@ -492,9 +388,99 @@ fn repair_set_stays_bounded_with_probing_off() {
             .count();
         assert!(
             carried <= bound,
-            "{}: {carried} deltas carried past the checkpoint, want at most {bound}",
-            root.display()
+            "{} ({tag}): {carried} deltas carried past the checkpoint, want at most {bound}",
+            b.addr()
         );
+    }
+    if sibling_dead {
+        // Its siblings pruned every delta it lacks below the floor: only
+        // a full-state transfer can refill it.
+        backends.push(start(&roots[1]));
+        let resp = client
+            .call(&Request::RouteUpdate {
+                shard: 0,
+                replica: 1,
+                addr: backends[1].addr().to_string(),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+        assert_eq!(
+            stored_runs(&roots[1], "floor", 0x8000),
+            stored_runs(&roots[0], "floor", 0x8000),
+            "the revived replica did not converge"
+        );
+        let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
+            panic!("stats failed")
+        };
+        let (router_stats, _) = stats_sections(&body);
+        assert_eq!(
+            router_stats.counter("router.state_transfers"),
+            Some(1),
+            "{body}"
+        );
+    }
+    drop(client);
+    router.shutdown_and_join();
+    for b in backends {
+        b.shutdown_and_join();
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// The state-transfer trigger reads only what the replicas hold, so a
+/// router started after its predecessor's floor pruned every delta still
+/// sees that a wiped replica cannot be refilled by deltas, and transfers.
+#[test]
+fn a_restarted_router_refills_a_replica_wiped_below_the_floor() {
+    const MERGES: u64 = 300;
+    let roots = [tmp_root("rewipe-s0r0"), tmp_root("rewipe-s0r1")];
+    let start = |root: &std::path::PathBuf| {
+        Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+            .expect("start backend")
+    };
+    let router = |backends: &[Server]| {
+        let replicas = backends.iter().map(|b| b.addr().to_string()).collect();
+        RouterServer::start(RouterConfig {
+            probe_every: 0,
+            ..RouterConfig::loopback(vec![replicas])
+        })
+        .expect("start router")
+    };
+    let mut backends: Vec<Server> = roots.iter().map(start).collect();
+    let first = router(&backends);
+    let mut client = Client::connect(first.addr()).unwrap();
+    for i in 0..MERGES {
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: entry_text("rewipe", 0x8100),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "merge {i}: {resp:?}");
+    }
+    drop(client);
+    first.shutdown_and_join();
+    backends.pop().expect("replica 1").shutdown_and_join();
+    std::fs::remove_dir_all(&roots[1]).unwrap();
+    backends.push(start(&roots[1]));
+    let second = router(&backends);
+    let mut client = Client::connect(second.addr()).unwrap();
+    for want in ["divergent=true resent=0", "divergent=false resent=0"] {
+        let Response::Ok(body) = client.call(&Request::Repair).unwrap() else {
+            panic!("repair failed")
+        };
+        assert_eq!(body, format!("repair shard=0 {want}\n"));
+    }
+    assert_eq!(stored_runs(&roots[0], "rewipe", 0x8100).0, MERGES);
+    assert_eq!(
+        stored_runs(&roots[1], "rewipe", 0x8100),
+        stored_runs(&roots[0], "rewipe", 0x8100)
+    );
+    drop(client);
+    second.shutdown_and_join();
+    for b in backends {
+        b.shutdown_and_join();
     }
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
@@ -506,10 +492,11 @@ fn repair_set_stays_bounded_with_probing_off() {
 enum Fault {
     /// Forward it to the backend and relay the answer.
     Pass,
-    /// Hang up without answering (a transport failure).
+    /// Hang up without forwarding it (a transport failure).
     Hangup,
-    /// Answer `busy` without forwarding it.
-    Busy,
+    /// Forward it, let the backend apply it, then hang up before
+    /// relaying the answer: fsync done, ack lost.
+    AckLost,
 }
 
 /// A replica address that relays frames to `backend`, except that the
@@ -532,9 +519,10 @@ fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
                     };
                     match fault {
                         Fault::Hangup => return,
-                        Fault::Busy => {
-                            let busy = Response::busy("proxy says busy", 1);
-                            write_frame(&mut client, &busy.to_bytes()).unwrap();
+                        Fault::AckLost => {
+                            write_frame(&mut upstream, &frame).unwrap();
+                            let _answer = read_frame(&mut upstream);
+                            return;
                         }
                         Fault::Pass => {
                             write_frame(&mut upstream, &frame).unwrap();
@@ -549,61 +537,88 @@ fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
     addr
 }
 
-/// A replica that answers `busy` while the router drains its hints is
-/// overloaded, not gone: the hint stays queued (the delivery behind it
-/// is spooled after it, in order) and the drain resumes on the next
-/// delivery, so the replica ends with every merge.
-#[test]
-fn busy_replica_keeps_its_hints_queued() {
-    let roots = [tmp_root("busy-s0r0"), tmp_root("busy-s0r1")];
-    let steady = Server::start(ServerConfig::loopback(ServiceConfig::new(roots[0].clone())))
-        .expect("start replica 0");
-    let flaky = Server::start(ServerConfig::loopback(ServiceConfig::new(roots[1].clone())))
-        .expect("start replica 1");
-    // Merge 2's delivery to replica 1 hangs up (spooling a hint); the
-    // drain before merge 3 is answered busy once.
-    let proxy = flaky_proxy(
-        flaky.addr().to_string(),
-        vec![Fault::Pass, Fault::Hangup, Fault::Busy],
-    );
+/// One point of the kill-point sweep: 1×2 shard, replica 1 behind a
+/// proxy that applies `fault` to its `k`-th `sync-delta`; `merges`
+/// merges, then one `repair`. Both stores must hold every merge once.
+fn sweep_point(fault: Fault, k: usize, merges: u64) -> Result<(), String> {
+    let tag = format!("sweep-{fault:?}-{k}");
+    let roots = [
+        tmp_root(&format!("{tag}-r0")),
+        tmp_root(&format!("{tag}-r1")),
+    ];
+    let servers: Vec<Server> = roots
+        .iter()
+        .map(|root| {
+            Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+                .expect("start replica")
+        })
+        .collect();
+    let mut script = vec![Fault::Pass; k - 1];
+    script.push(fault);
+    let proxy = flaky_proxy(servers[1].addr().to_string(), script);
     let router = RouterServer::start(RouterConfig {
         probe_every: 0,
         backend_retry: RetryPolicy::no_retries(),
-        ..RouterConfig::loopback(vec![vec![steady.addr().to_string(), proxy]])
+        ..RouterConfig::loopback(vec![vec![servers[0].addr().to_string(), proxy]])
     })
     .expect("start router");
     let mut client = Client::connect(router.addr()).unwrap();
-    for _ in 0..4 {
-        let resp = client
-            .call(&Request::MergeProfile {
-                entry_text: entry_text("busy", 0x6000),
-            })
-            .unwrap();
-        assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
-    }
-    let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
-        panic!("stats failed")
+    let mut run = || -> Result<(), String> {
+        for i in 0..merges {
+            let text = entry_text("sweep", 0x9000);
+            match client.call(&Request::MergeProfile { entry_text: text }) {
+                Ok(Response::Ok(_)) => {}
+                other => return Err(format!("merge {i}: {other:?}")),
+            }
+        }
+        match client.call(&Request::Repair) {
+            Ok(Response::Ok(_)) => {}
+            other => return Err(format!("repair: {other:?}")),
+        }
+        let (runs0, bytes0) = try_stored_runs(&roots[0], "sweep", 0x9000)?;
+        let (runs1, bytes1) = try_stored_runs(&roots[1], "sweep", 0x9000)?;
+        if (runs0, runs1) != (merges, merges) {
+            return Err(format!("runs {runs0} and {runs1}, want {merges} on each"));
+        }
+        if bytes0 != bytes1 {
+            return Err("replica entry files differ".to_string());
+        }
+        Ok(())
     };
-    let (router_stats, _) = stats_sections(&body);
-    assert_eq!(hint_depth(&router_stats, 0, 1), 0, "{body}");
-    assert_eq!(
-        router_stats.gauges["router.hint_depth.s0r1"].max, 2,
-        "merge 3 queued behind the hint the busy answer kept: {body}"
-    );
-    assert_eq!(router_stats.counter("router.hints_drained"), Some(2));
-    assert_eq!(stored_runs(&roots[0], "busy", 0x6000).0, 4);
-    assert_eq!(
-        stored_runs(&roots[1], "busy", 0x6000),
-        stored_runs(&roots[0], "busy", 0x6000)
-    );
-
+    let outcome = run();
     drop(client);
     router.shutdown_and_join();
-    steady.shutdown_and_join();
-    flaky.shutdown_and_join();
+    for s in servers {
+        s.shutdown_and_join();
+    }
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
     }
+    outcome
+}
+
+/// Kill-point sweep: for every k, replica 1 loses its k-th delivery
+/// before it lands (`Hangup`) or after it landed but before the ack
+/// (`AckLost`). Replica 0 acks every merge, so after one `repair` both
+/// stores must be byte-identical with every merge counted once. A
+/// failing point is reported as `(fault, k)`.
+#[test]
+fn kill_point_sweep_counts_every_merge_once() {
+    const MERGES: usize = 24;
+    let mut failures = Vec::new();
+    for fault in [Fault::Hangup, Fault::AckLost] {
+        for k in 1..=MERGES {
+            if let Err(e) = sweep_point(fault, k, MERGES as u64) {
+                failures.push(format!("({fault:?}, {k}): {e}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} diverging point(s):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }
 
 /// A small strided sweep: a module the replicas can really profile.
@@ -779,7 +794,7 @@ fn dead_shard_sheds_its_key_range_only() {
         }
     }
 
-    let mut hit_dead = 0;
+    let mut shed = Vec::new();
     let mut hit_live = 0;
     for i in 0..12u64 {
         let (w, h) = (format!("wl{i}"), 0x2000 + i);
@@ -789,7 +804,6 @@ fn dead_shard_sheds_its_key_range_only() {
             })
             .unwrap();
         if map.shard_of(&w, h) == 1 {
-            hit_dead += 1;
             let Response::Err {
                 kind,
                 retry_after_ms,
@@ -802,6 +816,7 @@ fn dead_shard_sheds_its_key_range_only() {
             assert_eq!(kind, ErrorKind::Unavailable);
             assert_eq!(shard, Some(1), "unavailable must name the dead shard");
             assert!(retry_after_ms.is_some(), "unavailable must hint a retry");
+            shed.push((w, h));
         } else {
             hit_live += 1;
             assert!(
@@ -810,20 +825,43 @@ fn dead_shard_sheds_its_key_range_only() {
             );
         }
     }
-    assert!(hit_dead > 0 && hit_live > 0, "key spread missed a case");
+    assert!(!shed.is_empty() && hit_live > 0, "key spread missed a case");
 
     let Response::Ok(body) = client.call(&Request::Stats).unwrap() else {
         panic!("stats failed")
     };
     assert!(
-        body.contains(&format!("counter router.shed_unavailable {hit_dead}")),
+        body.contains(&format!("counter router.shed_unavailable {}", shed.len())),
         "{body}"
     );
+
+    // `unavailable` means applied nowhere: once the shard is back, a
+    // resend under a fresh id lands exactly one copy.
+    let revived = Server::start(ServerConfig::loopback(ServiceConfig::new(roots[1].clone())))
+        .expect("restart shard 1");
+    let resp = client
+        .call(&Request::RouteUpdate {
+            shard: 1,
+            replica: 0,
+            addr: revived.addr().to_string(),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    for (w, h) in &shed {
+        let resp = client
+            .call(&Request::MergeProfile {
+                entry_text: entry_text(w, *h),
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::Ok(_)), "resend of {w}: {resp:?}");
+        assert_eq!(stored_runs(&roots[1], w, *h).0, 1, "{w} counted twice");
+    }
 
     // Shutdown fans out to the surviving backends and stops the router.
     let resp = client.call(&Request::Shutdown).unwrap();
     assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
     router.join();
+    revived.join();
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
     }
