@@ -68,6 +68,10 @@ echo "== benchmark correctness: cluster-write through strided-router =="
 # Exits nonzero when an acknowledged merge is lost, the two replicas
 # diverge, or any request fails.
 CARGO_TARGET_DIR=target bash benchmark/run.sh --workload cluster-write --trace 0 --seconds 1 > /dev/null
+# The traced run also replays the request stream through Router::handle
+# over two in-process Servers and checks every answer: the replica
+# fan-out inside one process.
+CARGO_TARGET_DIR=target bash benchmark/run.sh --workload cluster-write --trace 1 --seconds 1 > /dev/null
 
 echo "== smoke: metrics snapshot byte-identical across --jobs =="
 m1=$(mktemp)

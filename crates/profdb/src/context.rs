@@ -73,7 +73,10 @@ fn insert_range(ranges: &mut Vec<(u64, u64)>, lo: u64, hi: u64) {
 }
 
 fn ctx_err(msg: impl Into<String>) -> DbError {
-    DbError::KeyMismatch(format!("causal context: {}", msg.into()))
+    DbError::Corrupt {
+        what: "causal context",
+        detail: msg.into(),
+    }
 }
 
 impl CausalContext {
@@ -147,7 +150,7 @@ impl CausalContext {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::KeyMismatch`] for a bad header or line, or a
+    /// Returns [`DbError::Corrupt`] for a bad header or line, or a
     /// range that is empty or starts at 0.
     pub fn from_text(text: &str) -> Result<CausalContext, DbError> {
         let mut ctx = CausalContext::default();
@@ -228,11 +231,21 @@ mod tests {
             CausalContext::from_text("").unwrap(),
             CausalContext::default()
         );
-        assert!(CausalContext::from_text("# wrong\n").is_err());
         let bad_range = format!("{CONTEXT_HEADER}\norigin 01 hwm 0 0-3\n");
-        assert!(CausalContext::from_text(&bad_range).is_err());
         let bad_line = format!("{CONTEXT_HEADER}\norigin 01 3\n");
-        assert!(CausalContext::from_text(&bad_line).is_err());
+        for evil in ["# wrong\n", &bad_range, &bad_line] {
+            let err = CausalContext::from_text(evil).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DbError::Corrupt {
+                        what: "causal context",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,15 @@ pub enum DbError {
     },
     /// Two entries with different keys cannot merge.
     KeyMismatch(String),
+    /// Untrusted replication text (a delta batch, a causal context, a
+    /// log image or an installed state) that failed its structural or
+    /// checksum checks; it is rejected whole.
+    Corrupt {
+        /// What was corrupt, e.g. `log image`.
+        what: &'static str,
+        /// What was wrong with it.
+        detail: String,
+    },
     /// No entry under the requested key.
     NotFound {
         /// The missing workload.
@@ -56,6 +65,7 @@ impl fmt::Display for DbError {
                  but entry was profiled on {found:016x}"
             ),
             DbError::KeyMismatch(msg) => write!(f, "profile key mismatch: {msg}"),
+            DbError::Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
             DbError::NotFound {
                 workload,
                 module_hash,

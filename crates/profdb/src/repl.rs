@@ -87,7 +87,10 @@ pub fn encode_delta_batch(deltas: &[DeltaRecord]) -> String {
 }
 
 fn batch_err(msg: impl Into<String>) -> DbError {
-    DbError::KeyMismatch(format!("delta batch: {}", msg.into()))
+    DbError::Corrupt {
+        what: "delta batch",
+        detail: msg.into(),
+    }
 }
 
 /// Parses a `<16 hex>.<n>` dot; origin and `n` are both nonzero.
@@ -108,7 +111,7 @@ fn parse_dot(text: &str) -> Result<Dot, DbError> {
 ///
 /// # Errors
 ///
-/// Returns [`DbError::KeyMismatch`] for any structural problem — bad
+/// Returns [`DbError::Corrupt`] for any structural problem — bad
 /// header, count mismatch, zero id, or a checksum that does not match
 /// (a corrupted batch must be rejected whole, never half-applied).
 pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
@@ -250,6 +253,16 @@ mod tests {
         let text = encode_delta_batch(&[delta(7, "# profdb v1\nworkload a\n")]);
         let evil = text.replace("workload a", "workload b");
         let err = decode_delta_batch(&evil).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DbError::Corrupt {
+                    what: "delta batch",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
     }
 

@@ -747,17 +747,20 @@ impl ProfileDb {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::KeyMismatch`] when the text is not a whole,
-    /// verified image of valid records, or when its context does not
-    /// cover this store's (it would drop dots only this store holds),
-    /// and [`DbError::Io`] on filesystem trouble; until the image is in
+    /// Returns [`DbError::Corrupt`] when the text is not a whole,
+    /// verified image of valid records, [`DbError::KeyMismatch`] when
+    /// its context does not cover this store's (it would drop dots only
+    /// this store holds), and [`DbError::Io`] on filesystem trouble; until the image is in
     /// place the store is unchanged.
     pub fn install_state(&self, text: &str) -> Result<(), DbError> {
         let image = decode_log_image(text)?;
         let mut held = Replayed::default();
         let mut entries = Vec::new();
         for record in &image {
-            let bad = || DbError::KeyMismatch(format!("state: unusable {:?} record", record.kind));
+            let bad = || DbError::Corrupt {
+                what: "installed state",
+                detail: format!("unusable {:?} record", record.kind),
+            };
             if !fold_record(record, &mut held) {
                 return Err(bad());
             }

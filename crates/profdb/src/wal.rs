@@ -345,10 +345,13 @@ pub fn encode_log_image(records: &[WalRecord]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`DbError::KeyMismatch`] for bad hex, a bad magic, or a torn,
+/// Returns [`DbError::Corrupt`] for bad hex, a bad magic, or a torn,
 /// corrupt or footer-less image.
 pub fn decode_log_image(text: &str) -> Result<Vec<WalRecord>, DbError> {
-    let err = |msg: &str| DbError::KeyMismatch(format!("log image: {msg}"));
+    let err = |msg: &str| DbError::Corrupt {
+        what: "log image",
+        detail: msg.to_string(),
+    };
     let text = text.trim();
     if !text.len().is_multiple_of(2) {
         return Err(err("odd-length hex"));
@@ -984,8 +987,20 @@ mod tests {
         assert_eq!(decode_log_image(&encode_log_image(&[])).unwrap(), vec![]);
         let rejects = |what: &str, evil: &str| {
             let err = decode_log_image(evil).unwrap_err();
-            assert!(matches!(err, DbError::KeyMismatch(_)), "{what}: {err:?}");
-            assert!(err.to_string().contains("log image: "), "{what}: {err}");
+            assert!(
+                matches!(
+                    err,
+                    DbError::Corrupt {
+                        what: "log image",
+                        ..
+                    }
+                ),
+                "{what}: {err:?}"
+            );
+            assert!(
+                err.to_string().starts_with("corrupt log image: "),
+                "{what}: {err}"
+            );
         };
         // Truncation anywhere: odd hex, or an image missing its footer.
         for cut in (0..text.len()).step_by(7) {

@@ -237,12 +237,23 @@ impl Client {
 
     /// [`Client::call`] under a caller-chosen idempotency id (0 for
     /// none): the router sends a forwarded `profile` with the id its
-    /// replicated run is stored under.
+    /// replicated run is stored under. It is [`Client::send`] followed by
+    /// [`Client::finish`].
     ///
     /// # Errors
     ///
     /// As [`Client::call`].
     pub(crate) fn call_with_id(&mut self, req: &Request, req_id: u64) -> io::Result<Response> {
+        let sent = self.send(req, req_id);
+        self.finish(sent)
+    }
+
+    /// The send half of a call: encodes `req`, connects if needed and
+    /// writes the first attempt's frame without waiting for the answer,
+    /// so a caller can send to several daemons before reading any of
+    /// them. A failed write is not an error yet: [`Client::finish`]
+    /// treats it as the first attempt's failure and retries.
+    pub(crate) fn send(&mut self, req: &Request, req_id: u64) -> Sent {
         self.trace.clear();
         self.calls += 1;
         let meta = RequestMeta {
@@ -251,7 +262,25 @@ impl Client {
         };
         let payload = encode_request(&meta, req);
         let duplicate = self.dup_request_nth == Some(self.calls);
-        let schedule = backoff_schedule_for(&self.policy, meta.req_id);
+        let first = self.write(&payload, duplicate);
+        Sent {
+            payload,
+            req_id,
+            duplicate,
+            first,
+        }
+    }
+
+    /// The finish half of a call: reads the answer to the frame
+    /// [`Client::send`] wrote, retrying transport failures and `busy`
+    /// shedding per the policy (with reconnect between attempts).
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::call`].
+    pub(crate) fn finish(&mut self, sent: Sent) -> io::Result<Response> {
+        let schedule = backoff_schedule_for(&self.policy, sent.req_id);
+        let mut first = Some(sent.first);
         let mut last_err: Option<io::Error> = None;
         // The server's retry-after hint from the last answer, if any.
         let mut hint_ms = None;
@@ -269,7 +298,12 @@ impl Client {
                 let wait = base_wait.max(hint_ms.take().unwrap_or(0));
                 std::thread::sleep(std::time::Duration::from_millis(wait));
             }
-            match self.attempt(&payload, duplicate) {
+            // The first attempt's frame is already written.
+            let written = first
+                .take()
+                .unwrap_or_else(|| self.write(&sent.payload, sent.duplicate));
+            let answer = written.and_then(|()| self.read(sent.duplicate));
+            match answer {
                 Ok(resp) => {
                     // `busy` (shed load) and `unavailable` (dead shard,
                     // may come back) are the transient server answers:
@@ -316,8 +350,9 @@ impl Client {
         ))
     }
 
-    /// One send/receive attempt over the current (or a fresh) stream.
-    fn attempt(&mut self, payload: &[u8], duplicate: bool) -> io::Result<Response> {
+    /// Writes one attempt's request frame over the current (or a fresh)
+    /// stream.
+    fn write(&mut self, payload: &[u8], duplicate: bool) -> io::Result<()> {
         if self.stream.is_none() {
             self.stream = Some(connect_stream(self.addr)?);
             self.trace.push(format!("reconnected to {}", self.addr));
@@ -328,8 +363,8 @@ impl Client {
         let frame = encode_frame(payload)?;
         if duplicate {
             // Duplicate delivery: the same request frame twice in one
-            // write. Both responses are read below so the lockstep
-            // discipline survives.
+            // write. Both responses are read so the lockstep discipline
+            // survives.
             let mut twice = Vec::with_capacity(frame.len() * 2);
             twice.extend_from_slice(&frame);
             twice.extend_from_slice(&frame);
@@ -337,7 +372,14 @@ impl Client {
         } else {
             stream.write_all(&frame)?;
         }
-        stream.flush()?;
+        stream.flush()
+    }
+
+    /// Reads one attempt's answer (and drains a duplicate's).
+    fn read(&mut self, duplicate: bool) -> io::Result<Response> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Err(io::Error::other("no connection"));
+        };
         let payload = read_frame(stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
@@ -349,6 +391,16 @@ impl Client {
         }
         Ok(resp)
     }
+}
+
+/// A call whose request frame [`Client::send`] wrote and whose answer
+/// [`Client::finish`] has yet to read.
+pub(crate) struct Sent {
+    payload: Vec<u8>,
+    req_id: u64,
+    duplicate: bool,
+    /// The first attempt's write: connect and send.
+    first: io::Result<()>,
 }
 
 #[cfg(test)]

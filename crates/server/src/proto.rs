@@ -582,7 +582,7 @@ impl From<&DbError> for ErrorKind {
             DbError::Io(_) => ErrorKind::Malformed,
             DbError::Parse(_) => ErrorKind::Parse,
             DbError::Stale { .. } => ErrorKind::Stale,
-            DbError::KeyMismatch(_) => ErrorKind::Malformed,
+            DbError::KeyMismatch(_) | DbError::Corrupt { .. } => ErrorKind::Malformed,
             DbError::NotFound { .. } => ErrorKind::NotFound,
             DbError::PendingWal { .. } => ErrorKind::Malformed,
         }

@@ -23,6 +23,15 @@
 //! the store's delivery-order-independent delta merge absorbs into
 //! byte-identical convergence.
 //!
+//! The fan-out is pipelined (`Router::call_all`): the request is
+//! written to every live replica's pooled connection before any answer
+//! is read, so the replicas apply and fsync at the same time and no
+//! thread is started. The answers are then taken in replica order, so
+//! the ack rule is unchanged: the first ack wins over a typed refusal,
+//! and misses reach the failure detector in replica order. Probe
+//! passes, context exchanges and the `stats`/`gc` fan-out send the same
+//! way.
+//!
 //! # Self-healing
 //!
 //! The router heals the cluster without operator verbs, on a *logical*
@@ -66,7 +75,7 @@
 //! shards keep succeeding. Overload is shed at the door by an AIMD
 //! admission limiter ([`crate::limiter`]) with typed `busy` errors.
 
-use crate::client::{Client, RetryPolicy};
+use crate::client::{Client, RetryPolicy, Sent};
 use crate::proto::{ErrorKind, Request, RequestMeta, Response};
 use crate::transport::{Daemon, Handler, NetFaults, Transport};
 use crate::{detector::FailureDetector, detector::ProbeOutcome};
@@ -310,33 +319,68 @@ impl Router {
         self.call_replica_with(replica, &RequestMeta::default(), req)
     }
 
-    /// One call to one replica over its cached connection (connecting
-    /// lazily, reconnecting after `route-update`).
+    /// One call to one replica over its cached connection.
     fn call_replica_with(
         &self,
         replica: &Replica,
         meta: &RequestMeta,
         req: &Request,
     ) -> io::Result<Response> {
-        let mut slot = replica
-            .client
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            let mut client = Client::connect_with(replica.addr(), self.policy)?;
-            client.set_retry_counter(Some(self.retries.clone()));
-            *slot = Some(client);
-        }
-        let Some(client) = slot.as_mut() else {
-            return Err(io::Error::other("no backend connection"));
-        };
-        client.set_deadline_fuel(meta.deadline_fuel);
-        let result = client.call_with_id(req, meta.req_id);
-        if result.is_err() {
-            // Poisoned transport: reconnect fresh on the next call.
-            *slot = None;
-        }
-        result
+        let mut results = self.call_all(&[replica], meta, req);
+        results
+            .pop()
+            .unwrap_or_else(|| Err(io::Error::other("no replica called")))
+    }
+
+    /// Calls several replicas at once over their cached connections
+    /// (connecting lazily, reconnecting after `route-update`): locks their
+    /// client slots in the order given, which callers keep to
+    /// (shard, replica) index order so that concurrent calls cannot
+    /// deadlock; writes `req` to every one of them, then reads each
+    /// answer (retrying per the backend policy) in that same order. The
+    /// replicas thus work on the request at the same time, and no thread
+    /// is started. Returns one result per target, in order; the slots
+    /// are free again when it returns.
+    fn call_all(
+        &self,
+        targets: &[&Replica],
+        meta: &RequestMeta,
+        req: &Request,
+    ) -> Vec<io::Result<Response>> {
+        let mut slots: Vec<_> = (targets.iter())
+            .map(|replica| {
+                (replica.client)
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+            })
+            .collect();
+        let sent: Vec<io::Result<Sent>> = (slots.iter_mut().zip(targets))
+            .map(|(slot, replica)| {
+                let client = match slot.take() {
+                    Some(client) => slot.insert(client),
+                    None => {
+                        let mut client = Client::connect_with(replica.addr(), self.policy)?;
+                        client.set_retry_counter(Some(self.retries.clone()));
+                        slot.insert(client)
+                    }
+                };
+                client.set_deadline_fuel(meta.deadline_fuel);
+                Ok(client.send(req, meta.req_id))
+            })
+            .collect();
+        (slots.iter_mut().zip(sent))
+            .map(|(slot, sent)| {
+                let result = sent.and_then(|sent| match slot.as_mut() {
+                    Some(client) => client.finish(sent),
+                    None => Err(io::Error::other("no backend connection")),
+                });
+                if result.is_err() {
+                    // Poisoned transport: reconnect fresh on the next call.
+                    **slot = None;
+                }
+                result
+            })
+            .collect()
     }
 
     /// Feeds one transport failure to the failure detector and acts on
@@ -363,27 +407,24 @@ impl Router {
         }
     }
 
-    /// One failure-detector pass: ping every replica (dead ones too —
-    /// that is how revival is noticed), walk the state machine, and
-    /// every few passes run an anti-entropy repair round.
+    /// One failure-detector pass: ping every replica at once (dead ones
+    /// too — that is how revival is noticed), then walk the state machine
+    /// over the answers in (shard, replica) order, and every few passes
+    /// run an anti-entropy repair round.
     fn probe_all(&self) {
         if self.probing.swap(true, Ordering::SeqCst) {
             return; // a sibling worker is mid-pass
         }
-        for k in 0..self.shards.len() {
-            for r in 0..self.shards[k].len() {
-                self.probes.inc();
-                let up = matches!(
-                    self.call_replica(&self.shards[k][r], &Request::Ping),
-                    Ok(Response::Ok(_))
-                );
-                let outcome = if up {
-                    self.detector().probe_ok(k, r)
-                } else {
-                    self.detector().probe_missed(k, r)
-                };
-                self.act_on(k, r, outcome);
-            }
+        let (indices, targets) = self.every_replica();
+        let pings = self.call_all(&targets, &RequestMeta::default(), &Request::Ping);
+        for ((k, r), ping) in indices.into_iter().zip(pings) {
+            self.probes.inc();
+            let outcome = if matches!(ping, Ok(Response::Ok(_))) {
+                self.detector().probe_ok(k, r)
+            } else {
+                self.detector().probe_missed(k, r)
+            };
+            self.act_on(k, r, outcome);
         }
         let pass = self.probe_passes.fetch_add(1, Ordering::Relaxed) + 1;
         if pass.is_multiple_of(REPAIR_EVERY_PASSES) {
@@ -416,6 +457,19 @@ impl Router {
 
     fn shard_replicas(&self, shard: u32) -> &[Replica] {
         &self.shards[shard as usize]
+    }
+
+    /// Every replica of every shard with its `(shard, replica)` index, in
+    /// index order.
+    fn every_replica(&self) -> (Vec<(usize, usize)>, Vec<&Replica>) {
+        (self.shards.iter().enumerate())
+            .flat_map(|(k, replicas)| {
+                replicas
+                    .iter()
+                    .enumerate()
+                    .map(move |(r, rep)| ((k, r), rep))
+            })
+            .unzip()
     }
 
     /// Handles one client request at the router. Every handled request
@@ -555,22 +609,31 @@ impl Router {
         }
     }
 
-    /// Sends `req` to every live replica of `shard`, noting a transport
-    /// failure as a miss; returns the first ack, else the first typed
-    /// refusal, else `None` (no live replica answered).
+    /// Sends `req` to every live replica of `shard` at once (see
+    /// [`Router::call_all`]), then takes the answers in replica order,
+    /// noting a transport failure as a miss; returns the first ack, else
+    /// the first typed refusal, else `None` (no live replica answered).
     fn fan_out(&self, shard: u32, req: &Request) -> Option<Response> {
+        let shard = shard as usize;
+        let (live, targets) = self.live_replicas(shard);
+        let results = self.call_all(&targets, &RequestMeta::default(), req);
         let (mut acked, mut refused) = (None, None);
-        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
-            if self.is_dead(shard as usize, r) {
-                continue;
-            }
-            match self.call_replica(replica, req) {
+        for (r, result) in live.into_iter().zip(results) {
+            match result {
                 Ok(resp @ Response::Ok(_)) => acked = acked.or(Some(resp)),
                 Ok(resp) => refused = refused.or(Some(resp)),
-                Err(_) => self.note_miss(shard as usize, r),
+                Err(_) => self.note_miss(shard, r),
             }
         }
         acked.or(refused)
+    }
+
+    /// The replicas of `shard` the detector holds live, with their
+    /// indices, in index order.
+    fn live_replicas(&self, shard: usize) -> (Vec<usize>, Vec<&Replica>) {
+        (self.shards[shard].iter().enumerate())
+            .filter(|&(r, _)| !self.is_dead(shard, r))
+            .unzip()
     }
 
     /// A fan-out's answer to the client: the ack (counted as forwarded)
@@ -682,32 +745,28 @@ impl Router {
         let req = Request::Context {
             floor: floor.to_string(),
         };
-        match self.call_replica(replica, &req) {
-            Ok(Response::Ok(body)) => CausalContext::from_text(&body).ok(),
-            _ => None,
-        }
+        context_from(self.call_replica(replica, &req))
     }
 
-    /// Collects the live replicas' causal contexts, handing each the
-    /// floor the previous exchange computed; when every replica the
-    /// detector holds live answered, their intersection — the dots all of
-    /// them hold — is the floor the next exchange hands out. Pruning thus
-    /// lags one exchange, which is safe: a floor only names dots every
-    /// live replica already held, and a replica that lacks one later (it
-    /// was dead, or its store was wiped) gets a state transfer.
+    /// Collects the live replicas' causal contexts, asking them all at
+    /// once and handing each the floor the previous exchange computed;
+    /// when every replica the detector holds live answered, their
+    /// intersection — the dots all of them hold — is the floor the next
+    /// exchange hands out. Pruning thus lags one exchange, which is safe:
+    /// a floor only names dots every live replica already held, and a
+    /// replica that lacks one later (it was dead, or its store was wiped)
+    /// gets a state transfer.
     fn exchange_contexts(&self, shard: usize) -> Vec<(usize, CausalContext)> {
-        let replicas = &self.shards[shard];
         let floor = {
             let mut floor = self.floor(shard);
             floor.deliveries = 0;
             floor.text.clone()
         };
-        let live: Vec<usize> = (0..replicas.len())
-            .filter(|&r| !self.is_dead(shard, r))
-            .collect();
-        let contexts: Vec<(usize, CausalContext)> = live
-            .iter()
-            .filter_map(|&r| Some((r, self.context_of(&replicas[r], &floor)?)))
+        let (live, targets) = self.live_replicas(shard);
+        let req = Request::Context { floor };
+        let answers = self.call_all(&targets, &RequestMeta::default(), &req);
+        let contexts: Vec<(usize, CausalContext)> = (live.iter().zip(answers))
+            .filter_map(|(&r, answer)| Some((r, context_from(answer)?)))
             .collect();
         if contexts.len() == live.len() {
             let mut held = contexts.iter().map(|(_, c)| c);
@@ -811,10 +870,10 @@ impl Router {
         }
     }
 
-    /// Fans a verb out to every replica of every shard, composing the
-    /// bodies under `== shard K replica R addr A ==` section headers (a
-    /// replica that failed gets one `err KIND: …` or `unreachable: …`
-    /// line instead). The leading `== router ==` section is the router's
+    /// Fans a verb out to every replica of every shard at once, composing
+    /// the bodies in (shard, replica) order under `== shard K replica R
+    /// addr A ==` section headers (a replica that failed gets one `err
+    /// KIND: …` or `unreachable: …` line instead). The leading `== router ==` section is the router's
     /// own registry snapshot. [`split_sections`] is the inverse.
     fn fan_out_body(&self, req: &Request) -> String {
         {
@@ -827,18 +886,18 @@ impl Router {
         }
         let mut out = format!("{ROUTER_HEADER}\n");
         out.push_str(&self.obs.snapshot_text());
-        for (k, replicas) in self.shards.iter().enumerate() {
-            for (r, replica) in replicas.iter().enumerate() {
-                let addr = replica.addr();
-                let _ = writeln!(out, "== shard {k} replica {r} addr {addr} ==");
-                match self.call_replica(replica, req) {
-                    Ok(Response::Ok(body)) => out.push_str(&body),
-                    Ok(Response::Err { kind, message, .. }) => {
-                        let _ = writeln!(out, "err {kind}: {message}");
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "unreachable: {e}");
-                    }
+        let (indices, targets) = self.every_replica();
+        let answers = self.call_all(&targets, &RequestMeta::default(), req);
+        for (((k, r), replica), answer) in indices.into_iter().zip(targets).zip(answers) {
+            let addr = replica.addr();
+            let _ = writeln!(out, "== shard {k} replica {r} addr {addr} ==");
+            match answer {
+                Ok(Response::Ok(body)) => out.push_str(&body),
+                Ok(Response::Err { kind, message, .. }) => {
+                    let _ = writeln!(out, "err {kind}: {message}");
+                }
+                Err(e) => {
+                    let _ = writeln!(out, "unreachable: {e}");
                 }
             }
         }
@@ -891,6 +950,14 @@ impl Router {
                 let _ = self.call_replica(replica, &Request::Shutdown);
             }
         }
+    }
+}
+
+/// The causal context a `context` call answered with, if it did.
+fn context_from(answer: io::Result<Response>) -> Option<CausalContext> {
+    match answer {
+        Ok(Response::Ok(body)) => CausalContext::from_text(&body).ok(),
+        _ => None,
     }
 }
 

@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 use stride_core::Snapshot;
 use stride_profdb::{DeltaRecord, ProfileEntry, ShardMap};
 use stride_profiling::StrideProfile;
@@ -487,7 +488,7 @@ fn a_restarted_router_refills_a_replica_wiped_below_the_floor() {
     }
 }
 
-/// What a [`flaky_proxy`] does with one `sync-delta` frame.
+/// What a proxy does with one `sync-delta` frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fault {
     /// Forward it to the backend and relay the answer.
@@ -497,11 +498,55 @@ enum Fault {
     /// Forward it, let the backend apply it, then hang up before
     /// relaying the answer: fsync done, ack lost.
     AckLost,
+    /// Forward it, then hold the answer back until the proxies' journal
+    /// records the named event, or for at most [`HOLD_CAP`].
+    Hold(&'static str),
+}
+
+/// The longest a [`Fault::Hold`] holds an answer back.
+const HOLD_CAP: Duration = Duration::from_secs(10);
+
+/// The `sync-delta` events a test's proxies saw, in order: `"NAME got"`
+/// when a proxy reads one, `"NAME answered"` when it relays the answer.
+#[derive(Default)]
+struct Journal {
+    events: Mutex<Vec<String>>,
+    grew: Condvar,
+}
+
+impl Journal {
+    fn record(&self, event: String) {
+        self.events.lock().unwrap().push(event);
+        self.grew.notify_all();
+    }
+
+    /// Blocks until `event` is recorded, or for at most `cap`.
+    fn wait_for(&self, event: &str, cap: Duration) {
+        let events = self.events.lock().unwrap();
+        let _ = self
+            .grew
+            .wait_timeout_while(events, cap, |seen| !seen.iter().any(|e| e == event));
+    }
+
+    fn position(&self, event: &str) -> Option<usize> {
+        self.events.lock().unwrap().iter().position(|e| e == event)
+    }
 }
 
 /// A replica address that relays frames to `backend`, except that the
 /// n-th `sync-delta` it sees gets `script[n]` (default [`Fault::Pass`]).
 fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
+    journaled_proxy("proxy", backend, script, Arc::default())
+}
+
+/// A [`flaky_proxy`] that records its `sync-delta` events in `journal`
+/// under `name`.
+fn journaled_proxy(
+    name: &'static str,
+    backend: String,
+    script: Vec<Fault>,
+    journal: Arc<Journal>,
+) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
     let addr = listener.local_addr().expect("proxy addr").to_string();
     let script = Arc::new(Mutex::new(script.into_iter()));
@@ -509,27 +554,31 @@ fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
         for mut client in listener.incoming().map_while(Result::ok) {
             let mut upstream = TcpStream::connect(&backend).expect("connect backend");
             let script = Arc::clone(&script);
+            let journal = Arc::clone(&journal);
             std::thread::spawn(move || {
                 while let Ok(Some(frame)) = read_frame(&mut client) {
-                    let fault = match decode_request(&frame) {
-                        Ok((_, Request::SyncDelta { .. })) => {
-                            script.lock().unwrap().next().unwrap_or(Fault::Pass)
-                        }
-                        _ => Fault::Pass,
+                    let delta =
+                        matches!(decode_request(&frame), Ok((_, Request::SyncDelta { .. })));
+                    let fault = if delta {
+                        journal.record(format!("{name} got"));
+                        script.lock().unwrap().next().unwrap_or(Fault::Pass)
+                    } else {
+                        Fault::Pass
                     };
-                    match fault {
-                        Fault::Hangup => return,
-                        Fault::AckLost => {
-                            write_frame(&mut upstream, &frame).unwrap();
-                            let _answer = read_frame(&mut upstream);
-                            return;
-                        }
-                        Fault::Pass => {
-                            write_frame(&mut upstream, &frame).unwrap();
-                            let answer = read_frame(&mut upstream).unwrap().unwrap();
-                            write_frame(&mut client, &answer).unwrap();
-                        }
+                    if fault == Fault::Hangup {
+                        return;
                     }
+                    write_frame(&mut upstream, &frame).unwrap();
+                    let answer = read_frame(&mut upstream);
+                    match fault {
+                        Fault::AckLost => return,
+                        Fault::Hold(event) => journal.wait_for(event, HOLD_CAP),
+                        _ => {}
+                    }
+                    if delta {
+                        journal.record(format!("{name} answered"));
+                    }
+                    write_frame(&mut client, &answer.unwrap().unwrap()).unwrap();
                 }
             });
         }
@@ -537,11 +586,71 @@ fn flaky_proxy(backend: String, script: Vec<Fault>) -> String {
     addr
 }
 
-/// One point of the kill-point sweep: 1×2 shard, replica 1 behind a
-/// proxy that applies `fault` to its `k`-th `sync-delta`; `merges`
-/// merges, then one `repair`. Both stores must hold every merge once.
-fn sweep_point(fault: Fault, k: usize, merges: u64) -> Result<(), String> {
-    let tag = format!("sweep-{fault:?}-{k}");
+/// The router writes a merge's `sync-delta` to every replica before it
+/// reads any answer: replica 0's proxy holds its answer back until
+/// replica 1's proxy has the delta, which a router that waits for
+/// replica 0 first only reaches after the hold's cap. The verdict reads
+/// the proxies' event order, never a clock.
+#[test]
+fn a_merge_reaches_every_replica_before_any_answer_is_read() {
+    let roots = [tmp_root("pipelined-r0"), tmp_root("pipelined-r1")];
+    let servers: Vec<Server> = roots
+        .iter()
+        .map(|root| {
+            Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+                .expect("start replica")
+        })
+        .collect();
+    let journal = Arc::new(Journal::default());
+    let proxies = vec![
+        journaled_proxy(
+            "p0",
+            servers[0].addr().to_string(),
+            vec![Fault::Hold("p1 got")],
+            Arc::clone(&journal),
+        ),
+        journaled_proxy(
+            "p1",
+            servers[1].addr().to_string(),
+            vec![],
+            Arc::clone(&journal),
+        ),
+    ];
+    let router = RouterServer::start(RouterConfig {
+        probe_every: 0,
+        ..RouterConfig::loopback(vec![proxies])
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.addr()).unwrap();
+    let resp = client
+        .call(&Request::MergeProfile {
+            entry_text: entry_text("pipelined", 0x9100),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    let events = journal.events.lock().unwrap().clone();
+    let got1 = journal.position("p1 got").expect("replica 1 got the delta");
+    let answered0 = journal.position("p0 answered").expect("replica 0 answered");
+    assert!(
+        got1 < answered0,
+        "replica 1 got the delta only after replica 0 answered: {events:?}"
+    );
+    drop(client);
+    router.shutdown_and_join();
+    for s in servers {
+        s.shutdown_and_join();
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// One point of the kill-point sweep: 1×2 shard, replica `faulted`
+/// behind a proxy that applies `fault` to its `k`-th `sync-delta`;
+/// `merges` merges, then one `repair`. Both stores must hold every merge
+/// once.
+fn sweep_point(faulted: usize, fault: Fault, k: usize, merges: u64) -> Result<(), String> {
+    let tag = format!("sweep-r{faulted}-{fault:?}-{k}");
     let roots = [
         tmp_root(&format!("{tag}-r0")),
         tmp_root(&format!("{tag}-r1")),
@@ -555,11 +664,12 @@ fn sweep_point(fault: Fault, k: usize, merges: u64) -> Result<(), String> {
         .collect();
     let mut script = vec![Fault::Pass; k - 1];
     script.push(fault);
-    let proxy = flaky_proxy(servers[1].addr().to_string(), script);
+    let mut addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    addrs[faulted] = flaky_proxy(addrs[faulted].clone(), script);
     let router = RouterServer::start(RouterConfig {
         probe_every: 0,
         backend_retry: RetryPolicy::no_retries(),
-        ..RouterConfig::loopback(vec![vec![servers[0].addr().to_string(), proxy]])
+        ..RouterConfig::loopback(vec![addrs])
     })
     .expect("start router");
     let mut client = Client::connect(router.addr()).unwrap();
@@ -597,19 +707,23 @@ fn sweep_point(fault: Fault, k: usize, merges: u64) -> Result<(), String> {
     outcome
 }
 
-/// Kill-point sweep: for every k, replica 1 loses its k-th delivery
-/// before it lands (`Hangup`) or after it landed but before the ack
-/// (`AckLost`). Replica 0 acks every merge, so after one `repair` both
-/// stores must be byte-identical with every merge counted once. A
-/// failing point is reported as `(fault, k)`.
+/// Kill-point sweep: for every k and either replica, that replica loses
+/// its k-th delivery before it lands (`Hangup`) or after it landed but
+/// before the ack (`AckLost`). Its sibling acks every merge, so after
+/// one `repair` both stores must be byte-identical with every merge
+/// counted once. Faulting replica 0 covers a failure that overlaps the
+/// delivery to replica 1, which the router sends before reading either
+/// answer. A failing point is reported as `(replica, fault, k)`.
 #[test]
 fn kill_point_sweep_counts_every_merge_once() {
     const MERGES: usize = 24;
     let mut failures = Vec::new();
-    for fault in [Fault::Hangup, Fault::AckLost] {
-        for k in 1..=MERGES {
-            if let Err(e) = sweep_point(fault, k, MERGES as u64) {
-                failures.push(format!("({fault:?}, {k}): {e}"));
+    for faulted in [0, 1] {
+        for fault in [Fault::Hangup, Fault::AckLost] {
+            for k in 1..=MERGES {
+                if let Err(e) = sweep_point(faulted, fault, k, MERGES as u64) {
+                    failures.push(format!("({faulted}, {fault:?}, {k}): {e}"));
+                }
             }
         }
     }
