@@ -31,6 +31,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p stride-vm -p stride-core -p stride-bench --all-targets \
     --features vm-selfprof -- -D warnings
 
+echo "== rustdoc: no dangling or private intra-doc links =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== fmt =="
 cargo fmt --all --check
 

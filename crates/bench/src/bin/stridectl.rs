@@ -66,7 +66,7 @@ fn usage() -> ExitCode {
          \x20                                    modules (router fans out cluster-wide)\n\
          \x20 route-update --shard K --replica R --to HOST:PORT\n\
          \x20                                    re-point one shard replica (router only;\n\
-         \x20                                    drains its queued replication deltas)\n\
+         \x20                                    re-teaches it the modules, then repairs)\n\
          \x20 health                             failure-detector states per replica\n\
          \x20                                    (router only)\n\
          \x20 repair                             run one anti-entropy round now and\n\
@@ -937,8 +937,9 @@ fn replay(addr: &str, opts: &NetOpts, rest: &[String]) -> ExitCode {
     }
     // Invariant 4 — no acked merge may be lost: every workload's stored
     // entry must carry at least as many runs as merges acked to clients.
-    // (Strictly more is legal only when sheds happened: a merge the
-    // router could not acknowledge may still drain to replicas later.)
+    // (Strictly more is legal only when sheds happened: a merge whose
+    // ack was lost in transit at every live replica is answered
+    // `unavailable` although it landed — DESIGN.md §13's one exception.)
     let mut workload_rows: Vec<(String, u64, u64)> = Vec::new();
     for (w, wl) in corpus.iter().enumerate() {
         let expect = acked[w].load(Ordering::Relaxed);

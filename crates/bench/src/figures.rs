@@ -1,7 +1,7 @@
 //! One generator per table/figure of the paper's evaluation (§4).
 //!
 //! Each generator fans its (workload, variant) units out over the
-//! [`crate::exec`] job pool and serves repeated runs from the shared
+//! [`stride_core::exec`] job pool and serves repeated runs from the shared
 //! [`RunCache`], then returns structured rows; `render_*` helpers print
 //! them in the layout of the corresponding figure. The `repro` binary
 //! drives these. Results are collected in input order, so figure output is
@@ -13,7 +13,7 @@
 //! completed, plus one [`Diagnostic`] per failed unit. A unit fails
 //! either with a structured [`PipelineError`] (e.g. an injected fuel
 //! fault) or by panicking — panics are caught per-unit by
-//! [`crate::exec::parallel_map_isolated`], so one broken workload cannot
+//! [`parallel_map_isolated`], so one broken workload cannot
 //! take down its siblings. Failures are reported in input order, keeping
 //! the output byte-identical at every `--jobs` level.
 

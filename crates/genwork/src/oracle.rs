@@ -451,7 +451,7 @@ fn ratio_stable(
 /// Accepts a drawn site only when its constructive classification is
 /// robust: frequency clearly above/below `FT` (×1.5 / ×0.6), trip
 /// estimate clearly above/below `TT` when frequency passes, ratios
-/// outside the ±[`RATIO_MARGIN`] box around every decision path — under
+/// outside the ±`RATIO_MARGIN` box around every decision path — under
 /// both the guarded and the unguarded profiling models.
 pub fn margin_check(site: &SiteSpec, t: &ClassifyThresholds) -> bool {
     let ft = t.frequency_threshold as f64;

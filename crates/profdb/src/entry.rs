@@ -26,6 +26,20 @@ pub enum DbError {
     },
     /// Two entries with different keys cannot merge.
     KeyMismatch(String),
+    /// Input the store refuses: an unstorable workload name, or an
+    /// installed state that would drop dots this store holds.
+    Invalid {
+        /// What was refused, e.g. `workload name`.
+        what: &'static str,
+        /// Why.
+        detail: String,
+    },
+    /// The root holds a sealed segment of the earlier segmented WAL
+    /// layout, whose redo records may never have been checkpointed.
+    SealedSegment {
+        /// The segment's file name, e.g. `wal.000000.log`.
+        file: String,
+    },
     /// Untrusted replication text (a delta batch, a causal context, a
     /// log image or an installed state) that failed its structural or
     /// checksum checks; it is rejected whole.
@@ -65,6 +79,12 @@ impl fmt::Display for DbError {
                  but entry was profiled on {found:016x}"
             ),
             DbError::KeyMismatch(msg) => write!(f, "profile key mismatch: {msg}"),
+            DbError::Invalid { what, detail } => write!(f, "invalid {what}: {detail}"),
+            DbError::SealedSegment { file } => write!(
+                f,
+                "store holds sealed wal segment {file} from the segmented layout; \
+                 recover and checkpoint it with a release that reads segments"
+            ),
             DbError::Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
             DbError::NotFound {
                 workload,

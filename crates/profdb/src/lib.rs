@@ -48,7 +48,6 @@ pub use repl::{
 pub use shard::{ShardMap, SHARD_MAP_VERSION};
 pub use store::{DbRecord, ProfileDb};
 pub use wal::{
-    decode_log_image, encode_log_image, encode_record, scan_chain, scan_wal, segment_file_name,
-    write_atomic, DiskFaults, RecordKind, ScanItem, SegmentConfig, SegmentScan, Wal, WalRecord,
-    WalScan, WalStats, WAL_FILE,
+    decode_log_image, encode_log_image, encode_record, scan_wal, write_atomic, DiskFaults,
+    RecordKind, ScanItem, Wal, WalRecord, WalScan, WalStats, CHECKPOINT_BYTES, WAL_FILE,
 };

@@ -32,20 +32,17 @@
 //! therefore always equal to the state just before or just after each
 //! logged merge — never a mix.
 //!
-//! With a segmented WAL the same machine runs over the whole chain,
-//! sealed segments first (ascending), the active log last — but the
-//! torn-tail *truncation* arm is reserved for the active log. A sealed
-//! segment was fsynced before its rename, so a torn tail there is not a
-//! crash artifact; it is real damage to immutable history. Recovery
-//! preserves the damaged bytes under `quarantine/`, leaves the segment
-//! untouched, and reports it; [`check`] flags the store CORRUPT until an
-//! operator decides.
+//! The log is one file, `wal.log`. A root that still holds a sealed
+//! segment of the earlier segmented layout (`wal.NNNNNN.log`) is refused
+//! with [`DbError::SealedSegment`] before anything is touched, and
+//! [`check`] reports it CORRUPT: the segment may hold acknowledged merges
+//! that were never checkpointed.
 
 use crate::context::{CausalContext, Dot};
 use crate::entry::{DbError, ProfileEntry};
 use crate::repl::DeltaRecord;
 use crate::store::{entry_file_text, is_complete_entry_file, write_back};
-use crate::wal::{scan_chain, DiskFaults, RecordKind, ScanItem, SegmentScan, Wal, WalRecord};
+use crate::wal::{scan_wal, DiskFaults, RecordKind, ScanItem, Wal, WalRecord, WalScan, WAL_FILE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
@@ -66,12 +63,8 @@ pub struct RecoveryReport {
     pub quarantined: usize,
     /// Redo records whose payload no longer parsed (also quarantined).
     pub unparseable: usize,
-    /// Bytes cut from a torn tail of the *active* log, when one was
-    /// found.
+    /// Bytes cut from a torn tail, when one was found.
     pub torn_tail_bytes: Option<u64>,
-    /// Sealed segments with a torn tail or bad magic — preserved and
-    /// reported, never truncated (damaged immutable history).
-    pub torn_sealed_segments: usize,
     /// Idempotency ids recovered from `E`, `D` and `I` records.
     pub applied_ids: Vec<u64>,
 }
@@ -98,7 +91,6 @@ impl RecoveryReport {
             || self.quarantined > 0
             || self.unparseable > 0
             || self.torn_tail_bytes.is_some()
-            || self.torn_sealed_segments > 0
     }
 }
 
@@ -120,37 +112,14 @@ impl fmt::Display for RecoveryReport {
             } else {
                 "no clean footer"
             }
-        )?;
-        if self.torn_sealed_segments > 0 {
-            write!(
-                f,
-                ", {} torn sealed segment(s) preserved",
-                self.torn_sealed_segments
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
-/// Quarantine file name: sealed segments carry their index so bytes from
-/// different segments at the same offset never collide; the active log
-/// keeps the pre-segmentation name.
-fn quarantine_name(segment: Option<u64>, offset: u64) -> String {
-    match segment {
-        Some(idx) => format!("wal-seg{idx:06}-{offset:012}.bin"),
-        None => format!("wal-{offset:012}.bin"),
-    }
-}
-
-fn quarantine_bytes(
-    root: &Path,
-    segment: Option<u64>,
-    offset: u64,
-    bytes: &[u8],
-) -> Result<(), DbError> {
+fn quarantine_bytes(root: &Path, offset: u64, bytes: &[u8]) -> Result<(), DbError> {
     let dir = root.join(QUARANTINE_DIR);
     std::fs::create_dir_all(&dir).map_err(|e| DbError::Io(format!("{}: {e}", dir.display())))?;
-    let path = dir.join(quarantine_name(segment, offset));
+    let path = dir.join(format!("wal-{offset:012}.bin"));
     std::fs::write(&path, bytes).map_err(|e| DbError::Io(format!("{}: {e}", path.display())))
 }
 
@@ -170,36 +139,53 @@ fn should_apply(root: &Path, rec: &ProfileEntry) -> bool {
 }
 
 /// Runs recovery over the database at `root`: replays complete WAL
-/// records of the whole segment chain (sealed segments oldest-first,
-/// active log last), truncates a torn tail of the active log,
-/// quarantines checksum-failed bytes, preserves-and-reports damage in
-/// sealed segments, and returns what happened. Safe to run any number
-/// of times.
+/// records, truncates a torn tail, quarantines checksum-failed bytes,
+/// and returns what happened. Safe to run any number of times.
 ///
 /// # Errors
 ///
-/// Returns [`DbError::Io`] only for filesystem failures while repairing;
-/// corrupt *content* never errors — it is quarantined or truncated.
+/// Returns [`DbError::Io`] only for filesystem failures while repairing,
+/// and [`DbError::SealedSegment`] for a root holding a sealed segment of
+/// the segmented layout; corrupt *content* never errors — it is
+/// quarantined or truncated.
 pub fn recover(root: &Path, faults: &DiskFaults) -> Result<RecoveryReport, DbError> {
-    replay(root, faults).map(|state| state.report)
+    replay(root, &scan_wal(root, faults)?).map(|state| state.report)
 }
 
-/// [`recover`], keeping everything the replay rebuilt.
-pub(crate) fn replay(root: &Path, faults: &DiskFaults) -> Result<Replayed, DbError> {
-    let chain = scan_chain(root, faults)?;
+/// [`recover`] from `scan`, a scan of the log under `root`, keeping
+/// everything the replay rebuilt.
+pub(crate) fn replay(root: &Path, scan: &WalScan) -> Result<Replayed, DbError> {
+    let path = root.join(WAL_FILE);
     let mut state = Replayed::default();
-    for seg in &chain {
-        recover_segment(root, seg, &mut state)?;
+    for item in &scan.items {
+        match item {
+            ScanItem::Record { offset, record } => {
+                if !replay_record(root, record, &mut state)? {
+                    state.report.unparseable += 1;
+                    quarantine_bytes(root, *offset, &record.payload)?;
+                }
+            }
+            ScanItem::Corrupt { offset, bytes } => {
+                state.report.quarantined += 1;
+                quarantine_bytes(root, *offset, bytes)?;
+            }
+            ScanItem::TornTail { offset } => {
+                if *offset == 0 {
+                    // Bad magic: the whole file is unusable. Preserve it
+                    // and start a fresh log.
+                    if let Ok(bytes) = std::fs::read(&path) {
+                        quarantine_bytes(root, 0, &bytes)?;
+                        state.report.quarantined += 1;
+                    }
+                    let _ = std::fs::remove_file(&path);
+                } else {
+                    Wal::truncate_to(&path, *offset, &mut state.fsyncs)?;
+                }
+                state.report.torn_tail_bytes = Some(scan.file_len - offset);
+            }
+        }
     }
-    let report = &mut state.report;
-    // Clean means "nothing for replay to ever look at again": a fully
-    // compacted chain whose active log ends in a valid footer. Leftover
-    // sealed segments (e.g. a crash between a compaction's fresh-log
-    // write and its deletes) are replayable history, hence not clean.
-    report.clean = chain.len() == 1
-        && chain
-            .last()
-            .is_some_and(|seg| seg.is_active() && seg.scan.clean_footer);
+    state.report.clean = scan.clean_footer;
     Ok(state)
 }
 
@@ -257,19 +243,6 @@ pub(crate) fn fold_record(record: &WalRecord, state: &mut Replayed) -> bool {
     true
 }
 
-/// The state a scanned chain holds besides entry files — its ids, causal
-/// context and logged deltas — without redoing anything (for a store
-/// opened without recovery).
-pub(crate) fn fold_chain(chain: &[SegmentScan]) -> Replayed {
-    let mut state = Replayed::default();
-    for item in chain.iter().flat_map(|seg| &seg.scan.items) {
-        if let ScanItem::Record { record, .. } = item {
-            fold_record(record, &mut state);
-        }
-    }
-    state
-}
-
 /// Folds one verified record into the replay and redoes its entry
 /// state; `false` when its payload is unusable (the caller quarantines
 /// it).
@@ -283,153 +256,46 @@ fn replay_record(root: &Path, record: &WalRecord, state: &mut Replayed) -> Resul
     }
 }
 
-/// Recovery for one segment of the chain (see [`recover`]).
-fn recover_segment(root: &Path, seg: &SegmentScan, state: &mut Replayed) -> Result<(), DbError> {
-    let seg_path = root.join(&seg.name);
-    for item in &seg.scan.items {
-        match item {
-            ScanItem::Record { offset, record } => {
-                if !replay_record(root, record, state)? {
-                    state.report.unparseable += 1;
-                    quarantine_bytes(root, seg.index, *offset, &record.payload)?;
-                }
-            }
-            ScanItem::Corrupt { offset, bytes } => {
-                state.report.quarantined += 1;
-                quarantine_bytes(root, seg.index, *offset, bytes)?;
-            }
-            ScanItem::TornTail { offset } if seg.is_active() => {
-                let cut = seg.scan.file_len - offset;
-                if *offset == 0 {
-                    // Bad magic: the whole file is unusable. Preserve it
-                    // and start a fresh log.
-                    if let Ok(bytes) = std::fs::read(&seg_path) {
-                        quarantine_bytes(root, seg.index, 0, &bytes)?;
-                        state.report.quarantined += 1;
-                    }
-                    let _ = std::fs::remove_file(&seg_path);
-                } else {
-                    Wal::truncate_to(&seg_path, *offset, &mut state.fsyncs)?;
-                }
-                state.report.torn_tail_bytes = Some(cut);
-            }
-            ScanItem::TornTail { offset } => {
-                // Sealed segment: preserve a copy of the damaged span and
-                // leave the file untouched — never silently truncate
-                // immutable history.
-                if let Ok(bytes) = std::fs::read(&seg_path) {
-                    let at = (*offset).min(bytes.len() as u64) as usize;
-                    quarantine_bytes(root, seg.index, *offset, &bytes[at..])?;
-                }
-                state.report.torn_sealed_segments += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Read-only integrity check: scans the whole WAL segment chain (no
-/// repair) and loads every entry file, verifying checksum trailers.
-/// Returns a deterministic multi-line report and whether the store is
-/// healthy.
+/// Read-only integrity check: scans the WAL (no repair) and loads every
+/// entry file, verifying checksum trailers. Returns a deterministic
+/// multi-line report and whether the store is healthy.
 ///
 /// A pending (not yet checkpointed) WAL tail is *not* unhealthy — it
 /// just means recovery will have redo work at next open — but corrupt
-/// records, torn tails (in *any* segment: a torn sealed segment is
-/// damaged immutable history and is reported, never repaired here),
-/// chain gaps (a missing middle segment), and unreadable entries are.
+/// records, a torn tail, a sealed segment of the segmented layout, and
+/// unreadable entries are.
 pub fn check(root: &Path) -> (String, bool) {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let mut healthy = true;
-    match scan_chain(root, &DiskFaults::default()) {
-        Ok(chain) => {
-            let pending: usize = chain.iter().map(|s| s.scan.pending_entries()).sum();
-            let corrupt: usize = chain
+    let mut healthy = match scan_wal(root, &DiskFaults::default()) {
+        Ok(scan) => {
+            let corrupt = scan
+                .items
                 .iter()
-                .map(|s| {
-                    s.scan
-                        .items
-                        .iter()
-                        .filter(|i| matches!(i, ScanItem::Corrupt { .. }))
-                        .count()
-                })
-                .sum();
-            let torn = chain
+                .filter(|i| matches!(i, ScanItem::Corrupt { .. }))
+                .count();
+            let torn = scan
+                .items
                 .iter()
-                .flat_map(|s| &s.scan.items)
                 .any(|i| matches!(i, ScanItem::TornTail { .. }));
-            let clean = chain.len() == 1 && chain[0].scan.clean_footer;
             let _ = writeln!(
                 out,
-                "wal: {} segment(s), {pending} pending record(s), {corrupt} corrupt, {}, {}",
-                chain.len(),
+                "wal: {} pending record(s), {corrupt} corrupt, {}, {}",
+                scan.pending_entries(),
                 if torn { "torn tail" } else { "no torn tail" },
-                if clean {
+                if scan.clean_footer {
                     "clean footer"
                 } else {
                     "no clean footer"
                 }
             );
-            for seg in &chain {
-                let seg_corrupt = seg
-                    .scan
-                    .items
-                    .iter()
-                    .filter(|i| matches!(i, ScanItem::Corrupt { .. }))
-                    .count();
-                let seg_torn = seg
-                    .scan
-                    .items
-                    .iter()
-                    .any(|i| matches!(i, ScanItem::TornTail { .. }));
-                let _ = writeln!(
-                    out,
-                    "  segment {}: {} record(s), {} corrupt, {}{}",
-                    seg.name,
-                    seg.scan.pending_entries(),
-                    seg_corrupt,
-                    if seg_torn {
-                        if seg.is_active() {
-                            "torn tail (repairable: active log)"
-                        } else {
-                            "TORN (sealed history damaged)"
-                        }
-                    } else {
-                        "intact"
-                    },
-                    if seg.is_active() {
-                        ", active"
-                    } else {
-                        ", sealed"
-                    }
-                );
-                if seg_torn && !seg.is_active() {
-                    healthy = false;
-                }
-            }
-            // Chain consistency: sealed indices must be contiguous. A
-            // gap means a whole segment of history vanished.
-            let indices: Vec<u64> = chain.iter().filter_map(|s| s.index).collect();
-            for pair in indices.windows(2) {
-                if pair[1] != pair[0] + 1 {
-                    let _ = writeln!(
-                        out,
-                        "  chain: GAP between sealed segments {:06} and {:06}",
-                        pair[0], pair[1]
-                    );
-                    healthy = false;
-                }
-            }
-            if corrupt > 0 || torn {
-                healthy = false;
-            }
+            corrupt == 0 && !torn
         }
         Err(e) => {
-            let _ = writeln!(out, "wal: unreadable: {e}");
-            healthy = false;
+            let _ = writeln!(out, "wal: {e}");
+            false
         }
-    }
+    };
     match crate::store::ProfileDb::open_unrecovered(root) {
         Ok(db) => match db.list_verified() {
             Ok((records, bad)) => {

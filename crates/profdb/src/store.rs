@@ -12,16 +12,17 @@
 //! records that could redo them. A crash before the log fsync loses
 //! only an unacknowledged merge. Idempotency keys (nonzero request ids)
 //! are recorded in the WAL and deduplicated both live and at replay, so
-//! a retried merge can never double-count.
+//! a retried merge can never double-count. A merge checkpoints the log
+//! once it has grown by [`CHECKPOINT_BYTES`] since the last checkpoint.
 
 use crate::context::{CausalContext, Dot};
 use crate::entry::{DbError, ProfileEntry};
 use crate::hash::fnv1a64;
-use crate::recovery::{fold_chain, fold_record, replay, RecoveryReport, Replayed};
+use crate::recovery::{fold_record, replay, RecoveryReport, Replayed};
 use crate::repl::{DeltaApplyReport, DeltaRecord};
 use crate::wal::{
-    decode_log_image, encode_log_image, fsync, scan_chain, sync_dir, write_atomic, DiskFaults,
-    RecordKind, SegmentConfig, Wal, WalRecord,
+    decode_log_image, encode_log_image, fsync, scan_wal, sync_dir, write_atomic, DiskFaults,
+    RecordKind, ScanItem, Wal, WalRecord, CHECKPOINT_BYTES,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fs;
@@ -151,7 +152,6 @@ pub struct ProfileDb {
     state: Mutex<DbState>,
     recovered: bool,
     recovery: Option<RecoveryReport>,
-    segments: SegmentConfig,
 }
 
 const SUFFIX: &str = ".profdb";
@@ -170,9 +170,10 @@ fn check_workload_name(name: &str) -> Result<(), DbError> {
     if ok {
         Ok(())
     } else {
-        Err(DbError::KeyMismatch(format!(
-            "workload name `{name}` not storable (allowed: alphanumerics, `_`, `-`, `.`)"
-        )))
+        Err(DbError::Invalid {
+            what: "workload name",
+            detail: format!("`{name}` not storable (allowed: alphanumerics, `_`, `-`, `.`)"),
+        })
     }
 }
 
@@ -268,7 +269,9 @@ impl ProfileDb {
     /// # Errors
     ///
     /// Returns [`DbError::Io`] when the directory cannot be created or
-    /// repair writes fail. Corrupt content never fails the open.
+    /// repair writes fail, and [`DbError::SealedSegment`] for a root the
+    /// segmented layout left a sealed segment in. Corrupt content never
+    /// fails the open.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, DbError> {
         Self::open_with(root, DiskFaults::default())
     }
@@ -281,10 +284,10 @@ impl ProfileDb {
     pub fn open_with(root: impl Into<PathBuf>, faults: DiskFaults) -> Result<Self, DbError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        let replayed = replay(&root, &faults)?;
+        let scan = scan_wal(&root, &faults)?;
+        let replayed = replay(&root, &scan)?;
         let report = replayed.report;
-        let pending = (report.replayed + report.already_applied) as u64;
-        let mut state = DbState::new(Wal::open_append(&root, pending, faults)?);
+        let mut state = DbState::new(Wal::open_append(&root, &scan, faults)?);
         state.context = replayed.context;
         state.retained = replayed.retained;
         state.dirty = replayed.dirty;
@@ -297,7 +300,6 @@ impl ProfileDb {
             state: Mutex::new(state),
             recovered: true,
             recovery: Some(report),
-            segments: SegmentConfig::default(),
         })
     }
 
@@ -309,14 +311,19 @@ impl ProfileDb {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Io`] on directory or WAL trouble.
+    /// Returns [`DbError::Io`] on directory or WAL trouble, and
+    /// [`DbError::SealedSegment`] as [`ProfileDb::open`] does.
     pub fn open_unrecovered(root: impl Into<PathBuf>) -> Result<Self, DbError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        let chain = scan_chain(&root, &DiskFaults::default())?;
-        let pending: usize = chain.iter().map(|s| s.scan.pending_entries()).sum();
-        let held = fold_chain(&chain);
-        let wal = Wal::open_append(&root, pending as u64, DiskFaults::default())?;
+        let scan = scan_wal(&root, &DiskFaults::default())?;
+        let mut held = Replayed::default();
+        for item in &scan.items {
+            if let ScanItem::Record { record, .. } = item {
+                fold_record(record, &mut held);
+            }
+        }
+        let wal = Wal::open_append(&root, &scan, DiskFaults::default())?;
         let mut state = DbState::new(wal);
         state.context = held.context;
         state.retained = held.retained;
@@ -328,24 +335,7 @@ impl ProfileDb {
             state: Mutex::new(state),
             recovered: false,
             recovery: None,
-            segments: SegmentConfig::default(),
         })
-    }
-
-    /// Adjusts the WAL segmentation policy: when the active log seals
-    /// into a numbered segment and when the chain compacts. Call before
-    /// sharing the handle (tests shrink the thresholds to force churn;
-    /// capacity tuning raises them).
-    pub fn configure_segments(&mut self, config: SegmentConfig) {
-        self.segments = SegmentConfig {
-            seal_bytes: config.seal_bytes.max(1),
-            max_live_segments: config.max_live_segments.max(1),
-        };
-    }
-
-    /// The active segmentation policy.
-    pub fn segment_config(&self) -> SegmentConfig {
-        self.segments
     }
 
     /// The database's root directory.
@@ -373,7 +363,7 @@ impl ProfileDb {
         self.lock().wal.stats()
     }
 
-    /// Every fsync this handle issued since open: log syncs, seals and
+    /// Every fsync this handle issued since open: log syncs and
     /// checkpoints, entry-file and directory flushes, and recovery's.
     pub fn fsyncs(&self) -> u64 {
         let st = self.lock();
@@ -391,7 +381,7 @@ impl ProfileDb {
     /// # Errors
     ///
     /// Returns [`DbError::Io`] on filesystem trouble and
-    /// [`DbError::KeyMismatch`] for unstorable workload names.
+    /// [`DbError::Invalid`] for unstorable workload names.
     pub fn store(&self, entry: &ProfileEntry) -> Result<(), DbError> {
         check_workload_name(&entry.workload)?;
         let mut st = self.lock();
@@ -544,7 +534,7 @@ impl ProfileDb {
                 if d.dot.is_some() {
                     st.wal.append(&WalRecord::delta(d, ""))?;
                     st.hold(d.clone());
-                    self.apply_segment_policy(&mut st)?;
+                    self.checkpoint_if_due(&mut st)?;
                 }
                 report.deduped += 1;
             } else {
@@ -568,7 +558,7 @@ impl ProfileDb {
     /// state lock: merges `entry` into the stored entry, logs the result
     /// (`E` for a direct merge, `D` carrying `delta` for a replicated
     /// one), fsyncs the log once, rewrites the entry file without fsync,
-    /// and applies the segment policy.
+    /// and checkpoints when due.
     fn merge_locked(
         &self,
         st: &mut DbState,
@@ -606,32 +596,26 @@ impl ProfileDb {
         let merged = Arc::new(merged);
         st.entries.insert(key.clone(), Arc::clone(&merged));
         st.dirty.insert(key);
-        self.apply_segment_policy(st)?;
+        self.checkpoint_if_due(st)?;
         Ok(merged)
     }
 
-    /// Segment policy, applied inside the merge's critical section so
-    /// the live-segment bound holds between any two merges: roll the
-    /// active log once it outgrows its cap, and compact the chain once
-    /// the roll would leave too many live segments.
-    fn apply_segment_policy(&self, st: &mut DbState) -> Result<(), DbError> {
-        if st.wal.len() > self.segments.seal_bytes {
-            st.wal.seal()?;
-        }
-        if st.wal.live_segments() > self.segments.max_live_segments {
+    /// Checkpoints, inside the merge's critical section, once the log
+    /// has grown by more than [`CHECKPOINT_BYTES`] since the last one.
+    fn checkpoint_if_due(&self, st: &mut DbState) -> Result<(), DbError> {
+        if st.wal.appended() > CHECKPOINT_BYTES {
             self.checkpoint_locked(st)?;
         }
         Ok(())
     }
 
-    /// Folds the whole WAL chain away (compaction): the entry files the
-    /// log was redoing are flushed first (file and directory fsync), then
-    /// the active log is atomically replaced by a fresh one carrying only
-    /// the idempotency-id set, the causal context, the deltas repair may
-    /// still need, and a clean footer, and sealed segments are deleted.
-    /// Called on graceful daemon shutdown, by [`ProfileDb::gc`], and
-    /// automatically when the chain outgrows
-    /// [`SegmentConfig::max_live_segments`].
+    /// Folds the WAL away: the entry files the log was redoing are
+    /// flushed first (file and directory fsync), then the log is
+    /// atomically replaced by a fresh one carrying only the
+    /// idempotency-id set, the causal context, the deltas repair may
+    /// still need, and a clean footer. Called on graceful daemon
+    /// shutdown, by [`ProfileDb::gc`], and by a merge once the log grew
+    /// by [`CHECKPOINT_BYTES`].
     ///
     /// # Errors
     ///
@@ -748,10 +732,10 @@ impl ProfileDb {
     /// # Errors
     ///
     /// Returns [`DbError::Corrupt`] when the text is not a whole,
-    /// verified image of valid records, [`DbError::KeyMismatch`] when
-    /// its context does not cover this store's (it would drop dots only
-    /// this store holds), and [`DbError::Io`] on filesystem trouble; until the image is in
-    /// place the store is unchanged.
+    /// verified image of valid records, [`DbError::Invalid`] when its
+    /// context does not cover this store's (it would drop dots only this
+    /// store holds), and [`DbError::Io`] on filesystem trouble; until
+    /// the image is in place the store is unchanged.
     pub fn install_state(&self, text: &str) -> Result<(), DbError> {
         let image = decode_log_image(text)?;
         let mut held = Replayed::default();
@@ -773,8 +757,10 @@ impl ProfileDb {
         }
         let mut st = self.lock();
         if held.context.intersection(&st.context) != st.context {
-            let msg = "shard state lacks dots this store holds; ship them to its source first";
-            return Err(DbError::KeyMismatch(msg.to_string()));
+            return Err(DbError::Invalid {
+                what: "installed state",
+                detail: "it lacks dots this store holds; ship them to its source first".into(),
+            });
         }
         st.wal.checkpoint(&image)?;
         st.applied.clear();
@@ -1033,8 +1019,18 @@ mod tests {
         let db = ProfileDb::open(tmpdir("names")).unwrap();
         let mut e = entry("ok", 1, 1);
         e.workload = "../escape".into();
-        assert!(db.store(&e).is_err());
-        assert!(db.load("a/b", 1).is_err());
+        let unstorable = |err: DbError| {
+            matches!(
+                err,
+                DbError::Invalid {
+                    what: "workload name",
+                    ..
+                }
+            )
+        };
+        assert!(unstorable(db.store(&e).unwrap_err()));
+        assert!(unstorable(db.load("a/b", 1).unwrap_err()));
+        assert!(unstorable(db.merge_store(&e).unwrap_err()));
         let _ = fs::remove_dir_all(db.root());
     }
 
@@ -1166,13 +1162,13 @@ mod tests {
         let before = db.fsyncs();
         db.checkpoint().unwrap();
         // Three entry files and the directory, then the fresh log's temp
-        // file, the rename's directory sync and the segment sweep's.
-        assert_eq!(db.fsyncs() - before, 3 + 1 + 2 + 1);
+        // file and the rename's directory sync.
+        assert_eq!(db.fsyncs() - before, 3 + 1 + 2);
         assert!(db.lock().dirty.is_empty());
         assert!(!db.wal_pending());
         let before = db.fsyncs();
         db.checkpoint().unwrap();
-        assert_eq!(db.fsyncs() - before, 2 + 1, "nothing dirty");
+        assert_eq!(db.fsyncs() - before, 2, "nothing dirty");
         let _ = fs::remove_dir_all(db.root());
     }
 
@@ -1224,7 +1220,16 @@ mod tests {
         db.apply_deltas(&[delta(0x99, dot(9, 1), &entry("vpr", 3, 1))])
             .unwrap();
         let err = db.install_state(&state).unwrap_err();
-        assert!(matches!(err, DbError::KeyMismatch(_)), "{err}");
+        assert!(
+            matches!(
+                err,
+                DbError::Invalid {
+                    what: "installed state",
+                    ..
+                }
+            ),
+            "{err}"
+        );
         assert_eq!(db.load("vpr", 3).unwrap().runs, 1, "refused whole");
         drop(db);
         // A store the state covers takes it: its entry the state lacks
@@ -1257,6 +1262,34 @@ mod tests {
         assert_eq!(report.unwrap().deduped, 1);
         let _ = fs::remove_dir_all(&root);
         let _ = fs::remove_dir_all(source.root());
+    }
+
+    #[test]
+    fn a_carry_past_the_bound_does_not_checkpoint_the_next_merge() {
+        let root = tmpdir("big-carry");
+        // An installed image of 32 entries of ~40 KB each: the fresh
+        // log's carry alone is past the bound.
+        let image: Vec<WalRecord> = (0..32)
+            .map(|i| {
+                let mut e = entry(&format!("w{i}"), 1, 1);
+                e.edge_tables = vec![vec![7; 20_000]];
+                WalRecord::entry(0, &e.to_text())
+            })
+            .collect();
+        let db = ProfileDb::open(&root).unwrap();
+        db.install_state(&encode_log_image(&image)).unwrap();
+        let carry = fs::metadata(root.join(crate::wal::WAL_FILE)).unwrap().len();
+        assert!(carry > CHECKPOINT_BYTES, "carry of {carry} bytes");
+        let checkpoints = db.wal_stats().checkpoints;
+        db.merge_store(&entry("mcf", 3, 10)).unwrap();
+        assert_eq!(db.wal_stats().checkpoints, checkpoints, "after install");
+        drop(db);
+        // Reopened, the log's bytes past its footer are all it counts.
+        let db = ProfileDb::open(&root).unwrap();
+        db.merge_store(&entry("mcf", 3, 10)).unwrap();
+        assert_eq!(db.wal_stats().checkpoints, 0, "after reopen");
+        assert_eq!(db.load("mcf", 3).unwrap().runs, 2);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

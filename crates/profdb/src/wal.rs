@@ -9,25 +9,6 @@
 //! record  tag(1) | payload_len(u32 BE) | req_id(u64 BE) | payload | fnv1a64(u64 BE)
 //! ```
 //!
-//! # Segment chain
-//!
-//! Under sustained merge traffic the log is kept *bounded* by splitting
-//! it into segments. The active log is always `wal.log`; once it grows
-//! past [`SegmentConfig::seal_bytes`] it is **sealed** — renamed to
-//! `wal.NNNNNN.log` (ascending indices) — and a fresh active log starts.
-//! Once the live chain (sealed + active) exceeds
-//! [`SegmentConfig::max_live_segments`], a **compaction** checkpoint
-//! folds the whole chain away: every redo record is already applied to
-//! entry files, so the sealed segments are deleted and the fresh active
-//! log carries only the idempotency-id set and a clean footer.
-//!
-//! Sealed segments are immutable history: recovery replays them front to
-//! back but only ever truncates a torn tail on the *active* log — damage
-//! inside a sealed segment is preserved, quarantined, and reported,
-//! never silently cut (a torn middle segment means lost history, which
-//! an operator must see). A store that never seals is exactly the old
-//! single-file layout, so pre-segmentation databases open unchanged.
-//!
 //! The trailing checksum covers everything from the tag through the
 //! payload, so a torn append, a bit flip, or a garbage tail is always
 //! detectable. Record tags:
@@ -61,6 +42,22 @@
 //! the log at startup if it is missing, torn or stale, and flushed
 //! before a checkpoint drops the records that could redo it.
 //! Checkpoints (truncations) go through a temp file + atomic rename.
+//!
+//! # One bound
+//!
+//! The log is one file. A merge checkpoints it once the records
+//! appended since the last checkpoint exceed [`CHECKPOINT_BYTES`]: every
+//! redo record is then applied to an entry file, so the fresh log
+//! carries only the store's id, context and retained-delta records and a
+//! clean footer. The bound counts appended bytes, not the file's length,
+//! because that carry (or an installed state's image) can itself exceed
+//! it.
+//!
+//! Earlier releases sealed the log into numbered `wal.NNNNNN.log`
+//! segments. A root that still holds one is refused with
+//! [`DbError::SealedSegment`]: the segment may hold acknowledged merges
+//! that were never checkpointed, and opening without them would lose
+//! them silently.
 
 use crate::context::{CausalContext, Dot};
 use crate::entry::DbError;
@@ -76,62 +73,10 @@ pub const WAL_FILE: &str = "wal.log";
 /// Version-bearing magic at offset 0.
 pub const WAL_MAGIC: &[u8; 8] = b"SPWALv1\n";
 
-/// File name of sealed segment `index` (`wal.000003.log`).
-pub fn segment_file_name(index: u64) -> String {
-    format!("wal.{index:06}.log")
-}
+/// A merge checkpoints the log once the records appended since the last
+/// checkpoint exceed this many bytes.
+pub const CHECKPOINT_BYTES: u64 = 1 << 20;
 
-/// Parses a sealed-segment file name back to its index.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("wal.")?.strip_suffix(".log")?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Sealed segments under `root`, ascending by index.
-///
-/// # Errors
-///
-/// Returns [`DbError::Io`] when the directory cannot be read.
-pub fn sealed_segments(root: &Path) -> Result<Vec<(u64, PathBuf)>, DbError> {
-    let mut out = Vec::new();
-    let dir = match std::fs::read_dir(root) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err(root, e)),
-    };
-    for item in dir {
-        let item = item.map_err(|e| io_err(root, e))?;
-        if let Some(idx) = item.file_name().to_str().and_then(parse_segment_name) {
-            out.push((idx, item.path()));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// When to seal the active log and when to compact the chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentConfig {
-    /// Seal (roll) the active log once it exceeds this many bytes.
-    pub seal_bytes: u64,
-    /// Compact (checkpoint the whole chain away) once live segments —
-    /// sealed plus the active log — exceed this count.
-    pub max_live_segments: usize,
-}
-
-impl Default for SegmentConfig {
-    fn default() -> Self {
-        // 4 × 256 KiB bounds on-disk log bytes near the pre-segmentation
-        // 1 MiB auto-checkpoint threshold.
-        SegmentConfig {
-            seal_bytes: 256 << 10,
-            max_live_segments: 4,
-        }
-    }
-}
 /// Records larger than this are treated as framing corruption, not
 /// allocated (a torn length field must not ask for gigabytes).
 pub const MAX_WAL_RECORD: usize = 64 << 20;
@@ -374,7 +319,7 @@ pub fn decode_log_image(text: &str) -> Result<Vec<WalRecord>, DbError> {
     Ok(records.collect())
 }
 
-/// Deterministic, injectable disk misbehaviour for chaos testing. Each/// Deterministic, injectable disk misbehaviour for chaos testing. Each
+/// Deterministic, injectable disk misbehaviour for chaos testing. Each
 /// field is a one-shot trigger consumed when it fires; `None` means the
 /// disk behaves.
 #[derive(Clone, Debug, Default)]
@@ -429,11 +374,20 @@ pub struct WalScan {
     /// True when the last verified record is a footer whose checksum of
     /// the preceding file bytes matches — a cleanly checkpointed log.
     pub clean_footer: bool,
+    /// Byte offset just past the last verified footer (0 when none).
+    pub checkpoint_end: u64,
     /// Total file bytes examined.
     pub file_len: u64,
 }
 
 impl WalScan {
+    /// Bytes past the last checkpoint footer (past the magic when there
+    /// is none): what merges appended since that checkpoint.
+    pub fn appended(&self) -> u64 {
+        let start = self.checkpoint_end.max(WAL_MAGIC.len() as u64);
+        self.file_len.saturating_sub(start)
+    }
+
     /// Count of records with redo state (the "pending tail" gc refuses
     /// on).
     pub fn pending_entries(&self) -> usize {
@@ -524,18 +478,19 @@ fn scan_bytes(bytes: &[u8], base: u64) -> WalScan {
             }),
             payload: rest[RECORD_HEADER..RECORD_HEADER + len].to_vec(),
         };
-        // A footer is only "clean" when it checksums everything before
-        // itself *and* is the final record.
-        scan.clean_footer = kind == RecordKind::Footer
-            && record.payload.len() == 8
-            && {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&record.payload);
-                // The footer covers magic + all prior records; callers pass
-                // `base` = magic length, so reconstruct the prefix sum.
-                u64::from_be_bytes(b) == fnv1a64_prefixed(base, &bytes[..at])
-            }
-            && at + total == bytes.len();
+        // A footer verifies when it checksums everything before itself,
+        // and is "clean" when it is also the final record.
+        let footer_ok = kind == RecordKind::Footer && record.payload.len() == 8 && {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&record.payload);
+            // The footer covers magic + all prior records; callers pass
+            // `base` = magic length, so reconstruct the prefix sum.
+            u64::from_be_bytes(b) == fnv1a64_prefixed(base, &bytes[..at])
+        };
+        if footer_ok {
+            scan.checkpoint_end = offset + total as u64;
+        }
+        scan.clean_footer = footer_ok && at + total == bytes.len();
         scan.items.push(ScanItem::Record { offset, record });
         at += total;
     }
@@ -551,70 +506,25 @@ fn fnv1a64_prefixed(base: u64, rest: &[u8]) -> u64 {
     fnv1a64(&buf)
 }
 
-/// Reads and scans the active WAL under `root`, honouring an injected
-/// short read. Missing file scans empty; a bad magic is reported as a
-/// torn tail at offset 0 (the whole file is quarantined by recovery).
+/// Reads and scans the WAL under `root`, honouring an injected short
+/// read. Missing file scans empty; a bad magic is reported as a torn
+/// tail at offset 0 (the whole file is quarantined by recovery).
 ///
 /// # Errors
 ///
-/// Returns [`DbError::Io`] on filesystem trouble other than the file
-/// being absent.
+/// Returns [`DbError::SealedSegment`] when the root holds a sealed
+/// segment of the earlier segmented layout, and [`DbError::Io`] on
+/// filesystem trouble other than the log being absent.
 pub fn scan_wal(root: &Path, faults: &DiskFaults) -> Result<WalScan, DbError> {
-    scan_file(&root.join(WAL_FILE), faults)
-}
-
-/// One scanned segment of the WAL chain, in chain order.
-#[derive(Clone, Debug)]
-pub struct SegmentScan {
-    /// Sealed segment index; `None` for the active `wal.log`.
-    pub index: Option<u64>,
-    /// File name within the database root.
-    pub name: String,
-    /// The segment's scan.
-    pub scan: WalScan,
-}
-
-impl SegmentScan {
-    /// True for the active (newest, appendable) log.
-    pub fn is_active(&self) -> bool {
-        self.index.is_none()
-    }
-}
-
-/// Scans the whole WAL chain: sealed segments in ascending index order,
-/// then the active log last. The injected short read applies to the
-/// active log only (sealed segments are immutable history; the fault
-/// models a torn *append*).
-///
-/// # Errors
-///
-/// Returns [`DbError::Io`] on filesystem trouble.
-pub fn scan_chain(root: &Path, faults: &DiskFaults) -> Result<Vec<SegmentScan>, DbError> {
-    let mut out = Vec::new();
-    for (idx, path) in sealed_segments(root)? {
-        out.push(SegmentScan {
-            index: Some(idx),
-            name: segment_file_name(idx),
-            scan: scan_file(&path, &DiskFaults::default())?,
-        });
-    }
-    out.push(SegmentScan {
-        index: None,
-        name: WAL_FILE.to_string(),
-        scan: scan_wal(root, faults)?,
-    });
-    Ok(out)
-}
-
-/// Reads and scans one WAL segment file.
-fn scan_file(path: &Path, faults: &DiskFaults) -> Result<WalScan, DbError> {
-    let mut file = match File::open(path) {
+    refuse_old_segments(root)?;
+    let path = root.join(WAL_FILE);
+    let mut file = match File::open(&path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalScan::default()),
-        Err(e) => return Err(io_err(path, e)),
+        Err(e) => return Err(io_err(&path, e)),
     };
     let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(|e| io_err(path, e))?;
+    file.read_to_end(&mut bytes).map_err(|e| io_err(&path, e))?;
     if let Some(cap) = faults.short_read {
         bytes.truncate(cap as usize);
     }
@@ -632,6 +542,34 @@ fn scan_file(path: &Path, faults: &DiskFaults) -> Result<WalScan, DbError> {
         &bytes[WAL_MAGIC.len()..],
         WAL_MAGIC.len() as u64,
     ))
+}
+
+/// Refuses a root holding a sealed segment (`wal.<digits>.log`) of the
+/// earlier segmented layout, naming the oldest.
+fn refuse_old_segments(root: &Path) -> Result<(), DbError> {
+    let dir = match std::fs::read_dir(root) {
+        Ok(d) => d,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(io_err(root, e)),
+    };
+    let is_segment = |name: &str| {
+        let digits = name
+            .strip_prefix("wal.")
+            .and_then(|n| n.strip_suffix(".log"));
+        digits.is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let names = dir
+        .map(|item| Ok(item?.file_name()))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| io_err(root, e))?;
+    let oldest = names
+        .iter()
+        .filter_map(|n| n.to_str())
+        .filter(|n| is_segment(n));
+    match oldest.min() {
+        Some(file) => Err(DbError::SealedSegment { file: file.into() }),
+        None => Ok(()),
+    }
 }
 
 /// Fsyncs `file`, counting the call in `fsyncs` — the one place the
@@ -673,50 +611,37 @@ pub struct WalStats {
     /// Fsyncs attempted.
     pub syncs: u64,
     /// Fsync system calls issued on the log and its directory: record
-    /// syncs, seals, checkpoints and log creation.
+    /// syncs, checkpoints and log creation.
     pub fsyncs: u64,
     /// Checkpoints taken (log folded away).
     pub checkpoints: u64,
-    /// Active-log seals (segment rolls).
-    pub seals: u64,
-    /// Sealed segments folded away by compaction checkpoints.
-    pub segments_compacted: u64,
-    /// Live segments right now (sealed + the active log).
-    pub live_segments: u64,
 }
 
-/// An open, appendable WAL (the active segment of the chain).
+/// An open, appendable WAL.
 #[derive(Debug)]
 pub struct Wal {
-    root: PathBuf,
     path: PathBuf,
     file: File,
-    len: u64,
-    sealed: Vec<u64>,
+    appended: u64,
     entries_since_checkpoint: u64,
     appends: u64,
     syncs: u64,
     fsyncs: u64,
     checkpoints: u64,
-    seals: u64,
-    segments_compacted: u64,
     faults: DiskFaults,
 }
 
 impl Wal {
     /// Opens (creating with a fresh magic if needed) the WAL under
-    /// `root` for appending. `pending_entries` is the `E`-record count a
-    /// prior scan found, so [`Wal::has_pending`] is accurate from the
-    /// start.
+    /// `root` for appending, resuming from `scan`, a prior scan of it:
+    /// its redo records keep [`Wal::has_pending`] accurate from the
+    /// start, and its bytes past the last checkpoint count towards
+    /// [`CHECKPOINT_BYTES`].
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Io`] on filesystem trouble.
-    pub fn open_append(
-        root: &Path,
-        pending_entries: u64,
-        faults: DiskFaults,
-    ) -> Result<Wal, DbError> {
+    pub fn open_append(root: &Path, scan: &WalScan, faults: DiskFaults) -> Result<Wal, DbError> {
         let path = root.join(WAL_FILE);
         let mut fsyncs = 0;
         if !path.exists() {
@@ -726,33 +651,23 @@ impl Wal {
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        let len = file.metadata().map_err(|e| io_err(&path, e))?.len();
-        let sealed = sealed_segments(root)?.into_iter().map(|(i, _)| i).collect();
         Ok(Wal {
-            root: root.to_path_buf(),
             path,
             file,
-            len,
-            sealed,
-            entries_since_checkpoint: pending_entries,
+            appended: scan.appended(),
+            entries_since_checkpoint: scan.pending_entries() as u64,
             appends: 0,
             syncs: 0,
             fsyncs,
             checkpoints: 0,
-            seals: 0,
-            segments_compacted: 0,
             faults,
         })
     }
 
-    /// Current file length in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the WAL holds no bytes past the magic.
-    pub fn is_empty(&self) -> bool {
-        self.len <= WAL_MAGIC.len() as u64
+    /// Bytes appended since the last checkpoint (see
+    /// [`CHECKPOINT_BYTES`]).
+    pub fn appended(&self) -> u64 {
+        self.appended
     }
 
     /// Redo records written (or found at open) since the last checkpoint.
@@ -779,7 +694,7 @@ impl Wal {
             let cut = (k as usize).min(bytes.len());
             let wrote = self.file.write_all(&bytes[..cut]);
             let _ = fsync(&self.file, &mut self.fsyncs);
-            self.len += cut as u64;
+            self.appended += cut as u64;
             wrote.map_err(|e| io_err(&self.path, e))?;
             return Err(DbError::Io(format!(
                 "{}: injected torn write after {cut} of {} record bytes",
@@ -790,7 +705,7 @@ impl Wal {
         self.file
             .write_all(&bytes)
             .map_err(|e| io_err(&self.path, e))?;
-        self.len += bytes.len() as u64;
+        self.appended += bytes.len() as u64;
         if rec.redo_payload().is_some() {
             self.entries_since_checkpoint += 1;
         }
@@ -818,50 +733,13 @@ impl Wal {
         fsync(&self.file, &mut self.fsyncs).map_err(|e| io_err(&self.path, e))
     }
 
-    /// Live segments in the chain: sealed ones plus the active log.
-    pub fn live_segments(&self) -> usize {
-        self.sealed.len() + 1
-    }
-
-    /// Seals the active log: fsyncs it, renames it to the next
-    /// `wal.NNNNNN.log` slot, and starts a fresh active log. Pending
-    /// entries stay pending — they now live in the sealed segment until
-    /// the next checkpoint folds the chain away. Returns the new
-    /// segment's index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] on filesystem trouble; on failure the
-    /// active log stays in place (a completed rename with a failed
-    /// fresh-log write is repaired at reopen, which recreates `wal.log`).
-    pub fn seal(&mut self) -> Result<u64, DbError> {
-        fsync(&self.file, &mut self.fsyncs).map_err(|e| io_err(&self.path, e))?;
-        let idx = self.sealed.last().map_or(0, |i| i + 1);
-        let seg = self.root.join(segment_file_name(idx));
-        std::fs::rename(&self.path, &seg).map_err(|e| io_err(&seg, e))?;
-        sync_dir(&self.root, &mut self.fsyncs);
-        write_atomic(&self.path, WAL_MAGIC, &mut self.fsyncs)?;
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.len = WAL_MAGIC.len() as u64;
-        self.sealed.push(idx);
-        self.seals += 1;
-        Ok(idx)
-    }
-
-    /// Checkpoints: atomically replaces the active log with a fresh one
-    /// holding only the magic, the `carry` records (the store's id and
-    /// context carryover and the deltas repair may still need), and a
-    /// clean footer, then deletes the sealed segments (compaction). Redo
-    /// state the old log held must already be durable in entry files.
-    /// A carried record with redo state — a full-state install's `E`
-    /// records — stays pending until the next checkpoint.
-    ///
-    /// Segment deletion is best-effort and ordered *after* the fresh
-    /// log is durable: a leftover sealed segment only causes idempotent
-    /// already-applied replay at the next open, never data loss.
+    /// Checkpoints: atomically replaces the log with a fresh one holding
+    /// only the magic, the `carry` records (the store's id and context
+    /// carryover and the deltas repair may still need), and a clean
+    /// footer. Redo state the old log held must already be durable in
+    /// entry files. A carried record with redo state — a full-state
+    /// install's `E` records — stays pending until the next checkpoint,
+    /// but no carried byte counts as appended.
     ///
     /// # Errors
     ///
@@ -874,15 +752,10 @@ impl Wal {
             .append(true)
             .open(&self.path)
             .map_err(|e| io_err(&self.path, e))?;
-        self.len = buf.len() as u64;
+        self.appended = 0;
         self.entries_since_checkpoint =
             carry.iter().filter(|r| r.redo_payload().is_some()).count() as u64;
         self.checkpoints += 1;
-        self.segments_compacted += self.sealed.len() as u64;
-        for idx in std::mem::take(&mut self.sealed) {
-            let _ = std::fs::remove_file(self.root.join(segment_file_name(idx)));
-        }
-        sync_dir(&self.root, &mut self.fsyncs);
         Ok(())
     }
 
@@ -893,9 +766,6 @@ impl Wal {
             syncs: self.syncs,
             fsyncs: self.fsyncs,
             checkpoints: self.checkpoints,
-            seals: self.seals,
-            segments_compacted: self.segments_compacted,
-            live_segments: self.live_segments() as u64,
         }
     }
 
@@ -930,7 +800,7 @@ mod tests {
     #[test]
     fn records_round_trip_through_scan() {
         let root = tmpdir("roundtrip");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), DiskFaults::default()).unwrap();
         wal.append(&WalRecord::entry(7, "# profdb v1\n")).unwrap();
         wal.append(&WalRecord::ids(&[1, 2, 3])).unwrap();
         wal.sync().unwrap();
@@ -960,7 +830,7 @@ mod tests {
         assert_eq!(torn.unpack_delta(), None);
 
         let root = tmpdir("delta");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), DiskFaults::default()).unwrap();
         wal.append(&redo).unwrap();
         wal.append(&note).unwrap();
         assert!(wal.has_pending());
@@ -1027,7 +897,7 @@ mod tests {
     #[test]
     fn checkpoint_leaves_a_clean_footer() {
         let root = tmpdir("footer");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), DiskFaults::default()).unwrap();
         wal.append(&WalRecord::entry(9, "x")).unwrap();
         wal.sync().unwrap();
         assert!(wal.has_pending());
@@ -1043,7 +913,7 @@ mod tests {
     #[test]
     fn torn_append_is_a_torn_tail() {
         let root = tmpdir("torn");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), DiskFaults::default()).unwrap();
         wal.append(&WalRecord::entry(1, "first")).unwrap();
         wal.sync().unwrap();
         // Crash mid-append: only half the record lands.
@@ -1067,7 +937,7 @@ mod tests {
             bit_flip: Some(200),
             ..DiskFaults::default()
         };
-        let mut wal = Wal::open_append(&root, 0, faults).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), faults).unwrap();
         wal.append(&WalRecord::entry(1, "will be flipped")).unwrap();
         wal.append(&WalRecord::entry(2, "clean after")).unwrap();
         wal.sync().unwrap();
@@ -1090,7 +960,7 @@ mod tests {
             fsync_fail: Some(1),
             ..DiskFaults::default()
         };
-        let mut wal = Wal::open_append(&root, 0, faults).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), faults).unwrap();
         wal.append(&WalRecord::entry(1, "x")).unwrap();
         assert!(wal.sync().is_err());
         // One-shot: the next sync succeeds.
@@ -1099,82 +969,9 @@ mod tests {
     }
 
     #[test]
-    fn seal_rolls_the_active_log_and_chain_scans_in_order() {
-        let root = tmpdir("seal");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
-        wal.append(&WalRecord::entry(1, "first")).unwrap();
-        wal.sync().unwrap();
-        assert_eq!(wal.seal().unwrap(), 0);
-        assert_eq!(wal.live_segments(), 2);
-        wal.append(&WalRecord::entry(2, "second")).unwrap();
-        wal.sync().unwrap();
-        assert_eq!(wal.seal().unwrap(), 1);
-        wal.append(&WalRecord::entry(3, "third")).unwrap();
-        wal.sync().unwrap();
-        assert!(wal.has_pending());
-
-        let chain = scan_chain(&root, &DiskFaults::default()).unwrap();
-        assert_eq!(chain.len(), 3);
-        assert_eq!(chain[0].index, Some(0));
-        assert_eq!(chain[1].index, Some(1));
-        assert!(chain[2].is_active());
-        let ids: Vec<u64> = chain.iter().flat_map(|seg| seg.scan.known_ids()).collect();
-        assert_eq!(ids, vec![1, 2, 3], "chain order is oldest-first");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn sealed_indices_resume_after_reopen() {
-        let root = tmpdir("seal-reopen");
-        {
-            let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
-            wal.append(&WalRecord::entry(1, "x")).unwrap();
-            wal.sync().unwrap();
-            wal.seal().unwrap();
-        }
-        let mut wal = Wal::open_append(&root, 1, DiskFaults::default()).unwrap();
-        assert_eq!(wal.live_segments(), 2);
-        assert_eq!(wal.seal().unwrap(), 1, "indices continue past history");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn checkpoint_compacts_sealed_segments() {
-        let root = tmpdir("compact");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
-        for i in 0..3u64 {
-            wal.append(&WalRecord::entry(i + 1, "entry")).unwrap();
-            wal.sync().unwrap();
-            wal.seal().unwrap();
-        }
-        assert_eq!(wal.live_segments(), 4);
-        wal.checkpoint(&[WalRecord::ids(&[1, 2, 3])]).unwrap();
-        assert_eq!(wal.live_segments(), 1);
-        let stats = wal.stats();
-        assert_eq!(stats.seals, 3);
-        assert_eq!(stats.segments_compacted, 3);
-        assert!(sealed_segments(&root).unwrap().is_empty());
-        let scan = scan_wal(&root, &DiskFaults::default()).unwrap();
-        assert!(scan.clean_footer);
-        assert_eq!(scan.known_ids(), vec![1, 2, 3]);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn segment_names_round_trip() {
-        assert_eq!(segment_file_name(7), "wal.000007.log");
-        assert_eq!(parse_segment_name("wal.000007.log"), Some(7));
-        assert_eq!(parse_segment_name("wal.1000000.log"), Some(1_000_000));
-        assert_eq!(parse_segment_name(WAL_FILE), None);
-        assert_eq!(parse_segment_name("wal.x.log"), None);
-        assert_eq!(parse_segment_name("wal..log"), None);
-        assert_eq!(parse_segment_name("entry@00.profdb"), None);
-    }
-
-    #[test]
     fn short_read_truncates_the_scan() {
         let root = tmpdir("short");
-        let mut wal = Wal::open_append(&root, 0, DiskFaults::default()).unwrap();
+        let mut wal = Wal::open_append(&root, &WalScan::default(), DiskFaults::default()).unwrap();
         wal.append(&WalRecord::entry(1, "first")).unwrap();
         wal.append(&WalRecord::entry(2, "second")).unwrap();
         wal.sync().unwrap();

@@ -1,14 +1,17 @@
-//! Mixed-damage recovery: one segment chain carrying *both* a
-//! checksum-corrupt record in sealed history and a torn tail on the
-//! active log, healed (where healing is allowed) in a single recovery
-//! pass. Also pins the `profdb` CLI exit-code contract around the same
-//! store: `check` is read-only and reports CORRUPT (exit 1) until an
-//! operator runs `recover` (exit 0), after which `check` passes.
+//! Mixed-damage recovery: one WAL carrying *both* a checksum-corrupt
+//! record in its middle and a torn tail, with entry files lost besides,
+//! healed in a single recovery pass. Also pins the `profdb` CLI
+//! exit-code contract around the same store: `check` is read-only and
+//! reports CORRUPT (exit 1) until an operator runs `recover` (exit 0),
+//! after which `check` passes — and the refusal of a root that still
+//! holds a sealed segment of the earlier segmented layout.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use stride_profdb::{recover, DiskFaults, ProfileDb, ProfileEntry, SegmentConfig};
+use stride_profdb::{
+    recover, scan_wal, DbError, DiskFaults, ProfileDb, ProfileEntry, ScanItem, WAL_FILE,
+};
 use stride_profiling::StrideProfile;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -45,26 +48,12 @@ fn profdb_cli(root: &Path, args: &[&str]) -> (String, bool) {
 }
 
 #[test]
-fn torn_active_tail_and_corrupt_sealed_segment_heal_in_one_pass() {
-    let root = tmpdir("chain");
-    let mut db = ProfileDb::open(&root).expect("open");
-    // Seal after every merge: four one-record sealed segments.
-    db.configure_segments(SegmentConfig {
-        seal_bytes: 1,
-        max_live_segments: 100,
-    });
-    for i in 0..4u64 {
+fn corrupt_middle_record_torn_tail_and_lost_entries_heal_in_one_pass() {
+    let root = tmpdir("one-log");
+    let db = ProfileDb::open(&root).expect("open");
+    for i in 0..6u64 {
         db.merge_store_logged(&entry(&format!("wl{i}"), 0xa0 + i), i + 1)
-            .expect("sealed-era merge");
-    }
-    // Stop sealing: the last two merges stay in the active log.
-    db.configure_segments(SegmentConfig {
-        seal_bytes: 256 << 10,
-        max_live_segments: 100,
-    });
-    for i in 4..6u64 {
-        db.merge_store_logged(&entry(&format!("wl{i}"), 0xa0 + i), i + 1)
-            .expect("active-era merge");
+            .expect("merge");
     }
     drop(db);
 
@@ -72,23 +61,30 @@ fn torn_active_tail_and_corrupt_sealed_segment_heal_in_one_pass() {
         .map(|i| fs::read(entry_path(&root, &format!("wl{i}"), 0xa0 + i)).expect("golden entry"))
         .collect();
 
-    // Damage, all in one chain:
-    // 1. flip a payload byte in sealed segment 1 (wl1's record) — a
-    //    checksum failure in immutable history;
-    let seg1 = root.join(stride_profdb::segment_file_name(1));
-    let mut bytes = fs::read(&seg1).expect("read sealed segment");
-    let n = bytes.len();
-    bytes[n - 10] ^= 0xff;
-    fs::write(&seg1, &bytes).expect("corrupt sealed segment");
-    // 2. tear the active tail mid-record (crash during wl5's append —
-    //    its entry write never happened either);
-    let wal = root.join(stride_profdb::WAL_FILE);
-    let bytes = fs::read(&wal).expect("read active log");
-    fs::write(&wal, &bytes[..bytes.len() - 7]).expect("tear active tail");
+    // Damage, all in the one log:
+    // 1. flip a payload byte of wl1's record — a checksum failure in
+    //    the middle of the log;
+    let scan = scan_wal(&root, &DiskFaults::default()).expect("scan");
+    let offsets: Vec<u64> = (scan.items.iter())
+        .map(|item| match item {
+            ScanItem::Record { offset, .. } => *offset,
+            other => panic!("undamaged log scanned {other:?}"),
+        })
+        .collect();
+    assert_eq!(offsets.len(), 6);
+    let wal = root.join(WAL_FILE);
+    let mut bytes = fs::read(&wal).expect("read log");
+    bytes[offsets[1] as usize + 20] ^= 0xff;
+    // 2. tear the tail mid-record (crash during wl5's append — its
+    //    entry write never happened either);
+    bytes.truncate(bytes.len() - 7);
+    fs::write(&wal, &bytes).expect("damage log");
     fs::remove_file(entry_path(&root, "wl5", 0xa5)).expect("drop wl5 entry");
-    // 3. lose wl3's entry file (crash between its sealed WAL append and
-    //    the entry write) so the same pass also has redo work.
-    fs::remove_file(entry_path(&root, "wl3", 0xa3)).expect("drop wl3 entry");
+    // 3. lose wl3's and wl4's entry files (a crash before the write-back
+    //    reached the disk) so the same pass also has redo work.
+    for i in [3u64, 4] {
+        fs::remove_file(entry_path(&root, &format!("wl{i}"), 0xa0 + i)).expect("drop entry");
+    }
 
     // `check` is read-only and must call the damage out, twice.
     for _ in 0..2 {
@@ -103,17 +99,10 @@ fn torn_active_tail_and_corrupt_sealed_segment_heal_in_one_pass() {
     let report = recover(&root, &DiskFaults::default()).expect("recover");
     assert_eq!(
         report.quarantined, 1,
-        "sealed corruption quarantined: {report}"
+        "corrupt record quarantined: {report}"
     );
-    assert!(
-        report.torn_tail_bytes.is_some(),
-        "active tail truncated: {report}"
-    );
-    assert_eq!(report.torn_sealed_segments, 0, "{report}");
-    assert!(
-        report.replayed >= 1,
-        "wl3 redone from sealed history: {report}"
-    );
+    assert!(report.torn_tail_bytes.is_some(), "tail truncated: {report}");
+    assert_eq!(report.replayed, 2, "wl3 and wl4 redone: {report}");
 
     // Boundary state: wl0..wl4 byte-identical to the golden run, wl5
     // (torn mid-append, never acknowledged durable) rolled away.
@@ -133,10 +122,10 @@ fn torn_active_tail_and_corrupt_sealed_segment_heal_in_one_pass() {
         assert_eq!(got, golden[i as usize], "wl{i} changed on second pass");
     }
 
-    // CLI contract: the sealed segment still carries the flipped byte
-    // (recovery preserves, never rewrites, immutable history), so
-    // `check` stays CORRUPT until `recover` checkpoints the chain away;
-    // then the store audits clean.
+    // CLI contract: the log still carries the flipped record (recovery
+    // quarantines a copy and only cuts a torn tail), so `check` stays
+    // CORRUPT until `recover` checkpoints it away; then the store audits
+    // clean.
     let (report, healthy) = profdb_cli(&root, &["check"]);
     assert!(!healthy, "{report}");
     let (report, healthy) = profdb_cli(&root, &["recover"]);
@@ -149,11 +138,55 @@ fn torn_active_tail_and_corrupt_sealed_segment_heal_in_one_pass() {
         "{report}"
     );
 
-    // The quarantine kept evidence of both damage sites.
+    // The quarantine kept evidence of the corrupt record.
     let quarantined = fs::read_dir(root.join(stride_profdb::QUARANTINE_DIR))
         .expect("quarantine dir")
         .count();
     assert!(quarantined >= 1, "no quarantined bytes preserved");
 
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A store the segmented layout left behind: its log was sealed into
+/// `wal.000000.log` holding an acknowledged merge whose entry file never
+/// reached the disk. Opening it without that segment would lose the
+/// merge silently, so every entry point refuses the root, names the file
+/// and leaves it as it is.
+#[test]
+fn a_sealed_segment_of_the_segmented_layout_is_refused() {
+    let root = tmpdir("sealed");
+    let db = ProfileDb::open(&root).expect("open");
+    db.merge_store_logged(&entry("wl0", 0xa0), 1)
+        .expect("merge");
+    drop(db);
+    fs::rename(root.join(WAL_FILE), root.join("wal.000000.log")).expect("seal");
+    fs::remove_file(entry_path(&root, "wl0", 0xa0)).expect("drop entry");
+    let segment = fs::read(root.join("wal.000000.log")).expect("segment");
+
+    let refused = |err: DbError| {
+        assert_eq!(
+            err,
+            DbError::SealedSegment {
+                file: "wal.000000.log".into()
+            }
+        );
+        assert!(err.to_string().contains("wal.000000.log"), "{err}");
+    };
+    refused(ProfileDb::open(&root).unwrap_err());
+    refused(ProfileDb::open_unrecovered(&root).unwrap_err());
+    refused(recover(&root, &DiskFaults::default()).unwrap_err());
+
+    let (report, healthy) = profdb_cli(&root, &["check"]);
+    assert!(!healthy, "{report}");
+    assert!(report.contains("verdict: CORRUPT"), "{report}");
+    assert!(report.contains("wal.000000.log"), "{report}");
+    let (_, healthy) = profdb_cli(&root, &["recover"]);
+    assert!(!healthy, "recover took a root holding a sealed segment");
+
+    assert_eq!(
+        fs::read(root.join("wal.000000.log")).expect("kept"),
+        segment
+    );
+    assert!(!root.join(WAL_FILE).exists(), "a fresh log was started");
     let _ = fs::remove_dir_all(&root);
 }

@@ -4,11 +4,9 @@
 //!   different orders, with duplicated deliveries, end byte-identical.
 //!   This is the property the shard replication protocol leans on: the
 //!   router may deliver batches in any order and retry freely.
-//! * **Bounded segments** — sustained merge traffic seals and compacts
-//!   WAL segments so the live chain stays bounded, and recovery of the
-//!   segmented store is byte-identical to the running one.
-//! * **Torn history** — a torn *sealed* segment (damaged history, not a
-//!   crashed tail) is reported and preserved, never truncated.
+//! * **Bounded log** — sustained merge traffic checkpoints the one WAL
+//!   file so it stays within one appended-bytes bound of its carry, and
+//!   recovery of the soaked store is byte-identical to the running one.
 //! * **Read-cache coherence** — through any sequence of writes, a load
 //!   served from a handle's decoded-entry cache equals a load through a
 //!   freshly opened handle.
@@ -16,8 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use stride_ir::{FuncId, InstrId};
-use stride_profdb::wal::{segment_file_name, SegmentConfig};
-use stride_profdb::{check, recover, DeltaRecord, DiskFaults, ProfileDb, ProfileEntry};
+use stride_profdb::{check, DeltaRecord, ProfileDb, ProfileEntry, CHECKPOINT_BYTES, WAL_FILE};
 use stride_profiling::{LoadStrideProfile, StrideProfile};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -135,104 +132,53 @@ fn replicas_converge_byte_identically_under_permutation_and_duplication() {
 }
 
 #[test]
-fn sustained_merge_traffic_keeps_live_segments_bounded() {
+fn sustained_merge_traffic_keeps_the_log_bounded() {
     let root = tmpdir("soak");
-    let mut db = ProfileDb::open(&root).expect("open");
-    // Tiny segments so the soak crosses many seal/compact cycles.
-    db.configure_segments(SegmentConfig {
-        seal_bytes: 8 << 10,
-        max_live_segments: 4,
-    });
-    let config = db.segment_config();
+    let db = ProfileDb::open(&root).expect("open");
+    let log_len = || fs::metadata(root.join(WAL_FILE)).expect("wal.log").len();
+    let log_files = || {
+        let names = fs::read_dir(&root).expect("read store dir");
+        (names.filter_map(|e| e.ok()?.file_name().into_string().ok()))
+            .filter(|name| name.starts_with("wal") && name.ends_with(".log"))
+            .count()
+    };
 
     const MERGES: u64 = 10_000;
-    let mut max_live = 0u64;
+    // The log right after the last checkpoint (its carry), the largest
+    // one-merge growth, and the largest log seen.
+    let (mut carry, mut record, mut peak) = (log_len(), 0u64, 0u64);
+    let mut checkpoints = 0;
     for i in 0..MERGES {
-        let e = entry("soak", i % 7, 8 * ((i % 5) as i64 + 1), 1 + i % 3);
+        let mut e = entry("soak", i % 7, 8 * ((i % 5) as i64 + 1), 1 + i % 3);
+        e.edge_tables = vec![vec![1 + i % 3; 48]];
+        let before = log_len();
         db.merge_store_logged(&e, i + 1).expect("merge");
-        if i % 64 == 0 {
-            max_live = max_live.max(db.wal_stats().live_segments);
+        let after = log_len();
+        if db.wal_stats().checkpoints > checkpoints {
+            checkpoints = db.wal_stats().checkpoints;
+            carry = after;
+            assert_eq!(log_files(), 1, "a second log file after merge {i}");
+        } else {
+            record = record.max(after - before);
         }
+        peak = peak.max(after);
+        assert!(
+            after <= carry + CHECKPOINT_BYTES + record,
+            "merge {i}: log {after} B past carry {carry} B + bound + record {record} B"
+        );
     }
-    let stats = db.wal_stats();
-    assert!(
-        stats.seals >= 10,
-        "soak never sealed a segment (seals={}) — seal threshold not exercised",
-        stats.seals
-    );
-    assert!(
-        stats.segments_compacted >= 10,
-        "soak never compacted (segments_compacted={})",
-        stats.segments_compacted
-    );
-    max_live = max_live.max(stats.live_segments);
-    assert!(
-        max_live <= config.max_live_segments as u64 + 1,
-        "live segments unbounded: saw {max_live}, configured cap {}",
-        config.max_live_segments
-    );
+    assert!(checkpoints >= 3, "soak checkpointed {checkpoints} time(s)");
+    assert!(peak > CHECKPOINT_BYTES, "the bound was never approached");
+    assert_eq!(log_files(), 1);
 
     drop(db);
-    // Recovery of the segmented store must reproduce the exact bytes.
+    // Recovery of the soaked store must reproduce the exact bytes.
     let before = entry_files(&root);
     let db2 = ProfileDb::open(&root).expect("reopen");
     assert_eq!(entry_files(&root), before, "recovery changed entry bytes");
     let (summary, healthy) = check(&root);
-    assert!(healthy, "segmented store unhealthy after soak:\n{summary}");
+    assert!(healthy, "store unhealthy after soak:\n{summary}");
     drop(db2);
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn torn_middle_segment_is_reported_and_preserved() {
-    let root = tmpdir("torn-mid");
-    let mut db = ProfileDb::open(&root).expect("open");
-    db.configure_segments(SegmentConfig {
-        seal_bytes: 1, // seal after every merge: each record gets a segment
-        max_live_segments: 100,
-    });
-    for i in 0..4u64 {
-        let e = entry("mcf", 0xabc, 16, 10 + i);
-        db.merge_store_logged(&e, i + 1).expect("merge");
-    }
-    let want_files = entry_files(&root);
-    drop(db);
-
-    // Tear a *middle* sealed segment mid-record: damaged history, not a
-    // crashed tail.
-    let victim = root.join(segment_file_name(1));
-    let bytes = fs::read(&victim).expect("read sealed segment");
-    assert!(bytes.len() > 12, "segment too small to tear");
-    let torn = &bytes[..bytes.len() - 5];
-    fs::write(&victim, torn).expect("tear segment");
-
-    let (summary, healthy) = check(&root);
-    assert!(!healthy, "check missed the torn sealed segment:\n{summary}");
-    assert!(
-        summary.contains("TORN (sealed history damaged)"),
-        "check did not flag the sealed tear:\n{summary}"
-    );
-
-    let report = recover(&root, &DiskFaults::default()).expect("recover");
-    assert_eq!(
-        report.torn_sealed_segments, 1,
-        "recovery did not report the torn sealed segment: {report:?}"
-    );
-    // The sealed segment must be preserved byte-for-byte — truncation is
-    // only legal on the active tail, where torn bytes are an unfinished
-    // append rather than lost history.
-    assert_eq!(
-        fs::read(&victim).expect("re-read"),
-        torn,
-        "recovery modified a sealed segment"
-    );
-    // A quarantine copy of the damaged tail exists for forensics.
-    let quarantined = fs::read_dir(root.join("quarantine"))
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert!(quarantined >= 1, "no quarantine copy of the torn tail");
-    // Entry files are untouched: the torn record was already applied.
-    assert_eq!(entry_files(&root), want_files);
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -582,9 +582,12 @@ impl From<&DbError> for ErrorKind {
             DbError::Io(_) => ErrorKind::Malformed,
             DbError::Parse(_) => ErrorKind::Parse,
             DbError::Stale { .. } => ErrorKind::Stale,
-            DbError::KeyMismatch(_) | DbError::Corrupt { .. } => ErrorKind::Malformed,
+            DbError::KeyMismatch(_)
+            | DbError::Invalid { .. }
+            | DbError::Corrupt { .. }
+            | DbError::PendingWal { .. }
+            | DbError::SealedSegment { .. } => ErrorKind::Malformed,
             DbError::NotFound { .. } => ErrorKind::NotFound,
-            DbError::PendingWal { .. } => ErrorKind::Malformed,
         }
     }
 }

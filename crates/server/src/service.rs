@@ -653,13 +653,10 @@ impl Service {
         gauge("profdb.runs", records.iter().map(|r| r.runs).sum());
         gauge("wal.pending", u64::from(db.wal_pending()));
         let wal = db.wal_stats();
-        gauge("wal.live_segments", wal.live_segments);
         bridge("wal.appends", wal.appends);
         bridge("wal.syncs", wal.syncs);
         bridge("profdb.fsyncs", db.fsyncs());
         bridge("wal.checkpoints", wal.checkpoints);
-        bridge("wal.seals", wal.seals);
-        bridge("wal.segments_compacted", wal.segments_compacted);
         let recovery = db.recovery_report().cloned().unwrap_or_default();
         bridge("recovery.replayed", recovery.replayed as u64);
         bridge("recovery.quarantined", recovery.quarantined as u64);

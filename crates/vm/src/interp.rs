@@ -119,8 +119,8 @@ pub struct VmConfig {
     /// [`VmError::InvalidMemoryAccess`]; prefetches of such addresses are
     /// dropped silently (prefetch is non-faulting, as on Itanium).
     pub addr_limit: u64,
-    /// Form superinstructions when lowering the module (see
-    /// [`crate::lower`]). Fusion is a pure dispatch optimization: every
+    /// Form superinstructions when lowering the module (see the
+    /// private `lower` module). Fusion is a pure dispatch optimization: every
     /// logical output — return value, cycles, instruction/load/store
     /// counts, per-site load counts — is byte-identical with it on or off.
     pub fuse: bool,
