@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::classify::{classify, Classification};
+use crate::config::{ClassifyThresholds, PrefetchConfig};
 use crate::error::PipelineError;
 use crate::faults::{faulted_profiling, FaultInjector};
 use crate::pipeline::{
@@ -38,9 +39,9 @@ use crate::pipeline::{
     PipelineConfig, ProfileOutcome, ProfilingVariant, SpeedupOutcome,
 };
 use stride_ir::Module;
-use stride_memsim::HierarchyStats;
+use stride_memsim::{CacheGeometry, HierarchyConfig, HierarchyStats};
 use stride_profiling::EdgeProfile;
-use stride_vm::RunResult;
+use stride_vm::{CostModel, RunResult, VmConfig};
 
 /// What a cached instrumented run is keyed by (beyond module/args/config).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -113,7 +114,7 @@ pub struct RunCache {
 /// the VM cost model and the cache hierarchy.
 fn fingerprint_machine(config: &PipelineConfig) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{:?}|{:?}", config.vm, config.hierarchy).hash(&mut h);
+    hash_machine(config, &mut h);
     h.finish()
 }
 
@@ -121,9 +122,118 @@ fn fingerprint_machine(config: &PipelineConfig) -> u64 {
 /// prefetch/selection parameters).
 fn fingerprint_full(config: &PipelineConfig) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{:?}", config.prefetch).hash(&mut h);
-    h.write_u64(fingerprint_machine(config));
+    hash_machine(config, &mut h);
+    hash_prefetch(&config.prefetch, &mut h);
     h.finish()
+}
+
+// The config hashers below destructure every struct without `..`, so a
+// field added to any of them fails to compile here until it is hashed.
+
+fn hash_machine(config: &PipelineConfig, h: &mut impl Hasher) {
+    let VmConfig {
+        cost,
+        fuel,
+        max_call_depth,
+        addr_limit,
+        fuse,
+    } = config.vm;
+    let CostModel {
+        alu,
+        mul,
+        div,
+        load,
+        store,
+        prefetch,
+        alloc,
+        free,
+        call,
+        branch,
+    } = cost;
+    for v in [
+        alu, mul, div, load, store, prefetch, alloc, free, call, branch, fuel, addr_limit,
+    ] {
+        h.write_u64(v);
+    }
+    h.write_usize(max_call_depth);
+    h.write_u8(u8::from(fuse));
+    let HierarchyConfig {
+        l1,
+        l2,
+        l3,
+        l2_latency,
+        l3_latency,
+        mem_latency,
+        tlb_entries,
+        tlb_ways,
+        page_size,
+        tlb_miss_latency,
+        max_inflight_prefetches,
+        mem_bus_interval,
+    } = config.hierarchy;
+    for CacheGeometry {
+        size_bytes,
+        ways,
+        line_size,
+    } in [l1, l2, l3]
+    {
+        h.write_u64(size_bytes);
+        h.write_u32(ways);
+        h.write_u64(line_size);
+    }
+    for v in [
+        l2_latency,
+        l3_latency,
+        mem_latency,
+        page_size,
+        tlb_miss_latency,
+        mem_bus_interval,
+    ] {
+        h.write_u64(v);
+    }
+    h.write_u32(tlb_entries);
+    h.write_u32(tlb_ways);
+    h.write_usize(max_inflight_prefetches);
+}
+
+fn hash_prefetch(prefetch: &PrefetchConfig, h: &mut impl Hasher) {
+    let PrefetchConfig {
+        thresholds,
+        max_prefetch_distance,
+        out_loop_distance,
+        line_size,
+        enable_wsst_prefetch,
+        enable_dependent_prefetch,
+    } = *prefetch;
+    let ClassifyThresholds {
+        ssst_threshold,
+        pmst_threshold,
+        pmst_diff_threshold,
+        wsst_threshold,
+        wsst_diff_threshold,
+        frequency_threshold,
+        trip_count_threshold,
+    } = thresholds;
+    for ratio in [
+        ssst_threshold,
+        pmst_threshold,
+        pmst_diff_threshold,
+        wsst_threshold,
+        wsst_diff_threshold,
+    ] {
+        h.write_u64(ratio.to_bits());
+    }
+    for v in [
+        frequency_threshold,
+        trip_count_threshold,
+        max_prefetch_distance,
+        out_loop_distance,
+        line_size,
+    ] {
+        h.write_u64(v);
+    }
+    h.write_u8(u8::from(enable_wsst_prefetch));
+    h.write_u8(u8::from(enable_dependent_prefetch));
 }
 
 /// Content fingerprint of a module: its derived structural `Hash`, which
@@ -227,13 +337,15 @@ impl RunCache {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<ProfileOutcome>, PipelineError> {
-        self.profiled(module, variant, args, config)
+        self.profiled(module, fingerprint_module(module), variant, args, config)
             .map(|p| Arc::clone(&p.outcome))
     }
 
-    /// [`RunCache::profiling`] together with the [`classify`] result of
-    /// its profiles under `config.prefetch`, computed once per cached run.
-    /// Counts one lookup, exactly as [`RunCache::profiling`] does.
+    /// [`RunCache::profiling`] of a module whose [`fingerprint_module`]
+    /// the caller computed once and kept, together with the [`classify`]
+    /// result of its profiles under `config.prefetch`, computed once per
+    /// cached run. Counts one lookup, exactly as [`RunCache::profiling`]
+    /// does.
     ///
     /// # Errors
     ///
@@ -241,11 +353,13 @@ impl RunCache {
     pub fn classified(
         &self,
         module: &Module,
+        fingerprint: u64,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<(Arc<ProfileOutcome>, Arc<Classification>), PipelineError> {
-        let p = self.profiled(module, variant, args, config)?;
+        debug_assert_eq!(fingerprint, fingerprint_module(module), "stale fingerprint");
+        let p = self.profiled(module, fingerprint, variant, args, config)?;
         let classification = p.classification.get_or_init(|| {
             let o = &p.outcome;
             Arc::new(classify(
@@ -262,12 +376,13 @@ impl RunCache {
     fn profiled(
         &self,
         module: &Module,
+        fingerprint: u64,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<Profiled>, PipelineError> {
         let key = Key {
-            module_fingerprint: fingerprint_module(module),
+            module_fingerprint: fingerprint,
             kind: RunKind::Profiling(variant),
             args: args.to_vec(),
             config_fingerprint: fingerprint_full(config),
@@ -528,6 +643,110 @@ mod tests {
         assert_eq!(s.misses, 3);
     }
 
+    /// A config field, named by its path, and a change to it.
+    type FieldChange<T> = (&'static str, fn(&mut T));
+
+    /// One change per field of each config struct.
+    const VM_FIELDS: &[FieldChange<VmConfig>] = &[
+        ("cost.alu", |v| v.cost.alu += 1),
+        ("cost.mul", |v| v.cost.mul += 1),
+        ("cost.div", |v| v.cost.div += 1),
+        ("cost.load", |v| v.cost.load += 1),
+        ("cost.store", |v| v.cost.store += 1),
+        ("cost.prefetch", |v| v.cost.prefetch += 1),
+        ("cost.alloc", |v| v.cost.alloc += 1),
+        ("cost.free", |v| v.cost.free += 1),
+        ("cost.call", |v| v.cost.call += 1),
+        ("cost.branch", |v| v.cost.branch += 1),
+        ("fuel", |v| v.fuel -= 1),
+        ("max_call_depth", |v| v.max_call_depth -= 1),
+        ("addr_limit", |v| v.addr_limit -= 1),
+        ("fuse", |v| v.fuse = !v.fuse),
+    ];
+    const HIERARCHY_FIELDS: &[FieldChange<HierarchyConfig>] = &[
+        ("l1.size_bytes", |h| h.l1.size_bytes *= 2),
+        ("l1.ways", |h| h.l1.ways *= 2),
+        ("l1.line_size", |h| h.l1.line_size *= 2),
+        ("l2.size_bytes", |h| h.l2.size_bytes *= 2),
+        ("l2.ways", |h| h.l2.ways *= 2),
+        ("l2.line_size", |h| h.l2.line_size *= 2),
+        ("l3.size_bytes", |h| h.l3.size_bytes *= 2),
+        ("l3.ways", |h| h.l3.ways *= 2),
+        ("l3.line_size", |h| h.l3.line_size *= 2),
+        ("l2_latency", |h| h.l2_latency += 1),
+        ("l3_latency", |h| h.l3_latency += 1),
+        ("mem_latency", |h| h.mem_latency += 1),
+        ("tlb_entries", |h| h.tlb_entries *= 2),
+        ("tlb_ways", |h| h.tlb_ways *= 2),
+        ("page_size", |h| h.page_size *= 2),
+        ("tlb_miss_latency", |h| h.tlb_miss_latency += 1),
+        ("max_inflight_prefetches", |h| {
+            h.max_inflight_prefetches += 1
+        }),
+        ("mem_bus_interval", |h| h.mem_bus_interval += 1),
+    ];
+    const PREFETCH_FIELDS: &[FieldChange<PrefetchConfig>] = &[
+        ("ssst_threshold", |p| p.thresholds.ssst_threshold += 0.01),
+        ("pmst_threshold", |p| p.thresholds.pmst_threshold += 0.01),
+        ("pmst_diff_threshold", |p| {
+            p.thresholds.pmst_diff_threshold += 0.01
+        }),
+        ("wsst_threshold", |p| p.thresholds.wsst_threshold += 0.01),
+        ("wsst_diff_threshold", |p| {
+            p.thresholds.wsst_diff_threshold += 0.01
+        }),
+        ("frequency_threshold", |p| {
+            p.thresholds.frequency_threshold += 1
+        }),
+        ("trip_count_threshold", |p| {
+            p.thresholds.trip_count_threshold += 1
+        }),
+        ("max_prefetch_distance", |p| p.max_prefetch_distance += 1),
+        ("out_loop_distance", |p| p.out_loop_distance += 1),
+        ("line_size", |p| p.line_size *= 2),
+        ("enable_wsst_prefetch", |p| p.enable_wsst_prefetch ^= true),
+        ("enable_dependent_prefetch", |p| {
+            p.enable_dependent_prefetch ^= true
+        }),
+    ];
+
+    #[test]
+    fn config_fingerprints_cover_every_field() {
+        let base = PipelineConfig::default();
+        // (field, config with only that field changed, observed by an
+        // uninstrumented run)
+        let mut cases = Vec::new();
+        for &(field, change) in VM_FIELDS {
+            let mut c = base;
+            change(&mut c.vm);
+            cases.push((format!("vm.{field}"), c, true));
+        }
+        for &(field, change) in HIERARCHY_FIELDS {
+            let mut c = base;
+            change(&mut c.hierarchy);
+            cases.push((format!("hierarchy.{field}"), c, true));
+        }
+        for &(field, change) in PREFETCH_FIELDS {
+            let mut c = base;
+            change(&mut c.prefetch);
+            cases.push((format!("prefetch.{field}"), c, false));
+        }
+        let mut seen = std::collections::HashSet::new();
+        for (field, c, machine) in cases {
+            assert_ne!(
+                fingerprint_full(&c),
+                fingerprint_full(&base),
+                "full fingerprint ignores {field}"
+            );
+            assert_eq!(
+                fingerprint_machine(&c) != fingerprint_machine(&base),
+                machine,
+                "machine fingerprint and {field}"
+            );
+            assert!(seen.insert(fingerprint_full(&c)), "{field} collides");
+        }
+    }
+
     #[test]
     fn variants_do_not_share_profiling_entries() {
         let m = sweep_module();
@@ -620,7 +839,8 @@ mod tests {
         let cfg = PipelineConfig::default();
         let cache = RunCache::new();
         let v = ProfilingVariant::EdgeCheck;
-        let (outcome, first) = cache.classified(&m, v, TRAIN, &cfg).unwrap();
+        let fp = fingerprint_module(&m);
+        let (outcome, first) = cache.classified(&m, fp, v, TRAIN, &cfg).unwrap();
         let direct = classify(
             &m,
             &outcome.stride,
@@ -629,7 +849,7 @@ mod tests {
             &cfg.prefetch,
         );
         assert_eq!(format!("{first:?}"), format!("{direct:?}"));
-        let (_, second) = cache.classified(&m, v, TRAIN, &cfg).unwrap();
+        let (_, second) = cache.classified(&m, fp, v, TRAIN, &cfg).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "classified once per run");
         cache.profiling(&m, v, TRAIN, &cfg).unwrap();
         let s = cache.stats();
@@ -642,7 +862,7 @@ mod tests {
         // classify afresh.
         let mut tweaked = cfg;
         tweaked.prefetch.thresholds.trip_count_threshold *= 2;
-        let (_, other) = cache.classified(&m, v, TRAIN, &tweaked).unwrap();
+        let (_, other) = cache.classified(&m, fp, v, TRAIN, &tweaked).unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
     }
 

@@ -33,8 +33,13 @@ pub struct HierarchyConfig {
     pub page_size: u64,
     /// Stall cycles for a TLB miss (hardware page walk).
     pub tlb_miss_latency: u64,
-    /// Maximum simultaneously in-flight prefetches (MSHR-style limit);
-    /// further prefetches are dropped.
+    /// Maximum prefetches holding a slot at once (MSHR-style limit);
+    /// further prefetches are dropped. A slot frees only when a demand
+    /// access reaches its line, never when its fill completes, so fills
+    /// completed long ago can still hold slots. This is a known defect,
+    /// kept because retiring completed fills moves Figs. 16 and 23–25; see
+    /// the open `FOUND` line on `crates/memsim/src/hierarchy.rs` in
+    /// CHANGES.md.
     pub max_inflight_prefetches: usize,
     /// Minimum cycles between successive memory-line fills (the memory
     /// bus/bandwidth constraint; 0 = unlimited). Demand misses *and*
@@ -129,7 +134,9 @@ pub struct CacheHierarchy {
     l2: Cache,
     l3: Cache,
     tlb: Option<Cache>,
-    /// line base address -> completion cycle of an in-flight prefetch.
+    /// line base address -> completion cycle of an issued prefetch. An
+    /// entry leaves only when a demand access reaches its line, not when
+    /// its fill completes (see [`HierarchyConfig::max_inflight_prefetches`]).
     inflight: HashMap<u64, u64>,
     /// Earliest cycle at which the memory bus can start another line fill.
     next_mem_slot: u64,

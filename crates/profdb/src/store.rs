@@ -24,6 +24,7 @@ use crate::wal::{
     decode_log_image, encode_log_image, fsync, scan_wal, sync_dir, write_atomic, DiskFaults,
     RecordKind, ScanItem, Wal, WalRecord, CHECKPOINT_BYTES,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,10 +69,20 @@ struct DbState {
     /// directory, and recovery's truncations.
     fsyncs: u64,
     /// Decoded entries already read or merged through this handle, by
-    /// key. Every write through the handle drops or replaces its key, so
-    /// a hit equals what a fresh read of the file would return — as long
-    /// as nothing else edits the store (see [`ProfileDb`]).
-    entries: HashMap<(String, u64), Arc<ProfileEntry>>,
+    /// key, each with its rendered text. Every write through the handle
+    /// drops or replaces its key, so a hit equals what a fresh read of
+    /// the file would return — as long as nothing else edits the store
+    /// (see [`ProfileDb`]).
+    entries: HashMap<(String, u64), Decoded>,
+}
+
+/// A decoded entry and its [`ProfileEntry::to_text`]: the text a merge
+/// rendered for its log record, or rendered on the first read of an
+/// entry decoded from its file.
+#[derive(Debug)]
+struct Decoded {
+    entry: Arc<ProfileEntry>,
+    text: Option<String>,
 }
 
 impl DbState {
@@ -90,7 +101,8 @@ impl DbState {
         }
     }
 
-    /// Drops a key's decoded entry ahead of a write to its file.
+    /// Drops a key's decoded entry and its text ahead of a write to its
+    /// file.
     fn forget(&mut self, workload: &str, module_hash: u64) {
         self.entries.remove(&(workload.to_string(), module_hash));
     }
@@ -142,8 +154,10 @@ impl DbState {
 /// worker pool never interleave mid-merge.
 ///
 /// Ownership: [`ProfileDb::load`] keeps each entry it decodes (and a
-/// merge, each entry it writes) and serves later loads of that key from
-/// memory until a write through this handle replaces or removes it. A
+/// merge, each entry it writes, with the text it logged) and serves later
+/// loads of that key from memory until a write through this handle
+/// replaces or removes it; [`ProfileDb::load_text`] renders a decoded
+/// entry's text once and keeps it beside the entry. A
 /// handle therefore does not see outside edits to an entry file it has
 /// already read; reopen the store to pick them up.
 #[derive(Debug)]
@@ -398,38 +412,48 @@ impl ProfileDb {
     /// Returns [`DbError::NotFound`] when absent, [`DbError::Parse`] for
     /// a corrupt file (bad checksum included), [`DbError::Io`] otherwise.
     pub fn load(&self, workload: &str, module_hash: u64) -> Result<ProfileEntry, DbError> {
-        self.load_shared(workload, module_hash)
-            .map(Arc::unwrap_or_clone)
+        let mut st = self.lock();
+        let decoded = self.load_locked(&mut st, workload, module_hash)?;
+        Ok(ProfileEntry::clone(&decoded.entry))
     }
 
-    /// [`ProfileDb::load`] without copying the entry out of memory.
+    /// The [`ProfileEntry::to_text`] of [`ProfileDb::load`]'s entry,
+    /// rendered once per decoded entry and copied out after that.
     ///
     /// # Errors
     ///
     /// As [`ProfileDb::load`].
-    pub fn load_shared(
+    pub fn load_text(&self, workload: &str, module_hash: u64) -> Result<String, DbError> {
+        self.load_text_locked(&mut self.lock(), workload, module_hash)
+            .map(str::to_string)
+    }
+
+    fn load_text_locked<'a>(
         &self,
+        st: &'a mut DbState,
         workload: &str,
         module_hash: u64,
-    ) -> Result<Arc<ProfileEntry>, DbError> {
-        self.load_locked(&mut self.lock(), workload, module_hash)
+    ) -> Result<&'a str, DbError> {
+        let decoded = self.load_locked(st, workload, module_hash)?;
+        let entry = &decoded.entry;
+        Ok(decoded.text.get_or_insert_with(|| entry.to_text()))
     }
 
     /// The read-through step of [`ProfileDb::load`], under the state lock
     /// the caller already holds.
-    fn load_locked(
+    fn load_locked<'a>(
         &self,
-        st: &mut DbState,
+        st: &'a mut DbState,
         workload: &str,
         module_hash: u64,
-    ) -> Result<Arc<ProfileEntry>, DbError> {
-        let key = (workload.to_string(), module_hash);
-        if let Some(entry) = st.entries.get(&key) {
-            return Ok(Arc::clone(entry));
+    ) -> Result<&'a mut Decoded, DbError> {
+        match st.entries.entry((workload.to_string(), module_hash)) {
+            Entry::Occupied(hit) => Ok(hit.into_mut()),
+            Entry::Vacant(slot) => {
+                let entry = Arc::new(self.read_entry(workload, module_hash)?);
+                Ok(slot.insert(Decoded { entry, text: None }))
+            }
         }
-        let entry = Arc::new(self.read_entry(workload, module_hash)?);
-        st.entries.insert(key, Arc::clone(&entry));
-        Ok(entry)
     }
 
     /// Reads and decodes the entry file under a key, verifying its
@@ -501,7 +525,7 @@ impl ProfileDb {
         let mut st = self.lock();
         if req_id != 0 && st.applied.contains(&req_id) {
             let stored = self.load_locked(&mut st, &entry.workload, entry.module_hash)?;
-            return Ok((Arc::unwrap_or_clone(stored), true));
+            return Ok((ProfileEntry::clone(&stored.entry), true));
         }
         let merged = self.merge_locked(&mut st, entry, req_id, None)?;
         Ok((Arc::unwrap_or_clone(merged), false))
@@ -567,11 +591,12 @@ impl ProfileDb {
         delta: Option<DeltaRecord>,
     ) -> Result<Arc<ProfileEntry>, DbError> {
         // The key's file is about to be rewritten, so its decoded entry
-        // leaves the cache here: moved out rather than copied, and the
-        // merged entry takes its place once the file holds it.
+        // and text leave the cache here: the entry moved out rather than
+        // copied, and the merged entry with its logged text take their
+        // place once the file holds them.
         let key = (entry.workload.clone(), entry.module_hash);
         let existing = match st.entries.remove(&key) {
-            Some(cached) => Ok(Arc::unwrap_or_clone(cached)),
+            Some(cached) => Ok(Arc::unwrap_or_clone(cached.entry)),
             None => self.read_entry(&entry.workload, entry.module_hash),
         };
         let merged = match existing {
@@ -594,7 +619,11 @@ impl ProfileDb {
         }
         write_back(&self.root, &key.0, key.1, &text)?;
         let merged = Arc::new(merged);
-        st.entries.insert(key.clone(), Arc::clone(&merged));
+        let decoded = Decoded {
+            entry: Arc::clone(&merged),
+            text: Some(text),
+        };
+        st.entries.insert(key.clone(), decoded);
         st.dirty.insert(key);
         self.checkpoint_if_due(st)?;
         Ok(merged)
@@ -715,8 +744,8 @@ impl ProfileDb {
         }
         let mut image = st.carry();
         for r in records {
-            let entry = self.load_locked(&mut st, &r.workload, r.module_hash)?;
-            image.push(WalRecord::entry(0, &entry.to_text()));
+            let text = self.load_text_locked(&mut st, &r.workload, r.module_hash)?;
+            image.push(WalRecord::entry(0, text));
         }
         Ok(encode_log_image(&image))
     }

@@ -9,7 +9,8 @@
 //!   recovery of the soaked store is byte-identical to the running one.
 //! * **Read-cache coherence** — through any sequence of writes, a load
 //!   served from a handle's decoded-entry cache equals a load through a
-//!   freshly opened handle.
+//!   freshly opened handle, and so does the entry text it renders once
+//!   and keeps.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -226,6 +227,83 @@ fn cached_loads_match_a_fresh_handle_after_every_write() {
         }
         let _ = fs::remove_dir_all(&root);
     }
+}
+
+/// Asserts that `db` serves, under every key, the entry text a freshly
+/// opened handle on its root renders; `path` names the write just made.
+fn assert_texts_fresh(db: &ProfileDb, path: &str) {
+    let fresh = ProfileDb::open(db.root()).expect("fresh handle");
+    for (w, h) in KEYS {
+        let served = db.load_text(w, h).map_err(|e| e.to_string());
+        let want = fresh
+            .load(w, h)
+            .map(|e| e.to_text())
+            .map_err(|e| e.to_string());
+        assert_eq!(served, want, "after {path}: {w}@{h}");
+    }
+}
+
+#[test]
+fn served_text_matches_a_fresh_handle_after_every_write_path() {
+    let root = tmpdir("text-cache");
+    {
+        let seed = ProfileDb::open(&root).expect("seed handle");
+        for (i, (w, h)) in KEYS.into_iter().enumerate() {
+            seed.merge_store(&entry(w, h, 8, 10 + i as u64))
+                .expect("seed");
+        }
+    }
+    // Every step below starts with each key's text served, so a path
+    // that leaves a stale text behind fails at its own step.
+    let db = ProfileDb::open(&root).expect("open");
+    assert_texts_fresh(&db, "cold read");
+    db.merge_store_logged(&entry("mcf", 1, 16, 5), 0x10)
+        .expect("merge");
+    assert_texts_fresh(&db, "merge_store_logged");
+    let (_, dup) = db
+        .merge_store_logged(&entry("mcf", 1, 32, 7), 0x10)
+        .expect("duplicate merge");
+    assert!(dup);
+    assert_texts_fresh(&db, "duplicate-id merge");
+    let report = db
+        .apply_deltas(&[DeltaRecord {
+            req_id: 0x11,
+            dot: None,
+            entry_text: entry("gap", 1, 8, 3).to_text(),
+        }])
+        .expect("apply");
+    assert_eq!(report.applied, 1);
+    assert_texts_fresh(&db, "apply_deltas");
+    db.store(&entry("mcf", 2, 64, 9)).expect("store");
+    assert_texts_fresh(&db, "store");
+    // Checkpointed first, as gc does: the fresh handle's replay redoes
+    // a removed key that a pending log record still holds.
+    db.checkpoint().expect("checkpoint");
+    db.remove("art", 7).expect("remove");
+    assert_texts_fresh(&db, "remove");
+    db.gc(|w, h| (w, h) != ("mcf", 2)).expect("gc");
+    assert_texts_fresh(&db, "gc");
+    // A sibling that took this store's state, then diverged, ships its
+    // state back.
+    let source = ProfileDb::open(tmpdir("text-cache-source")).expect("source");
+    source
+        .install_state(&db.export_state().expect("export"))
+        .expect("source install");
+    source
+        .merge_store(&entry("gap", 1, 8, 4))
+        .expect("source merge");
+    source
+        .merge_store(&entry("art", 7, 24, 2))
+        .expect("source merge");
+    source.remove("mcf", 1).expect("source remove");
+    db.install_state(&source.export_state().expect("source export"))
+        .expect("install");
+    assert_texts_fresh(&db, "install_state");
+    db.merge_store(&entry("gap", 1, 8, 6)).expect("merge");
+    db.checkpoint().expect("checkpoint");
+    assert_texts_fresh(&db, "checkpoint");
+    let _ = fs::remove_dir_all(source.root());
+    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]

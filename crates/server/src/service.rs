@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use stride_core::{
-    classify, faulted_profiling, run_profiling, Classification, Counter, FaultInjector, FaultKind,
-    Histogram, PipelineConfig, PipelineError, ProfileOutcome, ProfilingVariant, Registry, RunCache,
-    SpeedupOutcome, TraceEvent,
+    classify, faulted_profiling, fingerprint_module, run_profiling, Classification, Counter,
+    FaultInjector, FaultKind, Histogram, PipelineConfig, PipelineError, ProfileOutcome,
+    ProfilingVariant, Registry, RunCache, SpeedupOutcome, TraceEvent,
 };
 use stride_ir::{module_from_string, Module};
 use stride_profdb::{
@@ -157,10 +157,12 @@ fn verb_of(req: &Request) -> usize {
     }
 }
 
-/// A submitted module with its content hash, computed once at submit.
+/// A submitted module with its store key hash and its run-cache
+/// fingerprint, both computed once at submit.
 struct Submitted {
     module: Module,
     hash: u64,
+    fingerprint: u64,
 }
 
 /// The daemon's shared state; `handle` is safe to call from any number of
@@ -377,10 +379,15 @@ impl Service {
             }
         };
         let hash = module_hash(&module);
+        let sub = Submitted {
+            fingerprint: fingerprint_module(&module),
+            module,
+            hash,
+        };
         self.modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(workload.to_string(), Arc::new(Submitted { module, hash }));
+            .insert(workload.to_string(), Arc::new(sub));
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
@@ -406,7 +413,13 @@ impl Service {
                 Self::faulted_profiling(injector, workload, &sub.module, variant, args, config)
                     .map(Arc::new)
             }
-            None => self.cache.profiling(&sub.module, variant, args, config),
+            // Looked up by the stored fingerprint; the classification
+            // `classified` memoizes beside the run is what a later
+            // `classify` of it answers.
+            None => self
+                .cache
+                .classified(&sub.module, sub.fingerprint, variant, args, config)
+                .map(|(outcome, _)| outcome),
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -445,7 +458,9 @@ impl Service {
                     },
                 )
             }
-            None => self.cache.classified(&sub.module, variant, args, config),
+            None => self
+                .cache
+                .classified(&sub.module, sub.fingerprint, variant, args, config),
         };
         let (outcome, classification) = match classified {
             Ok(c) => c,
@@ -498,8 +513,8 @@ impl Service {
             Err(resp) => return resp,
         };
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        match db.load_shared(workload, sub.hash) {
-            Ok(entry) => Response::Ok(entry.to_text()),
+        match db.load_text(workload, sub.hash) {
+            Ok(text) => Response::Ok(text),
             Err(e) => db_err(&e),
         }
     }
@@ -1117,6 +1132,44 @@ mod tests {
         assert!(gc.starts_with("removed 1\n"), "{gc}");
         check(&v2, "a gc");
         let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    #[test]
+    fn a_resubmitted_module_is_served_as_a_fresh_service_serves_it() {
+        let args = [2];
+        let submit = |svc: &Service, text: &str| {
+            ok_body(svc.handle(&Request::SubmitModule {
+                workload: "sweep".into(),
+                text: text.into(),
+            }))
+        };
+        let profile = |svc: &Service| {
+            ok_body(svc.handle(&Request::Profile {
+                workload: "sweep".into(),
+                variant: ProfilingVariant::EdgeCheck,
+                args: args.to_vec(),
+            }))
+        };
+        let (a, b) = (sweep_text(), sweep_text_of(1500));
+        let svc = tmp_service("resubmit");
+        submit(&svc, &a);
+        profile(&svc);
+        // Both reads of A served once, so its run, classification and
+        // entry text are all memoized before B replaces it.
+        let a_reads = served_reads(&svc, "sweep", &args);
+        submit(&svc, &b);
+        let fresh = tmp_service("resubmit-fresh");
+        submit(&fresh, &b);
+        let b_reads = served_reads(&fresh, "sweep", &args);
+        assert_eq!(served_reads(&svc, "sweep", &args), b_reads, "unprofiled");
+        assert_ne!(a_reads.1, b_reads.1, "A and B must classify apart");
+        profile(&svc);
+        profile(&fresh);
+        let b_reads = served_reads(&fresh, "sweep", &args);
+        assert_eq!(served_reads(&svc, "sweep", &args), b_reads, "profiled");
+        assert_ne!(a_reads.0, b_reads.0, "A and B must store apart");
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+        let _ = std::fs::remove_dir_all(&fresh.config.db_root);
     }
 
     #[test]
